@@ -35,7 +35,9 @@ class DiffusionModel:
     drift(t, x, u) must accept x of shape (paths, n) and u of the same shape
     (or None when no control is installed) and return (paths, n).
     diffusion(t) returns the n x n matrix sigma(t).  control_law(t, x) maps
-    the ensemble state to the control; None means zero control.
+    the ensemble state to the control; None means zero control.  The
+    simulator reuses the array it passes as x, so a callback that keeps
+    the state beyond the call must copy it.
     """
 
     n: int
@@ -134,15 +136,79 @@ class EnsembleStats:
         return out.getvalue()
 
 
-def _noise(seed: int, n_steps: int, n_paths: int, n: int) -> np.ndarray:
-    """Standard-normal increments, bit-reproducible for fixed arguments.
+def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
+                    drift_at_end: bool = False):
+    """The one Euler-Maruyama kernel: returns (grid, dt, steps).
 
-    A counter-based Philox stream keyed by the seed is drawn once in
-    (step, path, component) order, so the result cannot depend on how the
-    ensemble is later chunked across workers.
+    Checks the arguments at once.  dt defaults to a thousandth of the
+    horizon and must divide it.  steps is a generator of (t, x, a, sig) at
+    every grid point: the ensemble x, and the drift a and dispersion sig
+    evaluated there, which the next step uses.  At the last point a and
+    sig are None unless drift_at_end.  x lives in one of two buffers that
+    the kernel reuses: it stays valid until the point after next is
+    requested, and consumers never write to it.  The generator raises
+    SimulationDivergedError with the first bad time if any path leaves the
+    finite range.
     """
+    if n_paths < 2:
+        raise InputError("n_paths must be >= 2")
+    s, t_end = model.horizon
+    if dt is None:
+        dt = (t_end - s) * 1e-3
+    if not dt > 0:
+        raise InputError("dt must be positive")
+    n_steps = int(round((t_end - s) / dt))
+    if n_steps < 1 or abs(n_steps * dt - (t_end - s)) > 1e-9 * (t_end - s):
+        raise InputError(f"dt={dt} does not divide the horizon {model.horizon}")
+    grid = s + dt * np.arange(n_steps + 1)
+    return grid, dt, _steps(model, grid, dt, n_paths, seed, drift_at_end)
+
+
+def _steps(model, grid, dt, n_paths, seed, drift_at_end):
+    """Generator behind :func:`_euler_maruyama`.
+
+    The initial law is sampled by Cholesky when its covariance is positive
+    definite and by eigh otherwise, on a stream keyed apart from the noise.
+    The noise is the counter-based Philox stream keyed by the seed, drawn
+    one step of (path, component) normals at a time into a reused buffer.
+    That is the same sequence, bit for bit, as drawing the whole
+    (step, path, component) tensor at once, so memory stays O(paths * n)
+    and the result cannot depend on how the ensemble is later chunked.
+    """
+    if np.allclose(model.initial_cov, 0.0):
+        x = np.tile(model.initial_mean, (n_paths, 1))
+    else:
+        rng0 = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(0x9E3779B9)))
+        definite = np.min(np.linalg.eigvalsh(model.initial_cov)) > 0
+        x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
+                                     size=n_paths,
+                                     method="cholesky" if definite else "eigh")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return gen.standard_normal((n_steps, n_paths, n))
+    sqrt_dt = np.sqrt(dt)
+    nxt = np.empty_like(x)
+    z = np.empty_like(x)
+    dw = np.empty_like(x)
+    last = len(grid) - 1
+    for k, t in enumerate(grid):
+        if k == last and not drift_at_end:
+            yield t, x, None, None
+            return
+        u = model.control_law(t, x) if model.control_law is not None else None
+        a = model.drift(t, x, u)
+        sig = np.atleast_2d(np.asarray(model.diffusion(t), dtype=float))
+        yield t, x, a, sig
+        if k == last:
+            return
+        gen.standard_normal(out=z)
+        z *= sqrt_dt
+        # same operations, in the same order, as x + a * dt + z @ sig.T;
+        # nxt is never x, so a drift that returns x itself stays intact
+        np.multiply(a, dt, out=nxt)
+        nxt += x
+        nxt += np.matmul(z, sig.T, out=dw)
+        if not np.isfinite(nxt).all():
+            raise SimulationDivergedError(grid[k + 1])
+        x, nxt = nxt, x
 
 
 def _moments(x: np.ndarray):
@@ -163,48 +229,19 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
                       seed: int = 0, keep_paths: bool = False) -> EnsembleStats:
     """Euler-Maruyama ensemble of the controlled diffusion.
 
-    Deterministic for fixed (seed, n_paths, dt).  Raises
-    SimulationDivergedError with the first bad time if any path leaves the
-    finite range.
+    Deterministic for fixed (seed, n_paths, dt).  dt must divide the
+    horizon.  Raises SimulationDivergedError with the first bad time if any
+    path leaves the finite range.
     """
-    if n_paths < 2:
-        raise InputError("n_paths must be >= 2")
-    s, t_end = model.horizon
-    if dt is None:
-        dt = (t_end - s) * 1e-3
-    if dt <= 0:
-        raise InputError("dt must be positive")
+    grid, _, steps = _euler_maruyama(model, n_paths, dt, seed)
     n = model.n
-    n_steps = int(round((t_end - s) / dt))
-    grid = s + dt * np.arange(n_steps + 1)
-
-    rng0 = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(0x9E3779B9)))
-    if np.allclose(model.initial_cov, 0.0):
-        x = np.tile(model.initial_mean, (n_paths, 1))
-    else:
-        x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
-                                     size=n_paths, method="cholesky" if
-                                     np.min(np.linalg.eigvalsh(model.initial_cov)) > 0 else "eigh")
-    dW = _noise(seed, n_steps, n_paths, n) * np.sqrt(dt)
-
-    means = np.empty((n_steps + 1, n))
-    rs = np.empty((n_steps + 1, n, n))
-    means[0], rs[0] = _moments(x)
-    trail = np.empty((n_paths, n_steps + 1, n)) if keep_paths else None
-    if keep_paths:
-        trail[:, 0, :] = x
-
-    for k in range(n_steps):
-        t = grid[k]
-        u = model.control_law(t, x) if model.control_law is not None else None
-        a = model.drift(t, x, u)
-        sig = np.atleast_2d(np.asarray(model.diffusion(t), dtype=float))
-        x = x + a * dt + dW[k] @ sig.T
-        if not np.all(np.isfinite(x)):
-            raise SimulationDivergedError(grid[k + 1])
-        means[k + 1], rs[k + 1] = _moments(x)
+    means = np.empty((len(grid), n))
+    rs = np.empty((len(grid), n, n))
+    trail = np.empty((n_paths, len(grid), n)) if keep_paths else None
+    for k, (_, x, _, _) in enumerate(steps):
+        means[k], rs[k] = _moments(x)
         if keep_paths:
-            trail[:, k + 1, :] = x
+            trail[:, k, :] = x
 
     for arr in (grid, means, rs):
         arr.setflags(write=False)

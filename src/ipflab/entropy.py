@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import DiffusionModel, EnsembleStats, _noise, _REDUCE_CHUNK
+from .diffusion import DiffusionModel, EnsembleStats, _euler_maruyama
 from .errors import (DegenerateFunctionalError, InputError,
                      SingularDiffusionError)
 
@@ -42,36 +42,26 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     """Monte Carlo value of the drift quadratic form along simulated paths.
 
     The integrand a_u^T (2b)^{-1} a_u is accumulated trapezoidally per
-    path; the reported standard error is the per-path spread of the time
-    integral divided by sqrt(n_paths).
+    path, from the drift the Euler-Maruyama kernel evaluates at each grid
+    point; the reported standard error is the per-path spread of the time
+    integral divided by sqrt(n_paths).  Raises the kernel's InputError and
+    SimulationDivergedError, and SingularDiffusionError where 2b is
+    singular.
     """
-    if n_paths < 2:
-        raise InputError("n_paths must be >= 2")
-    s, t_end = model.horizon
-    if dt is None:
-        dt = (t_end - s) * 1e-3
-    n = model.n
-    n_steps = int(round((t_end - s) / dt))
-    grid = s + dt * np.arange(n_steps + 1)
-
-    rng0 = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(0x9E3779B9)))
-    if np.allclose(model.initial_cov, 0.0):
-        x = np.tile(model.initial_mean, (n_paths, 1))
-    else:
-        x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
-                                     size=n_paths, method="eigh")
-    dW = _noise(seed, n_steps, n_paths, n) * np.sqrt(dt)
-
+    _, dt, steps = _euler_maruyama(model, n_paths, dt, seed, drift_at_end=True)
     integral = np.zeros(n_paths)
-    prev_q = _quadratic(model, grid[0], x)
-    for k in range(n_steps):
-        t = grid[k]
-        u = model.control_law(t, x) if model.control_law is not None else None
-        a = model.drift(t, x, u)
-        sig = np.atleast_2d(np.asarray(model.diffusion(t), dtype=float))
-        x = x + a * dt + dW[k] @ sig.T
-        q = _quadratic(model, grid[k + 1], x)
-        integral += 0.5 * dt * (prev_q + q)
+    prev_q = sig_seen = None
+    for t, _, a, sig in steps:
+        # 2b is checked and inverted only when sigma changes
+        if sig_seen is None or not np.array_equal(sig, sig_seen):
+            twob = sig @ sig.T
+            if np.linalg.cond(twob) > 1e12:
+                raise SingularDiffusionError(f"2b singular at t={t}")
+            inv = np.linalg.inv(twob)
+            sig_seen = sig.copy()
+        q = np.einsum("pi,pi->p", a, a @ inv.T)
+        if prev_q is not None:
+            integral += 0.5 * dt * (prev_q + q)
         prev_q = q
 
     half = 0.5 * integral
@@ -79,18 +69,6 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     se = float(np.std(half, ddof=1) / math.sqrt(n_paths))
     return EntropyEstimate(value=value, method="monte-carlo",
                            horizon=model.horizon, std_error=se)
-
-
-def _quadratic(model: DiffusionModel, t: float, x: np.ndarray) -> np.ndarray:
-    """Per-path a_u^T (2b)^{-1} a_u at one time."""
-    u = model.control_law(t, x) if model.control_law is not None else None
-    a = model.drift(t, x, u)
-    sig = np.atleast_2d(np.asarray(model.diffusion(t), dtype=float))
-    twob = sig @ sig.T
-    if np.linalg.cond(twob) > 1e12:
-        raise SingularDiffusionError(f"2b singular at t={t}")
-    sol = np.linalg.solve(twob, a.T).T
-    return np.einsum("pi,pi->p", a, sol)
 
 
 def entropy_covariance_form(u, stats: EnsembleStats, sigma) -> EntropyEstimate:

@@ -90,6 +90,18 @@ class TestSimulateEnsemble:
         with pytest.raises(InputError):
             diffusion.simulate_ensemble(ou_model(), 1, dt=0.01, seed=0)
 
+    def test_dt_not_dividing_horizon_rejected(self):
+        # 0.3 does not divide 1: the grid would end at t = 0.9
+        with pytest.raises(InputError, match="divide"):
+            diffusion.simulate_ensemble(ou_model(horizon=(0.0, 1.0)), 10,
+                                        dt=0.3, seed=0)
+
+    def test_dt_dividing_horizon_up_to_rounding_accepted(self):
+        # 0.1 is not a binary fraction, yet 10 steps of it span (0, 1)
+        stats = diffusion.simulate_ensemble(ou_model(horizon=(0.0, 1.0)), 10,
+                                            dt=0.1, seed=0)
+        assert len(stats.grid) == 11
+
     def test_keep_paths_shape(self):
         stats = diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 50,
                                             dt=0.01, seed=0, keep_paths=True)

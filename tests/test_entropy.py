@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ipflab import diffusion, entropy
-from ipflab.errors import DegenerateFunctionalError, InputError
+from ipflab.errors import (DegenerateFunctionalError, InputError,
+                           SimulationDivergedError, SingularDiffusionError)
 
 
 def growth_model(u0=1.0, sigma=1.0, horizon=(0.0, 1.0)):
@@ -53,6 +54,38 @@ class TestMonteCarlo:
     def test_std_error_reported(self):
         est = entropy.entropy_mc(growth_model(), 1000, dt=2e-3, seed=0)
         assert est.std_error is not None and est.std_error > 0
+
+
+class TestMonteCarloInputs:
+    def test_zero_dt_rejected(self):
+        with pytest.raises(InputError):
+            entropy.entropy_mc(growth_model(), 100, dt=0.0, seed=0)
+
+    def test_dt_not_dividing_horizon_rejected(self):
+        # 0.3 does not divide 1: the integral would stop at t = 0.9
+        with pytest.raises(InputError):
+            entropy.entropy_mc(growth_model(), 100, dt=0.3, seed=0)
+
+    def test_too_few_paths_rejected(self):
+        with pytest.raises(InputError):
+            entropy.entropy_mc(growth_model(), 1, dt=0.01, seed=0)
+
+    def test_divergence_raises(self):
+        model = diffusion.DiffusionModel(
+            n=1, drift=lambda t, x, u: 1e4 * x ** 3, diffusion=lambda t: [[1.0]],
+            initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 2.0))
+        with pytest.raises(SimulationDivergedError) as exc, \
+                np.errstate(over="ignore"):
+            entropy.entropy_mc(model, 50, dt=0.05, seed=2)
+        assert exc.value.t_bad > 0
+
+    def test_sigma_turning_singular_midway_rejected(self):
+        model = diffusion.DiffusionModel(
+            n=1, drift=lambda t, x, u: x,
+            diffusion=lambda t: [[1.0]] if t < 0.5 else [[0.0]],
+            initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 1.0))
+        with pytest.raises(SingularDiffusionError, match="t=0.5"):
+            entropy.entropy_mc(model, 100, dt=0.01, seed=0)
 
 
 class TestCovarianceForm:
