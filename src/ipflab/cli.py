@@ -1,17 +1,17 @@
 """Command-line front end for reproducible experiments.
 
 Subcommands: simulate, entropy, identify, schedule, invariants, network,
-diagnose, reproduce, pipeline.  Parameters come from an optional JSON
-config document; command-line flags override config fields.  The default
-output directory is taken from the IPFLAB_OUT environment variable when
-set.  All file outputs carry a schema_version field.
+diagnose, reproduce, pipeline; each takes only the flags it reads.
+Parameters come from an optional JSON config document whose keys must be
+flags of the chosen command; a flag given on the command line beats the
+config.  The default output directory is taken from the IPFLAB_OUT
+environment variable when set.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -20,10 +20,8 @@ import numpy as np
 
 from . import diffusion, diagnostics, entropy, identification, invariants
 from . import control, eigenchain, network
+from .diffusion import LN2, SCHEMA_VERSION, plain
 from .errors import IpfError
-
-SCHEMA_VERSION = "1"
-LN2 = math.log(2.0)
 
 
 def _scalar_model(theta: float, sigma: float, x0: float, horizon,
@@ -105,8 +103,7 @@ def cmd_identify(args) -> int:
         identification.identify_closed_loop(stats, tau, b=b),
     ]
     print(json.dumps({"schema_version": SCHEMA_VERSION,
-                      "reports": [json.loads(r.to_json()) for r in reports]},
-                     indent=2))
+                      "reports": plain(reports)}, indent=2))
     return 0
 
 
@@ -115,26 +112,22 @@ def cmd_schedule(args) -> int:
     chain = eigenchain.build_equalization_chain(spec, args.n)
     inv = invariants.invariant_set(args.gamma)
     sched = control.schedule_from_invariants(inv, spec)
-    doc = {"schema_version": SCHEMA_VERSION,
-           "chain": json.loads(chain.to_json()),
-           "schedule": json.loads(sched.to_json())}
-    print(json.dumps(doc, indent=2))
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "chain": plain(chain),
+                      "schedule": plain(sched)}, indent=2))
     return 0
 
 
 def cmd_invariants(args) -> int:
     inv = invariants.invariant_set(args.gamma)
-    doc = json.loads(inv.to_json())
-    doc["schema_version"] = SCHEMA_VERSION
-    print(json.dumps(doc, indent=2))
+    print(json.dumps({**plain(inv), "schema_version": SCHEMA_VERSION},
+                     indent=2))
     return 0
 
 
 def cmd_network(args) -> int:
     net = network.build_in(args.n, args.gamma, args.alpha1)
-    doc = json.loads(net.to_json())
-    doc["schema_version"] = SCHEMA_VERSION
-    print(json.dumps(doc, indent=2))
+    print(json.dumps({**plain(net), "schema_version": SCHEMA_VERSION},
+                     indent=2))
     print(net.to_outline())
     return 0
 
@@ -167,9 +160,8 @@ def cmd_diagnose(args) -> int:
     sched = control.schedule_from_invariants(inv, spec)
     grid, x, dps = _segment_trace(sched)
     report = diagnostics.diagnose_segments(grid, x, dps)
-    doc = json.loads(report.to_json())
-    doc["schema_version"] = SCHEMA_VERSION
-    print(json.dumps(doc, indent=2))
+    print(json.dumps({**plain(report), "schema_version": SCHEMA_VERSION},
+                     indent=2))
     return 0
 
 
@@ -260,13 +252,11 @@ def cmd_pipeline(args) -> int:
     _write(out / "ensemble.json", stats.to_json())
     artifacts.append("ensemble.json")
 
-    b = np.array([[0.5]])
     ops = [identification.identify_covariance_ratio(stats, t)
            for t in np.linspace(args.horizon / 4, args.horizon, 4)]
     _write(out / "operators.json",
            json.dumps({"schema_version": SCHEMA_VERSION,
-                       "operators": [json.loads(o.to_json()) for o in ops]},
-                      indent=2))
+                       "operators": plain(ops)}, indent=2))
     artifacts.append("operators.json")
 
     inv = invariants.invariant_set(args.gamma)
@@ -293,41 +283,38 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def _add_common(p, stochastic=False, net=False):
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    if stochastic:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--n-paths", dest="n_paths", type=int, default=10000)
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--theta", type=float, default=-1.0)
-        p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--x0", type=float, default=1.0)
-        p.add_argument("--horizon", type=float, default=1.0)
-        p.add_argument("--feedback", action="store_true")
-    if net:
-        p.add_argument("--n", type=int, default=3)
-        p.add_argument("--gamma", type=float, default=0.5)
-        p.add_argument("--alpha1", type=float, default=1.0)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict = None) -> argparse.ArgumentParser:
+    """The ipflab parser; config values, if given, replace built-in defaults."""
     parser = argparse.ArgumentParser(prog="ipflab")
     parser.add_argument("--config", default=None,
                         help="JSON config file; flags override its fields")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("simulate"), stochastic=True)
-    _add_common(sub.add_parser("entropy"), stochastic=True)
-    _add_common(sub.add_parser("identify"), stochastic=True)
-    _add_common(sub.add_parser("schedule"), net=True)
-    p = sub.add_parser("invariants")
-    _add_common(p)
-    p.add_argument("--gamma", type=float, default=None)
-    _add_common(sub.add_parser("network"), net=True)
-    _add_common(sub.add_parser("diagnose"), net=True)
-    _add_common(sub.add_parser("reproduce"))
-    pp = sub.add_parser("pipeline")
-    _add_common(pp, stochastic=True, net=True)
+    cmds = {name: sub.add_parser(name) for name in _DISPATCH}
+    for name in ("simulate", "reproduce", "pipeline"):
+        cmds[name].add_argument("--out", default=None, help="output directory")
+    for name in ("simulate", "entropy", "identify", "pipeline"):
+        p = cmds[name]
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--n-paths", dest="n_paths", type=int, default=10000)
+        p.add_argument("--dt", type=float, default=None)
+        p.add_argument("--horizon", type=float, default=1.0)
+    for name in ("simulate", "entropy", "identify"):
+        p = cmds[name]
+        p.add_argument("--theta", type=float, default=-1.0)
+        p.add_argument("--sigma", type=float, default=1.0)
+        p.add_argument("--x0", type=float, default=1.0)
+    cmds["simulate"].add_argument("--format", choices=("json", "csv"),
+                                  default="json")
+    cmds["simulate"].add_argument("--feedback", action="store_true")
+    for name in ("schedule", "network", "diagnose", "pipeline"):
+        p = cmds[name]
+        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--gamma", type=float, default=0.5)
+        p.add_argument("--alpha1", type=float, default=1.0)
+    cmds["invariants"].add_argument("--gamma", type=float, default=None)
+    if config:
+        for p in cmds.values():
+            p.set_defaults(**config)
     return parser
 
 
@@ -345,12 +332,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         # precedence: explicit flags > config file > built-in defaults
-        defaults = build_parser().parse_args([args.command])
-        cfg = json.loads(Path(args.config).read_text())
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) == getattr(defaults, attr, None):
-                setattr(args, attr, val)
+        cfg = {key.replace("-", "_"): val for key, val in
+               json.loads(Path(args.config).read_text()).items()}
+        unknown = set(cfg) - (set(vars(args)) - {"config", "command"})
+        if unknown:
+            parser.error(f"config keys not taken by {args.command}: "
+                         + ", ".join(sorted(unknown)))
+        parser = build_parser(cfg)
+        args = parser.parse_args(argv)
     if args.command in ("simulate", "entropy", "identify", "pipeline") and args.seed is None:
         parser.error(f"{args.command} requires --seed (or a seed config field)")
     if args.command == "invariants" and args.gamma is None:

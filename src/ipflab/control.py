@@ -12,14 +12,13 @@ rotation that preserves the norm.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .diffusion import EnsembleStats
+from .diffusion import EnsembleStats, Record
 from .errors import DegenerateEnsembleError, InputError, UndefinedAngleError
 from .identification import _guarded_inv
 
@@ -46,7 +45,7 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class SegmentSchedule:
+class SegmentSchedule(Record):
     """Switch moments, per-segment records, and needle events between them."""
 
     dps: list
@@ -57,20 +56,6 @@ class SegmentSchedule:
         d = list(self.dps)
         if any(d[k + 1] <= d[k] for k in range(len(d) - 1)):
             raise InputError("switch moments must be strictly increasing")
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "dps": list(self.dps),
-            "segments": [{"t_start": s.t_start, "t_end": s.t_end,
-                          "eigenvalue": s.eigenvalue,
-                          "start_state": s.start_state,
-                          "control": s.control} for s in self.segments],
-            "needle_events": [{"tau": e.tau,
-                               "v_minus": np.atleast_1d(e.v_minus).tolist(),
-                               "v_plus": np.atleast_1d(e.v_plus).tolist(),
-                               "delta_v": np.atleast_1d(e.delta_v).tolist()}
-                              for e in self.needle_events],
-        }, indent=2)
 
 
 def starting_control(stats: EnsembleStats, at: float) -> dict:
@@ -101,8 +86,8 @@ def step_control(x_at_dp) -> np.ndarray:
 
 def needle_control(x_minus, x_plus, tau: float = 0.0) -> NeedleEvent:
     """Needle action between tau-o and tau: jump of the held control."""
-    v_m = step_control(x_minus)
-    v_p = step_control(x_plus)
+    v_m = np.atleast_1d(step_control(x_minus))
+    v_p = np.atleast_1d(step_control(x_plus))
     return NeedleEvent(tau=tau, v_minus=v_m, v_plus=v_p, delta_v=v_p - v_m)
 
 

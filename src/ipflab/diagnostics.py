@@ -9,11 +9,11 @@ noiseless replay.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .diffusion import Record
 from .errors import InputError, UndefinedLogError
 
 
@@ -55,18 +55,11 @@ def classify(sigma: float, tol: float = 1e-12) -> str:
 
 
 @dataclass(frozen=True)
-class DiagnosticsReport:
+class DiagnosticsReport(Record):
     lce_per_segment: list
-    pfr_values: list
+    pfr: list              # always empty: written for the schema, never filled
     sign_flips: list
     classification: list
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "lce_per_segment": self.lce_per_segment,
-            "pfr": self.pfr_values,
-            "sign_flips": self.sign_flips,
-            "classification": self.classification}, indent=2)
 
 
 def diagnose_segments(grid, x, dps) -> DiagnosticsReport:
@@ -89,6 +82,6 @@ def diagnose_segments(grid, x, dps) -> DiagnosticsReport:
              for k in range(len(lces) - 1)
              if lces[k] * lces[k + 1] < 0]
     return DiagnosticsReport(lce_per_segment=lces,
-                             pfr_values=[],
+                             pfr=[],
                              sign_flips=flips,
                              classification=[classify(s) for s in lces])

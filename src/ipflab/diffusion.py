@@ -14,18 +14,59 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InputError, SimulationDivergedError
 
+# constants shared by every module; this one imports no other ipflab module
 SCHEMA_VERSION = "1"
+LN2 = math.log(2.0)
+# condition number above which a matrix that must be inverted is refused
+COND_MAX = 1e12
 
 # paths are reduced chunk-by-chunk with a fixed chunk size so the moment
 # sums form the same pairwise tree regardless of how work is distributed
 _REDUCE_CHUNK = 4096
+
+
+def plain(obj):
+    """JSON-ready copy of a record, array or container.
+
+    A dataclass becomes a dict of its fields in declaration order, leaving
+    out fields marked ``metadata={"json": False}``; a complex array field
+    x is written as x_real and x_imag; arrays become lists.
+    """
+    if is_dataclass(obj):
+        doc = {}
+        for f in fields(obj):
+            val = getattr(obj, f.name)
+            if not f.metadata.get("json", True):
+                continue
+            if isinstance(val, np.ndarray) and np.iscomplexobj(val):
+                doc[f.name + "_real"] = val.real.tolist()
+                doc[f.name + "_imag"] = val.imag.tolist()
+            else:
+                doc[f.name] = plain(val)
+        return doc
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+class Record:
+    """Base of the result records, which are frozen dataclasses."""
+
+    def to_json(self) -> str:
+        """The record as an indented JSON document (see :func:`plain`)."""
+        return json.dumps(plain(self), indent=2)
 
 
 @dataclass(frozen=True)
@@ -65,28 +106,37 @@ class DiffusionModel:
 
 
 @dataclass(frozen=True)
-class EnsembleStats:
+class EnsembleStats(Record):
     """Per-time moments of a simulated ensemble.
 
     r is the (non-centered) second-moment matrix E[x x^T]; r_dot is its
-    time derivative, filled by :func:`covariance_derivative`.
+    time derivative, filled by :func:`covariance_derivative`.  The record
+    is a document of its own, so its JSON carries the schema version; the
+    retained paths are never written.
     """
 
+    schema_version: str = field(default=SCHEMA_VERSION, init=False)
+    seed: int
+    n_paths: int
     grid: np.ndarray            # (T,)
     mean: np.ndarray            # (T, n)
     r: np.ndarray               # (T, n, n)
-    seed: int
-    n_paths: int
     r_dot: Optional[np.ndarray] = None
-    paths: Optional[np.ndarray] = None   # (paths, T, n) if retained
+    # (paths, T, n) if retained
+    paths: Optional[np.ndarray] = field(default=None, metadata={"json": False})
 
     @property
     def n(self) -> int:
         return self.mean.shape[1]
 
     def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.grid - t)))
-        return i
+        """Index of the grid point nearest t; t must lie on the grid's span
+        up to a relative 1e-9."""
+        lo, hi = self.grid[0], self.grid[-1]
+        tol = 1e-9 * (hi - lo)
+        if not lo - tol <= t <= hi + tol:
+            raise InputError(f"t={t} is outside the grid [{lo}, {hi}]")
+        return int(np.argmin(np.abs(self.grid - t)))
 
     def r_at(self, t: float) -> np.ndarray:
         return self.r[self.index_of(t)]
@@ -105,18 +155,6 @@ class EnsembleStats:
         if self.r_dot is None:
             raise InputError("r_dot not filled; call covariance_derivative first")
         return self.r_dot[self.index_of(t)]
-
-    def to_json(self) -> str:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "n_paths": self.n_paths,
-            "grid": self.grid.tolist(),
-            "mean": self.mean.tolist(),
-            "r": self.r.tolist(),
-            "r_dot": None if self.r_dot is None else self.r_dot.tolist(),
-        }
-        return json.dumps(doc, indent=2)
 
     def to_csv(self) -> str:
         n = self.n
@@ -152,6 +190,8 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     """
     if n_paths < 2:
         raise InputError("n_paths must be >= 2")
+    if not 0 <= seed < 2 ** 64:
+        raise InputError(f"seed={seed} is outside [0, 2**64)")
     s, t_end = model.horizon
     if dt is None:
         dt = (t_end - s) * 1e-3
@@ -262,12 +302,16 @@ def covariance_derivative(stats: EnsembleStats) -> EnsembleStats:
 
 
 def stats_from_covariance(grid, r, mean=None, seed=0, n_paths=0) -> EnsembleStats:
-    """Wrap analytically known moments in the EnsembleStats container."""
-    grid = np.asarray(grid, dtype=float)
-    r = np.asarray(r, dtype=float)
+    """Wrap analytically known moments in the EnsembleStats container.
+
+    The record holds read-only copies; the caller's arrays are untouched.
+    """
+    grid = np.array(grid, dtype=float)
+    r = np.array(r, dtype=float)
     if r.ndim == 1:
         r = r[:, None, None]
-    if mean is None:
-        mean = np.zeros((len(grid), r.shape[1]))
-    return EnsembleStats(grid=grid, mean=np.asarray(mean, dtype=float),
-                         r=r, seed=seed, n_paths=n_paths)
+    mean = (np.zeros((len(grid), r.shape[1])) if mean is None
+            else np.array(mean, dtype=float))
+    for arr in (grid, mean, r):
+        arr.setflags(write=False)
+    return EnsembleStats(grid=grid, mean=mean, r=r, seed=seed, n_paths=n_paths)

@@ -13,17 +13,16 @@ interval ln 2 / lam zeroes the state exactly.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
+from .diffusion import LN2, Record
 from .errors import (InputError, NeedsNeedleControlError, NoCooperationError,
                      SingularRenovationError)
 
-LN2 = math.log(2.0)
 _POLE_TOL = 1e-12
 
 
@@ -80,18 +79,13 @@ def _equalization_root(lam_joint: float, lam_next: float, offset: float,
 
 
 @dataclass(frozen=True)
-class EigenChain:
+class EigenChain(Record):
     """Cooperation schedule: per-stage eigenvalue pairs and interval lengths."""
 
-    lambdas: list          # stage k: [joined lam entering, next spectrum lam, lam after join]
-    intervals: list        # t_k durations, one per stage
     n: int
     m: int
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "m": self.m,
-                           "lambdas": self.lambdas,
-                           "intervals": self.intervals}, indent=2)
+    lambdas: list          # stage k: [joined lam entering, next spectrum lam, lam after join]
+    intervals: list        # t_k durations, one per stage
 
 
 def interval_ratios(chain: EigenChain) -> list:

@@ -12,29 +12,24 @@ and is never simulated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .diffusion import DiffusionModel, EnsembleStats, _euler_maruyama
+from .diffusion import (COND_MAX, DiffusionModel, EnsembleStats, Record,
+                        _euler_maruyama)
 from .errors import (DegenerateFunctionalError, InputError,
                      SingularDiffusionError)
 
 
 @dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(Record):
     value: float                  # nats
     method: str                   # "monte-carlo" or "covariance-form"
     horizon: tuple
     std_error: Optional[float] = None
-
-    def to_json(self) -> str:
-        return json.dumps({"value": self.value, "method": self.method,
-                           "horizon": list(self.horizon),
-                           "std_error": self.std_error}, indent=2)
 
 
 def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
@@ -55,7 +50,7 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
         # 2b is checked and inverted only when sigma changes
         if sig_seen is None or not np.array_equal(sig, sig_seen):
             twob = sig @ sig.T
-            if np.linalg.cond(twob) > 1e12:
+            if np.linalg.cond(twob) > COND_MAX:
                 raise SingularDiffusionError(f"2b singular at t={t}")
             inv = np.linalg.inv(twob)
             sig_seen = sig.copy()

@@ -9,48 +9,37 @@ E[2 X X^T + dX/dx] = 0 serves as the switch-moment diagnostic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .diffusion import EnsembleStats
+from .diffusion import COND_MAX, EnsembleStats, Record
 from .errors import DegenerateEnsembleError, InputError
-
-_COND_MAX = 1e12
 
 
 def _guarded_inv(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.atleast_2d(mat)
-    if np.linalg.cond(mat) > _COND_MAX:
+    if np.linalg.cond(mat) > COND_MAX:
         raise DegenerateEnsembleError(f"{what} is numerically singular")
     return np.linalg.inv(mat)
 
 
 @dataclass(frozen=True)
-class IdentifiedOperator:
+class IdentifiedOperator(Record):
+    """Operator A identified at tau; its eigenvalues are stored complex."""
+
     tau: float
-    A: np.ndarray
     method: str
+    A: np.ndarray
     eigenvalues: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "tau": self.tau, "method": self.method,
-            "A": np.atleast_2d(self.A).tolist(),
-            "eigenvalues_real": np.real(self.eigenvalues).tolist(),
-            "eigenvalues_imag": np.imag(self.eigenvalues).tolist(),
-            "diagnostics": {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                            for k, v in self.diagnostics.items()},
-        }, indent=2)
 
 
 def _make(tau, A, method, diagnostics=None) -> IdentifiedOperator:
     A = np.atleast_2d(A)
-    return IdentifiedOperator(tau=float(tau), A=A, method=method,
-                              eigenvalues=np.linalg.eigvals(A),
+    return IdentifiedOperator(tau=float(tau), method=method, A=A,
+                              eigenvalues=np.linalg.eigvals(A).astype(complex),
                               diagnostics=diagnostics or {})
 
 
@@ -68,15 +57,20 @@ def identify_reduced(stats: EnsembleStats, v, tau: float,
         raise InputError("identify_reduced needs retained paths for r_v")
     x = stats.paths[:, i, :]
     vv = np.atleast_1d(np.asarray(v(tau) if callable(v) else v, dtype=float))
-    if vv.ndim == 1 and vv.shape[0] == stats.n:
-        shifted = x + vv
-    else:
-        shifted = x + vv
+    shifted = x + vv
     r_v = shifted.T @ shifted / shifted.shape[0]
     if b is None:
         b = 0.5 * stats.r_dot_at(tau, side="left")
     A = -np.atleast_2d(b) @ _guarded_inv(r_v, "r_v")
     return _make(tau, A, "reduced-control", {"r_v": r_v})
+
+
+def _b_r_inv(stats: EnsembleStats, tau: float, b) -> np.ndarray:
+    """b r(tau)^{-1}, with b defaulting to the left derivative (1/2) rdot."""
+    r = stats.r_at(tau)
+    if b is None:
+        b = 0.5 * stats.r_dot_at(tau, side="left")
+    return np.atleast_2d(b) @ _guarded_inv(r, "r")
 
 
 def identify_reduced_feedback(stats: EnsembleStats, tau: float,
@@ -86,11 +80,8 @@ def identify_reduced_feedback(stats: EnsembleStats, tau: float,
     With x + v = -x the shifted moment equals r, so A = -b r^{-1} needs no
     retained paths.
     """
-    r = stats.r_at(tau)
-    if b is None:
-        b = 0.5 * stats.r_dot_at(tau, side="left")
-    A = -np.atleast_2d(b) @ _guarded_inv(r, "r")
-    return _make(tau, A, "reduced-control", {"feedback": "v=-2x"})
+    return _make(tau, -_b_r_inv(stats, tau, b), "reduced-control",
+                 {"feedback": "v=-2x"})
 
 
 def identify_covariance_ratio(stats: EnsembleStats, tau: float) -> IdentifiedOperator:
@@ -127,11 +118,7 @@ def identify_dispersion_window(stats: EnsembleStats, tau: float,
 def identify_closed_loop(stats: EnsembleStats, tau: float,
                          b: Optional[np.ndarray] = None) -> IdentifiedOperator:
     """A^v(tau) = b r^{-1}, the operator seen under the closed loop."""
-    r = stats.r_at(tau)
-    if b is None:
-        b = 0.5 * stats.r_dot_at(tau, side="left")
-    A = np.atleast_2d(b) @ _guarded_inv(r, "r")
-    return _make(tau, A, "closed-loop", {})
+    return _make(tau, _b_r_inv(stats, tau, b), "closed-loop", {})
 
 
 def conjugate_vector(stats: EnsembleStats, tau: float) -> np.ndarray:

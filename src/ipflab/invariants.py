@@ -13,17 +13,14 @@ dimensionless defect d* and the irreversible lifetime d* * T_rev.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy import optimize
 
+from .diffusion import Record
 from .errors import InputError, NoRootError
-
-LN2 = math.log(2.0)
 
 # admissible ratio window; evaluation outside it is allowed for diagnostics
 GAMMA_DIAPASON = (0.00718, 0.8)
@@ -159,7 +156,7 @@ def optimal_spectrum(n: int, alpha1: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(Record):
     """Complete scalar invariant record at one ratio gamma.
 
     a_formula is the direct evaluation of the companion equation; a is the
@@ -179,19 +176,14 @@ class InvariantSet:
     defect: float
     provenance: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        doc = {k: getattr(self, k) for k in
-               ("gamma", "ao_signed", "ao_abs", "a", "a_formula",
-                "b_o", "b", "delta_star", "defect")}
-        doc["provenance"] = self.provenance
-        return json.dumps(doc, indent=2)
-
 
 def invariant_set(gamma: float, use_reference_a: bool = True) -> InvariantSet:
-    """Solve and assemble every invariant at the given ratio."""
+    """Solve and assemble every invariant at the given ratio, 0 <= gamma <= 1."""
+    if gamma > 1:
+        raise InputError("invariant_set requires 0 <= gamma <= 1")
     ao_signed = solve_ao(gamma)
     ao = abs(ao_signed)
-    a_formula = invariant_a(gamma, ao) if gamma <= 1 else float("nan")
+    a_formula = invariant_a(gamma, ao)
     prov = {"ao": "solved", "a": "solved", "b_o": "derived-by-ratio",
             "b": "derived-by-ratio", "delta_star": "solved"}
     a = a_formula

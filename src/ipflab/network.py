@@ -12,7 +12,6 @@ later node joins the running node with the next two entries.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,10 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import SegmentSchedule
+from .diffusion import LN2, Record
 from .errors import InputError
 from .invariants import InvariantSet, invariant_set, optimal_spectrum, solve_ao
-
-LN2 = math.log(2.0)
 
 # bit mapping of the switch letters: A = regular step switch (0),
 # B = needle consolidation (1)
@@ -38,27 +36,19 @@ def _consumed(delivered: float) -> float:
 
 
 @dataclass(frozen=True)
-class TripletReport:
+class TripletReport(Record):
     gamma: float
     ao_abs: float
     a: float
     delta_star: float
     gamma13: float
     gamma23: float
-    contributions: dict
     total_nats: float
     total_bits: float
     node_transfer_nats: float
     node_bits: float
     balance_residual: float
-
-    def to_json(self) -> str:
-        doc = {k: getattr(self, k) for k in
-               ("gamma", "ao_abs", "a", "delta_star", "gamma13", "gamma23",
-                "total_nats", "total_bits", "node_transfer_nats",
-                "node_bits", "balance_residual")}
-        doc["contributions"] = self.contributions
-        return json.dumps(doc, indent=2)
+    contributions: dict
 
 
 def triplet_accounting(inv: InvariantSet) -> TripletReport:
@@ -94,16 +84,11 @@ def triplet_accounting(inv: InvariantSet) -> TripletReport:
 
 
 @dataclass(frozen=True)
-class InfoNetwork:
+class InfoNetwork(Record):
     nodes: list            # per node: level, members, alpha_joined, t_r, info
     code: str
     totals: dict
     flags: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({"nodes": self.nodes, "code": self.code,
-                           "totals": self.totals, "flags": self.flags},
-                          indent=2)
 
     def to_outline(self) -> str:
         lines = []
@@ -138,7 +123,6 @@ def build_in(n: int, gamma: float, alpha1: float) -> InfoNetwork:
     inv = invariant_set(gamma)
     report = triplet_accounting(inv)
     spectrum = optimal_spectrum(n, alpha1)
-    node_count = (n - 1) // 2
 
     nodes = []
     idx = 3
@@ -174,7 +158,7 @@ def build_in(n: int, gamma: float, alpha1: float) -> InfoNetwork:
     return InfoNetwork(nodes=nodes, code=code, flags=flags,
                        totals={"total_nats": total_nats,
                                "total_bits": total_nats / LN2,
-                               "node_count": node_count})
+                               "node_count": len(nodes)})
 
 
 def emit_code(obj) -> str:
@@ -204,7 +188,7 @@ def max_ratio_check(n: int) -> dict:
     if n < 1:
         return {"spectrum_ratio": None, "formula_value": formula,
                 "relative_gap": None}
-    spec = optimal_spectrum(max(n, 1), 1.0)
+    spec = optimal_spectrum(n, 1.0)
     ratio = abs(spec[0] / spec[-1])
     gap = abs(ratio - formula) / formula
     return {"spectrum_ratio": ratio, "formula_value": formula,

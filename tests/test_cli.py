@@ -15,6 +15,11 @@ class TestInvariantsCommand:
         with pytest.raises(SystemExit):
             cli.main(["invariants"])
 
+    def test_gamma_above_one_refused(self, capsys):
+        assert cli.main(["invariants", "--gamma", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "InputError" in captured.err
+
 
 class TestReproduce:
     def test_exit_zero_and_table_written(self, tmp_path, capsys):
@@ -52,6 +57,11 @@ class TestStochasticCommands:
     def test_seed_mandatory(self):
         with pytest.raises(SystemExit):
             cli.main(["simulate"])
+
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--seed", "-1", "--n-paths", "10",
+                         "--dt", "0.1", "--out", str(tmp_path)]) == 1
+        assert "InputError" in capsys.readouterr().err
 
     def test_simulate_writes_csv(self, tmp_path):
         assert cli.main(["simulate", "--seed", "1", "--n-paths", "200",
@@ -104,6 +114,8 @@ class TestPipeline:
 
 
 class TestConfigPrecedence:
+    SIM = ["simulate", "--seed", "1", "--dt", "0.1", "--horizon", "0.2"]
+
     def test_config_overrides_default_but_not_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gamma": 0.3}))
@@ -114,3 +126,24 @@ class TestConfigPrecedence:
                          "--gamma", "0.5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["gamma"] == 0.5
+
+    def test_flag_equal_to_default_beats_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_paths": 50}))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg)] + self.SIM
+                        + ["--n-paths", "10000", "--out", str(out)]) == 0
+        assert json.loads((out / "ensemble.json").read_text())["n_paths"] == 10000
+        assert cli.main(["--config", str(cfg)] + self.SIM
+                        + ["--out", str(out)]) == 0
+        assert json.loads((out / "ensemble.json").read_text())["n_paths"] == 50
+
+    @pytest.mark.parametrize("key", ["bogus", "format", "command"])
+    def test_key_not_taken_by_command_refused(self, tmp_path, capsys, key):
+        # format is a flag of simulate, not of identify
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, key: 1}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfg), "identify"])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err

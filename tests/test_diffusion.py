@@ -102,6 +102,17 @@ class TestSimulateEnsemble:
                                             dt=0.1, seed=0)
         assert len(stats.grid) == 11
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 10,
+                                        dt=0.05, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        stats = diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 10,
+                                            dt=0.05, seed=2 ** 64 - 1)
+        assert stats.seed == 2 ** 64 - 1
+
     def test_keep_paths_shape(self):
         stats = diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 50,
                                             dt=0.01, seed=0, keep_paths=True)
@@ -132,6 +143,31 @@ class TestCovarianceDerivative:
         stats = diffusion.stats_from_covariance([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(InputError):
             diffusion.covariance_derivative(stats)
+
+
+class TestStatsRecord:
+    def test_time_outside_grid_rejected(self):
+        stats = diffusion.stats_from_covariance(np.linspace(0, 1, 11),
+                                                np.ones(11))
+        for t in (-0.5, 1.5, 50.0, math.nan):
+            with pytest.raises(InputError, match="outside the grid"):
+                stats.index_of(t)
+        # the same relative 1e-9 as the dt check
+        assert stats.index_of(1.0 + 1e-12) == 10
+        assert stats.index_of(-1e-12) == 0
+
+    def test_from_covariance_holds_read_only_copies(self):
+        grid = np.linspace(0, 1, 5)
+        r = np.exp(grid)
+        mean = np.zeros((5, 1))
+        stats = diffusion.stats_from_covariance(grid, r, mean=mean)
+        for arr in (stats.grid, stats.mean, stats.r):
+            assert not arr.flags.writeable
+        for arr in (grid, r, mean):
+            assert arr.flags.writeable
+        grid[0] = r[0] = mean[0, 0] = -1.0
+        assert stats.grid[0] == 0.0 and stats.r[0, 0, 0] == 1.0
+        assert stats.mean[0, 0] == 0.0
 
 
 class TestExport:

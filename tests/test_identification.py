@@ -85,6 +85,14 @@ class TestCovarianceRatio:
         op = identification.identify_covariance_ratio(stats, 0.0)
         assert op.A[0, 0] == pytest.approx(-0.5, abs=1e-3)
 
+    def test_tau_beyond_grid_rejected(self):
+        # used to return the t = 1 operator labelled tau = 50
+        grid = np.linspace(0, 1, 101)
+        stats = diffusion.covariance_derivative(
+            diffusion.stats_from_covariance(grid, np.exp(grid)))
+        with pytest.raises(InputError, match="outside the grid"):
+            identification.identify_covariance_ratio(stats, 50.0)
+
     def test_commutator_diagnostic_present(self):
         grid = np.linspace(0, 1, 101)
         stats = diffusion.covariance_derivative(

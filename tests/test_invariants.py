@@ -179,6 +179,12 @@ class TestInvariantSet:
         assert inv.b == pytest.approx(0.5 * inv.a)
         assert inv.provenance["b_o"] == "derived-by-ratio"
 
+    @pytest.mark.parametrize("gamma", [1.0 + 1e-9, 1.5, 10.0])
+    def test_gamma_above_one_rejected(self, gamma):
+        # used to return NaN fields with provenance "solved"
+        with pytest.raises(InputError, match="gamma"):
+            invariants.invariant_set(gamma)
+
     def test_json_roundtrip(self):
         import json
         doc = json.loads(invariants.invariant_set(0.3).to_json())
