@@ -3,8 +3,8 @@
 Subcommands: simulate, entropy, identify, schedule, invariants, network,
 diagnose, reproduce, pipeline; each takes only the flags it reads.
 Parameters come from an optional JSON config document whose keys must be
-flags of the chosen command; a flag given on the command line beats the
-config.  The default output directory is taken from the IPFLAB_OUT
+flags of the chosen command and whose values must have the flag's type;
+a flag given on the command line beats the config.  The default output directory is taken from the IPFLAB_OUT
 environment variable when set.
 """
 
@@ -240,8 +240,6 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    if args.n_paths < 1:
-        raise IpfError("n_paths must be positive")
     out = _outdir(args)
     artifacts = []
 
@@ -314,8 +312,37 @@ def build_parser(config: dict = None) -> argparse.ArgumentParser:
     cmds["invariants"].add_argument("--gamma", type=float, default=None)
     if config:
         for p in cmds.values():
+            # argparse lists a parser's flags only in its private _actions
+            for action in p._actions:
+                if action.dest in config:
+                    want = _config_misfit(action, config[action.dest])
+                    if want:
+                        parser.error(f"config key {action.dest} must be "
+                                     f"{want}, not {config[action.dest]!r}")
             p.set_defaults(**config)
     return parser
+
+
+def _config_misfit(action, val):
+    """What a config value for this flag must be, or None if it fits.
+
+    Values are refused, never converted: a bool for a switch, an int (not
+    a bool) for an int flag, an int or a float for a float flag, one of
+    the choices where the flag has them, a string otherwise; null only
+    where the flag's default is None.
+    """
+    if action.nargs == 0:
+        want, ok = "true or false", isinstance(val, bool)
+    elif action.type is int:
+        want, ok = "an integer", isinstance(val, int) and not isinstance(val, bool)
+    elif action.type is float:
+        want, ok = "a number", (isinstance(val, (int, float))
+                                and not isinstance(val, bool))
+    elif action.choices is not None:
+        want, ok = "one of " + ", ".join(action.choices), val in action.choices
+    else:
+        want, ok = "a string", isinstance(val, str)
+    return None if ok or (val is None and action.default is None) else want
 
 
 _DISPATCH = {

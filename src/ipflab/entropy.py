@@ -54,7 +54,9 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
                 raise SingularDiffusionError(f"2b singular at t={t}")
             inv = np.linalg.inv(twob)
             sig_seen = sig.copy()
-        q = np.einsum("pi,pi->p", a, a @ inv.T)
+        # at n = 1 a plain multiply gives the 1x1 product at a tenth the cost
+        b = a * inv[0, 0] if inv.shape == (1, 1) else a @ inv.T
+        q = np.einsum("pi,pi->p", a, b)
         if prev_q is not None:
             integral += 0.5 * dt * (prev_q + q)
         prev_q = q

@@ -112,6 +112,15 @@ class TestPipeline:
                 "--horizon", "0.5", "--out", str(tmp_path)]
         assert cli.main(args) == 1
 
+    @pytest.mark.parametrize("n_paths", ["0", "1"])
+    def test_n_paths_below_two_one_message(self, tmp_path, capsys, n_paths):
+        # the simulator's own check speaks for every command
+        args = ["pipeline", "--seed", "2", "--n-paths", n_paths,
+                "--dt", "0.01", "--horizon", "0.5", "--out", str(tmp_path)]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            "error (InputError): n_paths must be >= 2\n")
+
 
 class TestConfigPrecedence:
     SIM = ["simulate", "--seed", "1", "--dt", "0.1", "--horizon", "0.2"]
@@ -147,3 +156,27 @@ class TestConfigPrecedence:
             cli.main(["--config", str(cfg), "identify"])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,val", [("n_paths", 50.5), ("seed", "x"),
+                                         ("format", "xml"), ("n_paths", True),
+                                         ("feedback", 1), ("dt", "0.1")])
+    def test_value_of_wrong_type_refused(self, tmp_path, capsys, key, val):
+        # refused, never converted: 50.5 does not become 50
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: val}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfg)] + self.SIM
+                     + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"config key {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_values_that_fit_accepted(self, tmp_path):
+        # an int for a float flag, a bool for a switch, a choice, and null
+        # for a flag whose default is unset
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_paths": 20, "horizon": 1, "dt": None,
+                                   "feedback": True, "format": "csv",
+                                   "out": str(tmp_path)}))
+        assert cli.main(["--config", str(cfg), "simulate", "--seed", "1"]) == 0
+        assert (tmp_path / "ensemble.csv").exists()

@@ -8,10 +8,14 @@ match it exactly, not within a tolerance.
 """
 
 import math
+import threading
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipflab import diffusion, entropy
+from ipflab.errors import InputError, SimulationDivergedError
 
 A3 = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, 0.2], [0.0, 0.2, -0.5]])
 P3 = -np.linalg.inv(A3) / 2          # stationary covariance, positive definite
@@ -138,6 +142,16 @@ class TestKernel:
         entropy.entropy_mc(model, 10, dt=0.01, seed=0)
         assert calls == {"drift": 101, "sigma": 101}
 
+    @pytest.mark.parametrize("n,sigma", [(1, [[1.0, 0.0]]), (2, [[1.0]])])
+    def test_sigma_of_wrong_shape_refused(self, n, sigma):
+        model = diffusion.DiffusionModel(
+            n=n, drift=lambda t, x, u: -x, diffusion=lambda t: sigma,
+            initial_mean=[0.0] * n, initial_cov=np.zeros((n, n)),
+            horizon=(0.0, 0.1))
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            with pytest.raises(InputError, match="shape"):
+                run(model, 10, dt=0.01, seed=0)
+
     def test_same_initial_ensemble_in_both_entry_points(self):
         seen = {}
 
@@ -153,3 +167,148 @@ class TestKernel:
                                             keep_paths=True)
         entropy.entropy_mc(model, 500, dt=0.01, seed=4)
         assert np.array_equal(seen["x0"], stats.paths[:, 0, :])
+
+
+def scalar_model(drift=lambda t, x, u: -x):
+    return diffusion.DiffusionModel(
+        n=1, drift=drift, diffusion=lambda t: [[1.0]], initial_mean=[1.0],
+        initial_cov=[[0.0]], horizon=(0.0, 1.0))
+
+
+def within(seconds, fn):
+    """fn() run on a watchdog thread: its result, or its exception raised
+    here; fails instead of hanging if fn does not return in time."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+
+    watchdog = threading.Thread(target=run, daemon=True)
+    watchdog.start()
+    watchdog.join(seconds)
+    assert not watchdog.is_alive(), f"no return within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class TestNoiseThread:
+    """The noise is drawn one step ahead on one helper thread, which never
+    outlives the kernel call, however the call ends."""
+
+    def test_one_extra_thread_during_a_run_none_after(self):
+        before = threading.active_count()
+        seen = []
+
+        def drift(t, x, u):
+            seen.append(threading.active_count())
+            return -x
+
+        diffusion.simulate_ensemble(scalar_model(drift), 100, dt=0.01, seed=1)
+        assert threading.active_count() == before
+        entropy.entropy_mc(scalar_model(drift), 100, dt=0.01, seed=1)
+        assert threading.active_count() == before
+        assert max(seen) <= before + 1
+
+    def test_closed_generator_joins_its_thread(self):
+        before = threading.active_count()
+        _, _, steps = diffusion._euler_maruyama(scalar_model(), 100, 0.01, 0)
+        next(steps)
+        next(steps)
+        assert threading.active_count() == before + 1
+        within(30, steps.close)
+        assert threading.active_count() == before
+
+    def test_raising_drift_propagates_and_joins(self):
+        class Boom(Exception):
+            pass
+
+        def drift(t, x, u):
+            if t >= 0.03 - 1e-12:
+                raise Boom(t)
+            return -x
+
+        before = threading.active_count()
+        with pytest.raises(Boom):
+            within(30, lambda: diffusion.simulate_ensemble(
+                scalar_model(drift), 100, dt=0.01, seed=1))
+        assert threading.active_count() == before
+
+    def test_divergence_reports_first_bad_time_and_joins(self):
+        # x is 1, then about 1e299, then inf at the second step
+        model = scalar_model(lambda t, x, u: 1e300 * x)
+
+        def diverge(run):
+            # errstate holds only in the thread that sets it
+            with np.errstate(over="ignore", invalid="ignore"):
+                run(model, 50, dt=0.1, seed=2)
+
+        before = threading.active_count()
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            with pytest.raises(SimulationDivergedError) as exc:
+                within(30, lambda: diverge(run))
+            assert exc.value.t_bad == 0.1 * 2
+            assert threading.active_count() == before
+
+    def test_failing_draw_raised_in_caller(self, monkeypatch):
+        class Failing(np.random.Generator):
+            calls = 0
+            threads = []
+
+            def standard_normal(self, *args, **kwargs):
+                Failing.calls += 1
+                Failing.threads.append(threading.current_thread())
+                if Failing.calls == 3:
+                    raise RuntimeError("draw failed")
+                return super().standard_normal(*args, **kwargs)
+
+        def run():
+            Failing.caller = threading.current_thread()
+            diffusion.simulate_ensemble(scalar_model(), 100, dt=0.01, seed=1)
+
+        monkeypatch.setattr(diffusion.np.random, "Generator", Failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            within(30, run)
+        assert threading.active_count() == before
+        # the draws ran on the helper thread, not in the caller's
+        assert Failing.calls == 3 and Failing.caller not in Failing.threads
+
+
+A3_SIGMA = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.1, 0.8]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([1, 2, 3]), steps=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       n_paths=st.integers(2, 300) | st.sampled_from([4095, 4096, 4097]),
+       initial_law=st.booleans(), scale=st.floats(0.5, 2.0))
+def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
+                                           initial_law, scale):
+    """Horizons shorter than the two-buffer ring, and ensembles across the
+    moment reduction's chunk boundary, give the reference loop's bits."""
+    a = A3[:n, :n]
+    sigma = scale * A3_SIGMA[:n, :n]
+    model = diffusion.DiffusionModel(
+        n=n, drift=lambda t, x, u: x @ a.T, diffusion=lambda t: sigma,
+        initial_mean=[0.1, 0.0, -0.2][:n],
+        initial_cov=-np.linalg.inv(a) / 2 if initial_law else np.zeros((n, n)),
+        horizon=(0.0, 0.1 * steps))
+    stats = diffusion.simulate_ensemble(model, n_paths, dt=0.1, seed=seed)
+    _, xs = reference_paths(model, n_paths, 0.1, seed)
+    moments = [diffusion._moments(x) for x in xs]
+    assert np.array_equal(stats.mean, np.array([m for m, _ in moments]))
+    assert np.array_equal(stats.r, np.array([r for _, r in moments]))
+    est = entropy.entropy_mc(model, n_paths, dt=0.1, seed=seed)
+    est = [est.value, est.std_error]
+    ref = reference_entropy(model, n_paths, 0.1, seed)
+    if n == 1:
+        assert np.array_equal(est, ref)
+    else:
+        # at n > 1 the estimator applies (2b)^{-1} as a product where the
+        # reference solves, and einsum sums the quadratic form in an order
+        # that depends on its operand's memory layout, which differs too
+        np.testing.assert_allclose(est, ref, rtol=1e-12, atol=0)
