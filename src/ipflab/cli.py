@@ -4,8 +4,8 @@ Subcommands: simulate, entropy, identify, schedule, invariants, network,
 diagnose, reproduce, pipeline; each takes only the flags it reads.
 Parameters come from an optional JSON config document whose keys must be
 flags of the chosen command and whose values must have the flag's type;
-a flag given on the command line beats the config.  The default output directory is taken from the IPFLAB_OUT
-environment variable when set.
+a flag given on the command line beats the config.  The default output
+directory is taken from the IPFLAB_OUT environment variable when set.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from ._roots import bisect
 from .diffusion import EnsembleStats, Record
 from .errors import DegenerateEnsembleError, InputError, UndefinedAngleError
 from .identification import _guarded_inv
@@ -65,7 +65,7 @@ def starting_control(stats: EnsembleStats, at: float) -> dict:
     starting state |r^{1/2}|, and the starting operator b r^{-1}.
     """
     r = np.atleast_2d(stats.r_at(at))
-    b = 0.5 * np.atleast_2d(stats.r_dot_at(at, side="left"))
+    b = 0.5 * np.atleast_2d(stats.r_dot_at(at))
     r_inv = _guarded_inv(r, "r")
     mean = stats.mean[stats.index_of(at)]
     v = -2.0 * mean
@@ -109,21 +109,18 @@ def relative_phase_speed(x: np.ndarray, xdot: np.ndarray) -> np.ndarray:
 def detect_dp(grid, modes, modes_dot=None, tolerance: float = 1e-10) -> list:
     """Moments where two modes have equal relative phase speed.
 
-    modes is (T, n); derivatives default to central differences on the
-    grid.  Each bracketing cell of the pairwise speed difference is
-    refined by bisection on the linearly interpolated traces; cells where
-    a mode crosses zero are skipped with a warning entry.
-    """
+    modes is (T, n) or (n, T) on a T-point grid; derivatives default to
+    central differences.  One mask picks the cells with finite ends where
+    the speed difference is 0 at the left end (a hit) or changes sign
+    (bisected on the interpolated traces; noted if a mode crosses zero)."""
     grid = np.asarray(grid, dtype=float)
-    modes = np.atleast_2d(np.asarray(modes, dtype=float))
-    if modes.shape[0] != grid.shape[0]:
-        modes = modes.T
+    if grid.ndim != 1 or len(grid) < 2:
+        raise InputError("grid must be one-dimensional with at least 2 points")
+    modes = _time_major(modes, grid, "modes")
     if modes_dot is None:
         modes_dot = np.gradient(modes, grid, axis=0)
     else:
-        modes_dot = np.atleast_2d(np.asarray(modes_dot, dtype=float))
-        if modes_dot.shape[0] != grid.shape[0]:
-            modes_dot = modes_dot.T
+        modes_dot = _time_major(modes_dot, grid, "modes_dot")
     n = modes.shape[1]
     hits = []
     for i in range(n):
@@ -135,28 +132,37 @@ def detect_dp(grid, modes, modes_dot=None, tolerance: float = 1e-10) -> list:
                 hits.append({"pair": (i, j), "tau": float(grid[0]),
                              "note": "identical speeds throughout"})
                 continue
-            for k in range(len(grid) - 1):
-                if not (np.isfinite(d[k]) and np.isfinite(d[k + 1])):
-                    continue
+            with np.errstate(invalid="ignore", over="ignore"):
+                cells = (np.isfinite(d[:-1]) & np.isfinite(d[1:])
+                         & ((d[:-1] == 0.0) | (d[:-1] * d[1:] < 0)))
+            for k in np.flatnonzero(cells):
                 if d[k] == 0.0:
                     hits.append({"pair": (i, j), "tau": float(grid[k])})
                     continue
-                if d[k] * d[k + 1] < 0:
-                    if modes[k, i] * modes[k + 1, i] < 0 or modes[k, j] * modes[k + 1, j] < 0:
-                        hits.append({"pair": (i, j), "tau": None,
-                                     "note": f"mode zero inside [{grid[k]}, {grid[k+1]}]"})
-                        continue
-                    def f(t, k=k, i=i, j=j):
-                        w = (t - grid[k]) / (grid[k + 1] - grid[k])
-                        xi = (1 - w) * modes[k, i] + w * modes[k + 1, i]
-                        xj = (1 - w) * modes[k, j] + w * modes[k + 1, j]
-                        vi = (1 - w) * modes_dot[k, i] + w * modes_dot[k + 1, i]
-                        vj = (1 - w) * modes_dot[k, j] + w * modes_dot[k + 1, j]
-                        return abs(vi / xi) - abs(vj / xj)
-                    tau = optimize.bisect(f, grid[k], grid[k + 1],
-                                          xtol=tolerance * max(abs(grid[k]), 1.0))
-                    hits.append({"pair": (i, j), "tau": float(tau)})
+                if modes[k, i] * modes[k + 1, i] < 0 or modes[k, j] * modes[k + 1, j] < 0:
+                    hits.append({"pair": (i, j), "tau": None,
+                                 "note": f"mode zero inside [{grid[k]}, {grid[k+1]}]"})
+                    continue
+                def f(t, k=k, i=i, j=j):
+                    w = (t - grid[k]) / (grid[k + 1] - grid[k])
+                    xi = (1 - w) * modes[k, i] + w * modes[k + 1, i]
+                    xj = (1 - w) * modes[k, j] + w * modes[k + 1, j]
+                    vi = (1 - w) * modes_dot[k, i] + w * modes_dot[k + 1, i]
+                    vj = (1 - w) * modes_dot[k, j] + w * modes_dot[k + 1, j]
+                    return abs(vi / xi) - abs(vj / xj)
+                tau = bisect(f, grid[k], grid[k + 1],
+                             xtol=tolerance * max(abs(grid[k]), 1.0))
+                hits.append({"pair": (i, j), "tau": float(tau)})
     return hits
+
+
+def _time_major(arr, grid, name):
+    """arr as (T, n) for the T-point grid, transposed if given as (n, T)."""
+    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    arr = arr if arr.shape[0] == len(grid) else arr.T
+    if arr.ndim != 2 or arr.shape[0] != len(grid):
+        raise InputError(f"{name} has no axis as long as the grid ({len(grid)} points)")
+    return arr
 
 
 def consolidate_rotation(z_i: float, z_j: float) -> dict:

@@ -148,20 +148,16 @@ class EnsembleStats(Record):
     def r_at(self, t: float) -> np.ndarray:
         return self.r[self.index_of(t)]
 
-    def r_dot_at(self, t: float, side: str = "left") -> np.ndarray:
-        """Derivative of r at t; 'left' takes the backward difference, which
-        is the correct branch at a control-switch moment."""
-        if side == "left":
-            i = self.index_of(t)
-            if i == 0:
-                side = "grid"
-            else:
-                dt = self.grid[i] - self.grid[i - 1]
-                d = (self.r[i] - self.r[i - 1]) / dt
-                return 0.5 * (d + d.T)
+    def r_dot_at(self, t: float) -> np.ndarray:
+        """Backward difference of r at t, symmetrized: the correct branch at a
+        control-switch moment.  r_dot[0] at grid[0], which has no left one."""
+        i = self.index_of(t)
+        if i > 0:
+            d = (self.r[i] - self.r[i - 1]) / (self.grid[i] - self.grid[i - 1])
+            return 0.5 * (d + d.T)
         if self.r_dot is None:
             raise InputError("r_dot not filled; call covariance_derivative first")
-        return self.r_dot[self.index_of(t)]
+        return self.r_dot[0]
 
     def to_csv(self) -> str:
         n = self.n

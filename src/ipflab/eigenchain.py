@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
+from ._roots import brentq, first_bracket
 from .diffusion import LN2, Record
 from .errors import (InputError, NeedsNeedleControlError, NoCooperationError,
                      SingularRenovationError)
@@ -61,21 +61,17 @@ def _equalization_root(lam_joint: float, lam_next: float, offset: float,
                        t_max: float) -> float:
     """Smallest t > 0 with |speed(lam_joint, t)| = |speed(lam_next, offset+t)|.
 
-    The difference is scanned on a fine grid, skipping pole-straddling
-    cells, then bisected.
+    The first sign-change cell of the difference on 20000 points up to
+    t_max, skipping pole-straddling cells, is refined by brentq.
     """
     def f(t):
         return _abs_speed(lam_joint, t) - _abs_speed(lam_next, offset + t)
 
-    grid = np.linspace(1e-9, t_max, 20000)
-    prev_t, prev_v = grid[0], f(grid[0])
-    for t in grid[1:]:
-        v = f(t)
-        if math.isfinite(prev_v) and math.isfinite(v) and prev_v * v < 0:
-            return optimize.brentq(f, prev_t, t, xtol=1e-13, rtol=1e-14)
-        prev_t, prev_v = t, v
-    raise NoCooperationError(
-        f"no equalization moment for ({lam_joint}, {lam_next}) within t <= {t_max}")
+    cell = first_bracket(f, np.linspace(1e-9, t_max, 20000))
+    if cell is None:
+        raise NoCooperationError(
+            f"no equalization moment for ({lam_joint}, {lam_next}) within t <= {t_max}")
+    return brentq(f, *cell, xtol=1e-13, rtol=1e-14)
 
 
 @dataclass(frozen=True)

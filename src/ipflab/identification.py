@@ -60,7 +60,7 @@ def identify_reduced(stats: EnsembleStats, v, tau: float,
     shifted = x + vv
     r_v = shifted.T @ shifted / shifted.shape[0]
     if b is None:
-        b = 0.5 * stats.r_dot_at(tau, side="left")
+        b = 0.5 * stats.r_dot_at(tau)
     A = -np.atleast_2d(b) @ _guarded_inv(r_v, "r_v")
     return _make(tau, A, "reduced-control", {"r_v": r_v})
 
@@ -69,7 +69,7 @@ def _b_r_inv(stats: EnsembleStats, tau: float, b) -> np.ndarray:
     """b r(tau)^{-1}, with b defaulting to the left derivative (1/2) rdot."""
     r = stats.r_at(tau)
     if b is None:
-        b = 0.5 * stats.r_dot_at(tau, side="left")
+        b = 0.5 * stats.r_dot_at(tau)
     return np.atleast_2d(b) @ _guarded_inv(r, "r")
 
 
@@ -87,7 +87,7 @@ def identify_reduced_feedback(stats: EnsembleStats, tau: float,
 def identify_covariance_ratio(stats: EnsembleStats, tau: float) -> IdentifiedOperator:
     """A_-(tau) = (1/2) rdot(tau-) r(tau)^{-1}, rdot taken from the left."""
     r = stats.r_at(tau)
-    rdot = stats.r_dot_at(tau, side="left")
+    rdot = stats.r_dot_at(tau)
     r_inv = _guarded_inv(r, "r")
     A = 0.5 * rdot @ r_inv
     comm = 0.5 * rdot @ r_inv - 0.5 * r_inv @ rdot
@@ -110,7 +110,7 @@ def identify_dispersion_window(stats: EnsembleStats, tau: float,
     b_t = 0.5 * stats.r_dot[mask]
     tt = grid[mask]
     integral = np.trapezoid(b_t, tt, axis=0)
-    b_tau = 0.5 * stats.r_dot_at(tau, side="left")
+    b_tau = 0.5 * stats.r_dot_at(tau)
     A = np.atleast_2d(b_tau) @ _guarded_inv(2.0 * integral, "window integral")
     return _make(tau, A, "dispersion-window", {"window": window})
 

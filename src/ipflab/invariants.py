@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
+from ._roots import bisect, first_bracket
 from .diffusion import Record
 from .errors import InputError, NoRootError
 
@@ -40,24 +40,19 @@ def _ao_residual(ao: float, gamma: float) -> float:
 def solve_ao(gamma: float) -> float:
     """Signed negative-branch root of the boundary-moment equation.
 
-    Bisection on [-3, -1e-6] to 1e-12; the root nearest zero is returned.
-    """
-    if gamma < 0:
-        raise InputError("gamma must be nonnegative")
+    Bisection to 1e-12 on [-3, -1e-6] if the residual changes sign across
+    it, else on the first sign-change cell of 3001 points walking in from
+    -1e-6 (the root nearest zero).  gamma must be finite and >= 0."""
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise InputError(f"gamma must be finite and nonnegative, not {gamma}")
     lo, hi = -3.0, -1e-6
-    f_lo, f_hi = _ao_residual(lo, gamma), _ao_residual(hi, gamma)
-    if f_lo * f_hi > 0:
-        # walk the bracket inward from zero to find the sign change nearest it
-        grid = np.linspace(hi, lo, 3001)
-        vals = [_ao_residual(g, gamma) for g in grid]
-        for k in range(len(grid) - 1):
-            if vals[k] * vals[k + 1] <= 0:
-                hi, lo = grid[k], grid[k + 1]
-                break
-        else:
+    if _ao_residual(lo, gamma) * _ao_residual(hi, gamma) > 0:
+        cell = first_bracket(lambda ao: _ao_residual(ao, gamma),
+                             np.linspace(hi, lo, 3001))
+        if cell is None:
             raise NoRootError(f"no sign change on [-3, -1e-6] for gamma={gamma}")
-    root = optimize.bisect(_ao_residual, lo, hi, args=(gamma,), xtol=1e-12)
-    return root
+        hi, lo = cell
+    return bisect(_ao_residual, lo, hi, args=(gamma,), xtol=1e-12)
 
 
 def invariant_a(gamma: float, ao_abs: float) -> float:
@@ -107,45 +102,33 @@ def gamma_ratios(a: float) -> dict:
     """Simultaneous eigenvalue-ratio pair and its equation residuals.
 
     The second relation gives gamma2 explicitly in terms of gamma1; the
-    remaining one-dimensional root problem is scanned on (1, 8] and
-    bisected.  gamma1 = gamma2 = 1 always satisfies the system; the
-    nontrivial root (if any) is reported together with the residuals of
-    both equations at the reference ratios (3.896, as given by the ranged
-    spectrum) so a failed fit is visible instead of forced.
+    remaining one-dimensional root problem is bisected on the first
+    sign-change cell of 1400 points on [1.02, 8].  gamma1 = gamma2 = 1
+    always satisfies the system; the nontrivial root (if any) is reported
+    together with the residuals of both equations at the reference ratio
+    gamma1 = 3.896 (as given by the ranged spectrum) so a failed fit is
+    visible instead of forced.  a must be finite and positive.
     """
-    if a <= 0:
-        raise InputError("a must be positive")
-    result = {"gamma1": None, "gamma2": None, "converged": False,
-              "residuals": {}}
-    grid = np.linspace(1.02, 8.0, 1400)
-    vals = [_ratio_residual(g, a) for g in grid]
-    for k in range(len(grid) - 1):
-        if math.isfinite(vals[k]) and math.isfinite(vals[k + 1]) and vals[k] * vals[k + 1] < 0:
-            g1 = optimize.bisect(_ratio_residual, grid[k], grid[k + 1],
-                                 args=(a,), xtol=1e-12)
-            result["gamma1"] = g1
-            result["gamma2"] = _gamma2_of_gamma1(g1, a)
-            result["converged"] = True
-            break
+    if not (math.isfinite(a) and a > 0):
+        raise InputError(f"a must be finite and positive, not {a}")
+    cell = first_bracket(lambda g: _ratio_residual(g, a), np.linspace(1.02, 8.0, 1400))
+    g1 = None if cell is None else bisect(_ratio_residual, *cell, args=(a,), xtol=1e-12)
     g1_ref = 3.896
-    g2_ref = _gamma2_of_gamma1(g1_ref, a)
-    ea = math.exp(a)
-    eq1_ref = g1_ref - (math.exp(a * g1_ref * g2_ref) - 0.5 * ea) / (math.exp(a * g2_ref) - 0.5 * ea)
-    result["residuals"] = {
-        "eq1_at_solution": (_ratio_residual(result["gamma1"], a)
-                            if result["converged"] else None),
-        "gamma2_from_gamma1_ref": g2_ref,
-        "eq1_at_reference": eq1_ref,
-    }
-    return result
+    return {"gamma1": g1,
+            "gamma2": None if g1 is None else _gamma2_of_gamma1(g1, a),
+            "converged": g1 is not None,
+            "residuals": {
+                "eq1_at_solution": None if g1 is None else _ratio_residual(g1, a),
+                "gamma2_from_gamma1_ref": _gamma2_of_gamma1(g1_ref, a),
+                "eq1_at_reference": _ratio_residual(g1_ref, a)}}
 
 
 def optimal_spectrum(n: int, alpha1: float) -> np.ndarray:
     """Ranged eigenvalue spectrum alpha_{i+1} = 0.2567^i 0.4514^{1-i} alpha_1."""
     if n < 1:
         raise InputError("n must be >= 1")
-    if alpha1 == 0:
-        raise InputError("alpha1 must be nonzero")
+    if not (math.isfinite(alpha1) and alpha1 != 0):
+        raise InputError(f"alpha1 must be finite and nonzero, not {alpha1}")
     i = np.arange(n, dtype=float)
     spec = np.empty(n)
     spec[0] = alpha1

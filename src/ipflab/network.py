@@ -21,7 +21,7 @@ import numpy as np
 from .control import SegmentSchedule
 from .diffusion import LN2, Record
 from .errors import InputError
-from .invariants import InvariantSet, invariant_set, optimal_spectrum, solve_ao
+from .invariants import InvariantSet, _gamma2_of_gamma1, invariant_set, optimal_spectrum, solve_ao
 
 # bit mapping of the switch letters: A = regular step switch (0),
 # B = needle consolidation (1)
@@ -63,7 +63,7 @@ def triplet_accounting(inv: InvariantSet) -> TripletReport:
         raise InputError("triplet accounting needs a > 0")
     ao_real = abs(solve_ao(0.0))
     gamma13 = 1.0 + ao_real / a
-    gamma23 = 1.0 + (gamma13 - 1.0) / (gamma13 - 2.0 * a * (gamma13 - 1.0))
+    gamma23 = _gamma2_of_gamma1(gamma13, a)
     deliver1 = a * (gamma13 - 1.0)
     deliver2 = a * (gamma23 - 1.0)
     consumed1 = _consumed(deliver1)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ipflab
 from ipflab import cli
 
 
@@ -19,6 +24,20 @@ class TestInvariantsCommand:
         assert cli.main(["invariants", "--gamma", "1.5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "InputError" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--gamma", "nan"], ["invariants", "--gamma=-inf"],
+    ["network", "--gamma", "nan"], ["diagnose", "--gamma", "nan"],
+    ["schedule", "--alpha1", "nan"], ["network", "--alpha1", "inf"]])
+def test_non_finite_value_refused(capsys, argv):
+    # gamma nan used to end in a traceback from scipy, alpha1 nan in a
+    # misleading NoCooperationError
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (InputError): ")
+    assert "finite" in captured.err
 
 
 class TestReproduce:
@@ -180,3 +199,34 @@ class TestConfigPrecedence:
                                    "out": str(tmp_path)}))
         assert cli.main(["--config", str(cfg), "simulate", "--seed", "1"]) == 0
         assert (tmp_path / "ensemble.csv").exists()
+
+
+STOCHASTIC = ["--seed", "11", "--n-paths", "200", "--dt", "0.01",
+              "--horizon", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "out"], ["simulate", "--format", "csv", "--out", "out"],
+    ["entropy"], ["identify"], ["pipeline", "--out", "out"]])
+def test_same_seed_same_bytes_across_processes(tmp_path, argv):
+    """Two fresh interpreters with the same seed write the same bytes."""
+    env = dict(os.environ)
+    src = str(Path(ipflab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cwds = [tmp_path / "run0", tmp_path / "run1"]
+    procs = []
+    for cwd in cwds:
+        cwd.mkdir()
+        procs.append(subprocess.Popen(
+            [sys.executable, "-m", "ipflab.cli"] + argv + STOCHASTIC, cwd=cwd,
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    outputs = [proc.communicate(timeout=120) for proc in procs]
+    runs = []
+    for cwd, proc, (out, err) in zip(cwds, procs, outputs):
+        assert proc.returncode == 0, err.decode()
+        files = {str(p.relative_to(cwd)): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file()}
+        runs.append((out, files))
+    assert runs[0][0] and bool(runs[0][1]) == ("--out" in argv)
+    assert runs[0] == runs[1]

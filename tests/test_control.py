@@ -119,6 +119,27 @@ class TestDetectDp:
         notes = [h for h in hits if h.get("tau") is None]
         assert all("zero" in h["note"] for h in notes)
 
+    def test_modes_given_either_way_round(self):
+        grid = np.linspace(0, 2, 400)
+        x = np.column_stack([grid - 1.0, np.exp(grid)])
+        assert control.detect_dp(grid, x.T) == control.detect_dp(grid, x)
+
+    @pytest.mark.parametrize("modes_shape, dot_shape", [
+        ((99, 2), None), ((2, 101), None), ((100, 2), (99, 2)),
+        ((100, 2), (2, 3)), ((100, 2, 1), None)])
+    def test_no_axis_as_long_as_the_grid_refused(self, modes_shape, dot_shape):
+        # used to escape as a ValueError from np.gradient or an IndexError
+        grid = np.linspace(0, 1, 100)
+        modes = np.ones(modes_shape)
+        modes_dot = None if dot_shape is None else np.ones(dot_shape)
+        with pytest.raises(InputError, match="grid"):
+            control.detect_dp(grid, modes, modes_dot)
+
+    @pytest.mark.parametrize("grid", [[0.5], np.zeros((3, 3))])
+    def test_grid_not_a_line_refused(self, grid):
+        with pytest.raises(InputError, match="grid"):
+            control.detect_dp(grid, np.ones((3, 2)))
+
 
 class TestRotation:
     def test_already_equal(self):

@@ -156,6 +156,32 @@ class TestStatsRecord:
         assert stats.index_of(1.0 + 1e-12) == 10
         assert stats.index_of(-1e-12) == 0
 
+    def test_r_dot_at_takes_the_left_difference(self):
+        grid = np.linspace(0, 1, 11)
+        r = grid ** 3
+        stats = diffusion.covariance_derivative(
+            diffusion.stats_from_covariance(grid, r))
+        for i in range(1, 11):
+            left = (r[i] - r[i - 1]) / (grid[i] - grid[i - 1])
+            assert stats.r_dot_at(grid[i])[0, 0] == left
+        # inside the grid r_dot holds the central difference, which differs
+        assert stats.r_dot_at(grid[5])[0, 0] != stats.r_dot[5, 0, 0]
+        # grid[0] has no left neighbour
+        assert stats.r_dot_at(0.0)[0, 0] == stats.r_dot[0, 0, 0]
+
+    def test_r_dot_at_has_no_side_knob(self):
+        # a misspelt side used to return the central difference silently
+        stats = diffusion.covariance_derivative(
+            diffusion.stats_from_covariance(np.linspace(0, 1, 11), np.ones(11)))
+        with pytest.raises(TypeError):
+            stats.r_dot_at(0.5, side="Left")
+
+    def test_r_dot_at_start_needs_r_dot(self):
+        stats = diffusion.stats_from_covariance(np.linspace(0, 1, 11), np.ones(11))
+        assert stats.r_dot_at(0.5)[0, 0] == 0.0
+        with pytest.raises(InputError, match="r_dot"):
+            stats.r_dot_at(0.0)
+
     def test_from_covariance_holds_read_only_copies(self):
         grid = np.linspace(0, 1, 5)
         r = np.exp(grid)

@@ -37,6 +37,12 @@ class TestSolveAo:
         with pytest.raises(InputError):
             invariants.solve_ao(-0.1)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # nan used to reach scipy's bisect and fail there with a ValueError
+        with pytest.raises(InputError, match="finite"):
+            invariants.solve_ao(gamma)
+
     def test_magnitude_decreases_with_gamma(self):
         mags = [abs(invariants.solve_ao(g)) for g in (0.0, 0.5, 1.0)]
         assert mags[0] > mags[1] > mags[2]
@@ -134,6 +140,12 @@ class TestGammaRatios:
         with pytest.raises(InputError):
             invariants.gamma_ratios(0.0)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_a_rejected(self, a):
+        # nan used to come back as unconverged with nan residuals
+        with pytest.raises(InputError, match="finite"):
+            invariants.gamma_ratios(a)
+
 
 class TestOptimalSpectrum:
     def test_first_ratio(self):
@@ -161,6 +173,12 @@ class TestOptimalSpectrum:
         with pytest.raises(InputError):
             invariants.optimal_spectrum(3, 0.0)
 
+    @pytest.mark.parametrize("alpha1", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha1_rejected(self, alpha1):
+        # nan used to give a nan spectrum
+        with pytest.raises(InputError, match="finite"):
+            invariants.optimal_spectrum(3, alpha1)
+
 
 class TestInvariantSet:
     def test_reference_assembly(self):
@@ -184,6 +202,10 @@ class TestInvariantSet:
         # used to return NaN fields with provenance "solved"
         with pytest.raises(InputError, match="gamma"):
             invariants.invariant_set(gamma)
+
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(InputError, match="finite"):
+            invariants.invariant_set(math.nan)
 
     def test_json_roundtrip(self):
         import json

@@ -1,0 +1,250 @@
+"""The root layer against the four bracket scans it replaced.
+
+The reference functions below are the bracket scans that solve_ao,
+gamma_ratios, the equalization chain and detect_dp each ran on their own
+before the root layer: solve_ao and gamma_ratios evaluated their whole
+grid before looking for a sign change, and detect_dp visited every grid
+cell in Python.  Every root must keep its bits, so the outputs are compared
+exactly, exceptions included.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import optimize
+
+import ipflab
+from ipflab import _roots, control, eigenchain, invariants
+from ipflab.errors import NoCooperationError, NoRootError
+from ipflab.invariants import _ao_residual, _gamma2_of_gamma1, _ratio_residual
+
+
+def reference_solve_ao(gamma):
+    lo, hi = -3.0, -1e-6
+    f_lo, f_hi = _ao_residual(lo, gamma), _ao_residual(hi, gamma)
+    if f_lo * f_hi > 0:
+        grid = np.linspace(hi, lo, 3001)
+        vals = [_ao_residual(g, gamma) for g in grid]
+        for k in range(len(grid) - 1):
+            if vals[k] * vals[k + 1] <= 0:
+                hi, lo = grid[k], grid[k + 1]
+                break
+        else:
+            raise NoRootError(f"no sign change on [-3, -1e-6] for gamma={gamma}")
+    return optimize.bisect(_ao_residual, lo, hi, args=(gamma,), xtol=1e-12)
+
+
+def reference_gamma_ratios(a):
+    result = {"gamma1": None, "gamma2": None, "converged": False,
+              "residuals": {}}
+    grid = np.linspace(1.02, 8.0, 1400)
+    vals = [_ratio_residual(g, a) for g in grid]
+    for k in range(len(grid) - 1):
+        if math.isfinite(vals[k]) and math.isfinite(vals[k + 1]) and vals[k] * vals[k + 1] < 0:
+            g1 = optimize.bisect(_ratio_residual, grid[k], grid[k + 1],
+                                 args=(a,), xtol=1e-12)
+            result["gamma1"] = g1
+            result["gamma2"] = _gamma2_of_gamma1(g1, a)
+            result["converged"] = True
+            break
+    g1_ref = 3.896
+    g2_ref = _gamma2_of_gamma1(g1_ref, a)
+    ea = math.exp(a)
+    eq1_ref = g1_ref - (math.exp(a * g1_ref * g2_ref) - 0.5 * ea) / (math.exp(a * g2_ref) - 0.5 * ea)
+    result["residuals"] = {
+        "eq1_at_solution": (_ratio_residual(result["gamma1"], a)
+                            if result["converged"] else None),
+        "gamma2_from_gamma1_ref": g2_ref,
+        "eq1_at_reference": eq1_ref,
+    }
+    return result
+
+
+def reference_equalization_root(lam_joint, lam_next, offset, t_max):
+    def f(t):
+        return (eigenchain._abs_speed(lam_joint, t)
+                - eigenchain._abs_speed(lam_next, offset + t))
+
+    grid = np.linspace(1e-9, t_max, 20000)
+    prev_t, prev_v = grid[0], f(grid[0])
+    for t in grid[1:]:
+        v = f(t)
+        if math.isfinite(prev_v) and math.isfinite(v) and prev_v * v < 0:
+            return optimize.brentq(f, prev_t, t, xtol=1e-13, rtol=1e-14)
+        prev_t, prev_v = t, v
+    raise NoCooperationError(
+        f"no equalization moment for ({lam_joint}, {lam_next}) within t <= {t_max}")
+
+
+def reference_detect_dp(grid, modes, modes_dot=None, tolerance=1e-10):
+    grid = np.asarray(grid, dtype=float)
+    modes = np.atleast_2d(np.asarray(modes, dtype=float))
+    if modes.shape[0] != grid.shape[0]:
+        modes = modes.T
+    if modes_dot is None:
+        modes_dot = np.gradient(modes, grid, axis=0)
+    else:
+        modes_dot = np.atleast_2d(np.asarray(modes_dot, dtype=float))
+        if modes_dot.shape[0] != grid.shape[0]:
+            modes_dot = modes_dot.T
+    n = modes.shape[1]
+    hits = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            si = control.relative_phase_speed(modes[:, i], modes_dot[:, i])
+            sj = control.relative_phase_speed(modes[:, j], modes_dot[:, j])
+            d = si - sj
+            if np.all(np.abs(d[np.isfinite(d)]) <= tolerance):
+                hits.append({"pair": (i, j), "tau": float(grid[0]),
+                             "note": "identical speeds throughout"})
+                continue
+            for k in range(len(grid) - 1):
+                if not (np.isfinite(d[k]) and np.isfinite(d[k + 1])):
+                    continue
+                if d[k] == 0.0:
+                    hits.append({"pair": (i, j), "tau": float(grid[k])})
+                    continue
+                if d[k] * d[k + 1] < 0:
+                    if modes[k, i] * modes[k + 1, i] < 0 or modes[k, j] * modes[k + 1, j] < 0:
+                        hits.append({"pair": (i, j), "tau": None,
+                                     "note": f"mode zero inside [{grid[k]}, {grid[k+1]}]"})
+                        continue
+                    def f(t, k=k, i=i, j=j):
+                        w = (t - grid[k]) / (grid[k + 1] - grid[k])
+                        xi = (1 - w) * modes[k, i] + w * modes[k + 1, i]
+                        xj = (1 - w) * modes[k, j] + w * modes[k + 1, j]
+                        vi = (1 - w) * modes_dot[k, i] + w * modes_dot[k + 1, i]
+                        vj = (1 - w) * modes_dot[k, j] + w * modes_dot[k + 1, j]
+                        return abs(vi / xi) - abs(vj / xj)
+                    tau = optimize.bisect(f, grid[k], grid[k + 1],
+                                          xtol=tolerance * max(abs(grid[k]), 1.0))
+                    hits.append({"pair": (i, j), "tau": float(tau)})
+    return hits
+
+
+def outcome(fn, *args):
+    """repr of the result (exact for floats), or the exception raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestFirstBracket:
+    def test_first_sign_change(self):
+        grid = np.linspace(0.0, 4.0, 9)
+        assert _roots.first_bracket(lambda x: math.cos(2.0 * x), grid) == (0.5, 1.0)
+
+    def test_none_without_sign_change(self):
+        assert _roots.first_bracket(lambda x: 1.0 + x * x, [-1.0, 0.0, 1.0]) is None
+
+    def test_non_finite_end_skipped(self):
+        # a pole between 0 and 1 flips the sign but is no root
+        f = lambda x: math.inf if x == 1.0 else (x - 0.5 if x < 1.0 else x - 2.5)
+        assert _roots.first_bracket(f, [0.0, 1.0, 2.0, 3.0]) == (2.0, 3.0)
+        g = lambda x: math.nan if x == 1.0 else -1.0 if x < 1.0 else 1.0
+        assert _roots.first_bracket(g, [0.0, 1.0, 2.0]) is None
+
+    def test_zero_end_is_not_a_sign_change(self):
+        assert _roots.first_bracket(lambda x: x, [-1.0, 0.0, 1.0]) is None
+
+    def test_underflowing_product_still_a_sign_change(self):
+        f = lambda x: 1e-200 * x
+        assert _roots.first_bracket(f, [-1.0, 1.0]) == (-1.0, 1.0)
+
+    def test_stops_at_the_cell(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if x > 2.0:
+                raise OverflowError("evaluated past the bracket")
+            return x - 1.5
+
+        assert _roots.first_bracket(f, [0.0, 1.0, 2.0, 3.0]) == (1.0, 2.0)
+        assert calls == [0.0, 1.0, 2.0]
+
+
+class TestRootsKeepTheirBits:
+    def test_solve_ao(self):
+        # gamma > 1.367 takes the bracket fallback; 3 and 5 do not
+        gammas = np.concatenate([np.linspace(0.0, 4.6, 231),
+                                 np.linspace(1.36, 1.38, 21), [5.0, 8.0]])
+        fallback = 0
+        for gamma in gammas.tolist():
+            fallback += _ao_residual(-3.0, gamma) * _ao_residual(-1e-6, gamma) > 0
+            assert outcome(invariants.solve_ao, gamma) == outcome(reference_solve_ao, gamma)
+        assert fallback > 100
+
+    def test_gamma_ratios(self):
+        converged = 0
+        for a in np.linspace(0.0025, 0.5, 200).tolist():
+            new = invariants.gamma_ratios(a)
+            assert repr(new) == repr(reference_gamma_ratios(a))
+            converged += new["converged"]
+        assert 0 < converged < 200
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equalization_chain(self, n, monkeypatch):
+        spectra = [invariants.optimal_spectrum(n, a1) for a1 in (0.5, 1.0, 2.0, -1.0)]
+        new = [outcome(eigenchain.build_equalization_chain, s, n) for s in spectra]
+        monkeypatch.setattr(eigenchain, "_equalization_root", reference_equalization_root)
+        old = [outcome(eigenchain.build_equalization_chain, s, n) for s in spectra]
+        assert new == old
+        # n >= 6 still overflows in the scan, as before
+        assert ("OverflowError" in new[0]) == (n >= 6)
+
+    @staticmethod
+    def dp_cases():
+        t = np.arange(0.0, 1.0, 2e-5)
+        two = np.column_stack([2.0 - np.exp(0.5 * t), 2.0 - np.exp(-t)])
+        two_dot = np.column_stack([-0.5 * np.exp(0.5 * t), np.exp(-t)])
+        yield t, two, two_dot
+        t = np.arange(0.0, 1.0, 1e-4)
+        yield t, np.column_stack([2.0 - np.exp(0.5 * t), 2.0 - np.exp(-t)]), None
+        t = np.linspace(0.1, 0.5, 100)
+        yield t, np.column_stack([np.exp(t), np.exp(t)]), None
+        t = np.linspace(0, 1, 200)
+        yield (t, np.column_stack([np.exp(t), np.exp(3 * t)]),
+               np.column_stack([np.exp(t), 3 * np.exp(3 * t)]))
+        t = np.linspace(0, 2, 400)
+        yield t, np.column_stack([t - 1.0, np.exp(t)]), None
+        # speeds 2t and 1 are equal exactly on the grid point t = 0.5
+        t = np.linspace(0, 1, 11)
+        yield t, np.ones((11, 2)), np.column_stack([2.0 * t, np.ones(11)])
+        # three modes, given time-minor, with a zero and a crossing
+        t = np.linspace(0, 2, 1000)
+        yield t, np.vstack([t - 1.0, np.exp(-t), 2.0 - np.exp(0.3 * t)]), None
+        # the benchmark sweep's grids: e^{-alpha t} against 2 - e^{lam t}
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            alpha = float(rng.uniform(0.5, 2.0))
+            lam = alpha * float(rng.uniform(0.2, 0.8))
+            t = np.linspace(0.0, 0.9 * math.log(2.0) / lam, 50_000)
+            yield t, np.column_stack([np.exp(-alpha * t), 2.0 - np.exp(lam * t)]), None
+
+    def test_detect_dp(self):
+        for grid, modes, modes_dot in self.dp_cases():
+            new = control.detect_dp(grid, modes, modes_dot)
+            assert repr(new) == repr(reference_detect_dp(grid, modes, modes_dot))
+            if len(grid) == 11:
+                assert new == [{"pair": (0, 1), "tau": 0.5}]
+
+
+def test_scipy_imported_only_by_the_root_layer():
+    src = Path(ipflab.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.add(path.name)
+    assert importers == {"_roots.py"}
