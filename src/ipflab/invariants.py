@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._roots import bisect, first_bracket
-from .diffusion import Record
+from .diffusion import LN2, Record
 from .errors import InputError, NoRootError
 
 # admissible ratio window; evaluation outside it is allowed for diagnostics
@@ -91,11 +91,31 @@ def _gamma2_of_gamma1(gamma1: float, a: float) -> float:
     return 1.0 + (gamma1 - 1.0) / denom
 
 def _ratio_residual(gamma1: float, a: float) -> float:
-    gamma2 = _gamma2_of_gamma1(gamma1, a)
-    ea = math.exp(a)
-    num = math.exp(a * gamma1 * gamma2) - 0.5 * ea
-    den = math.exp(a * gamma2) - 0.5 * ea
-    return gamma1 - num / den
+    """gamma1 - (e^{a g1 g2} - e^a/2) / (e^{a g2} - e^a/2) with g2 = g2(g1).
+
+    Where an exponent is past exp's range, |num/den| exceeds e^15 for every
+    gamma1 >= 1.02, far from any root: the residual is then +-inf, never NaN,
+    with the sign it has (num > 0 iff a g1 g2 > a - ln 2, den likewise)."""
+    try:
+        gamma2 = _gamma2_of_gamma1(gamma1, a)
+    except InputError:      # gamma1 on gamma2's pole
+        return math.inf
+    p, r = a * gamma1 * gamma2, a * gamma2
+    try:
+        ea = math.exp(a)
+        return gamma1 - (math.exp(p) - 0.5 * ea) / (math.exp(r) - 0.5 * ea)
+    except OverflowError:
+        q = a - LN2
+        return math.inf if (p > q) != (r > q) else -math.inf
+
+
+def _ratio_poles(a: float) -> list:
+    """gamma1 > 1 where gamma2 blows up (a > 1/2) and where the residual's
+    denominator e^{a g2} - e^a/2 vanishes (a (2 ln 2 - 1) > ln 2), ascending:
+    the residual changes sign across each without a root."""
+    c = a * (2.0 * LN2 - 1.0)
+    return sorted(([2.0 * a / (2.0 * a - 1.0)] if a > 0.5 else [])
+                  + ([c / (c - LN2)] if c > LN2 else []))
 
 
 def gamma_ratios(a: float) -> dict:
@@ -103,15 +123,20 @@ def gamma_ratios(a: float) -> dict:
 
     The second relation gives gamma2 explicitly in terms of gamma1; the
     remaining one-dimensional root problem is bisected on the first
-    sign-change cell of 1400 points on [1.02, 8].  gamma1 = gamma2 = 1
-    always satisfies the system; the nontrivial root (if any) is reported
-    together with the residuals of both equations at the reference ratio
-    gamma1 = 3.896 (as given by the ranged spectrum) so a failed fit is
-    visible instead of forced.  a must be finite and positive.
+    sign-change cell of 1400 points on [1.02, 8], skipping the cells around
+    the residual's poles.  gamma1 = gamma2 = 1 always satisfies the system;
+    the nontrivial root (if any) is reported together with the residuals of
+    both equations at the reference ratio gamma1 = 3.896 (as given by the
+    ranged spectrum) so a failed fit is visible instead of forced.  a must
+    be finite and positive.
     """
     if not (math.isfinite(a) and a > 0):
         raise InputError(f"a must be finite and positive, not {a}")
-    cell = first_bracket(lambda g: _ratio_residual(g, a), np.linspace(1.02, 8.0, 1400))
+    grid = np.linspace(1.02, 8.0, 1400)
+    cells = (first_bracket(lambda g: _ratio_residual(g, a), part)
+             for part in np.split(grid, np.searchsorted(grid, _ratio_poles(a)))
+             if len(part) > 1)
+    cell = next((c for c in cells if c is not None), None)
     g1 = None if cell is None else bisect(_ratio_residual, *cell, args=(a,), xtol=1e-12)
     g1_ref = 3.896
     return {"gamma1": g1,

@@ -146,6 +146,30 @@ class TestGammaRatios:
         with pytest.raises(InputError, match="finite"):
             invariants.gamma_ratios(a)
 
+    @pytest.mark.parametrize("a", [0.6, 0.65, 0.7, 1.0, 2.0, 10.0, 0.6423489717092866])
+    def test_no_overflow_and_no_pole_taken_for_a_root(self, a):
+        # a >= 0.6 used to raise a bare OverflowError from exp(a g1 g2); once
+        # that counts as infinite, a = 2 and 10 bisected onto a pole of the
+        # residual (gamma2 -> inf) and called it converged.  The last a puts
+        # the grid point 4.5125 exactly on that pole, where gamma2 raised.
+        out = invariants.gamma_ratios(a)
+        assert out["converged"] is False and out["gamma1"] is None
+        assert not math.isnan(out["residuals"]["eq1_at_reference"])
+
+    def test_overflowing_residual_is_signed_infinity(self):
+        from ipflab.invariants import _ratio_residual
+        # gamma2 -> +inf just below the pole 4/3 at a = 2, -inf just above
+        assert _ratio_residual(1.3333, 2.0) == -math.inf
+        assert _ratio_residual(1.02, 1000.0) == -math.inf
+
+    def test_poles_are_where_the_residual_blows_up(self):
+        from ipflab.invariants import _ratio_poles, _ratio_residual
+        assert _ratio_poles(0.5) == []
+        assert _ratio_poles(1.0) == [2.0]
+        for pole in _ratio_poles(10.0):
+            left, right = _ratio_residual(pole - 1e-9, 10.0), _ratio_residual(pole + 1e-9, 10.0)
+            assert max(abs(left), abs(right)) > 1e6 and (left < 0) != (right < 0)
+
 
 class TestOptimalSpectrum:
     def test_first_ratio(self):

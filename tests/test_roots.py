@@ -1,4 +1,5 @@
-"""The root layer against the four bracket scans it replaced.
+"""The root layer against the four bracket scans it replaced, and its
+solvers against the scipy solvers they port.
 
 The reference functions below are the bracket scans that solve_ao,
 gamma_ratios, the equalization chain and detect_dp each ran on their own
@@ -10,6 +11,9 @@ exactly, exceptions included.
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,10 +129,10 @@ def reference_detect_dp(grid, modes, modes_dot=None, tolerance=1e-10):
     return hits
 
 
-def outcome(fn, *args):
+def outcome(fn, *args, **kwargs):
     """repr of the result (exact for floats), or the exception raised."""
     try:
-        return repr(fn(*args))
+        return repr(fn(*args, **kwargs))
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -234,7 +238,82 @@ class TestRootsKeepTheirBits:
                 assert new == [{"pair": (0, 1), "tau": 0.5}]
 
 
-def test_scipy_imported_only_by_the_root_layer():
+class TestPortsMatchScipy:
+    """bisect and brentq against the scipy solvers they port, bit for bit."""
+
+    SOLVERS = [(_roots.bisect, optimize.bisect), (_roots.brentq, optimize.brentq)]
+
+    @staticmethod
+    def random_functions(seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            c0, c1, c2 = rng.uniform(-3.0, 3.0, 3).tolist()
+            power = float(rng.choice([0.1, 2.0]))
+            family = [
+                lambda x: c0 + c1 * x + c2 * x ** 3,
+                lambda x: math.exp(c0 * x) - 2.0 + c1,
+                lambda x: math.sin(3.0 * c0 * x + c1) + 1e-3 * c2,
+                lambda x: math.atan(c0 * (x - c1)) ** 3,
+                lambda x: 1.0 if x > c0 else -1.0,
+                lambda x: (x - c0) * abs(x - c0) ** power,
+            ]
+            yield family[int(rng.integers(6))], rng.uniform(-5.0, 5.0, 2).tolist()
+
+    @pytest.mark.parametrize("tols", [{}, {"xtol": 1e-13, "rtol": 1e-14}, {"xtol": 1e-3},
+                                      {"xtol": 1e-300, "rtol": 4 * np.finfo(float).eps}])
+    def test_random_functions_both_bracket_orders(self, tols):
+        roots = 0
+        for f, (a, b) in self.random_functions(7, 300):
+            for port, ref in self.SOLVERS:
+                for lo, hi in ((a, b), (b, a)):
+                    got = outcome(port, f, lo, hi, **tols)
+                    assert got == outcome(ref, f, lo, hi, **tols), (port.__name__, lo, hi)
+                    roots += "Error" not in got
+        assert roots > 300
+
+    @pytest.mark.parametrize("port,ref", SOLVERS)
+    def test_exact_zero_at_either_end(self, port, ref):
+        f = lambda x: x * (x - 1.0)
+        for a, b in ((0.0, 0.5), (0.5, 1.0), (-0.0, -1.0), (1.0, 2.0)):
+            assert repr(port(f, a, b)) == repr(ref(f, a, b)) == repr(float(a if f(a) == 0 else b))
+
+    @pytest.mark.parametrize("port,ref", SOLVERS)
+    @pytest.mark.parametrize("tols", [{"xtol": 0.0}, {"xtol": -1e-12}, {"rtol": 1e-16},
+                                      {"maxiter": -1}])
+    def test_bad_tolerances_refused(self, port, ref, tols):
+        got = outcome(port, lambda x: x - 0.3, 0.0, 1.0, **tols)
+        assert got.startswith("ValueError")
+        assert got == outcome(ref, lambda x: x - 0.3, 0.0, 1.0, **tols)
+
+    @pytest.mark.parametrize("port,ref", SOLVERS)
+    def test_nan_from_f(self, port, ref):
+        f = lambda x: math.nan if x > 0.45 else x - 0.3
+        got = outcome(port, f, 0.0, 1.0)
+        assert got.startswith("ValueError") and "NaN" in got
+        assert got == outcome(ref, f, 0.0, 1.0)
+
+    @pytest.mark.parametrize("port,ref", SOLVERS)
+    def test_no_sign_change(self, port, ref):
+        got = outcome(port, lambda x: 1.0 + x * x, -1.0, 2.0)
+        assert got == "ValueError: f(a) and f(b) must have different signs"
+        assert got == outcome(ref, lambda x: 1.0 + x * x, -1.0, 2.0)
+
+    @pytest.mark.parametrize("port,ref", SOLVERS)
+    def test_no_convergence(self, port, ref):
+        got = outcome(port, math.atan, -1.0, 3.1, maxiter=3)
+        assert got == "RuntimeError: Failed to converge after 3 iterations."
+        assert got == outcome(ref, math.atan, -1.0, 3.1, maxiter=3)
+
+    @pytest.mark.parametrize("port", [_roots.bisect, _roots.brentq])
+    def test_underflowing_values_keep_their_signs(self, port):
+        # f(a) f(b) underflows to 0 here: signs are compared, as C's signbit
+        f = lambda x: 1e-200 * (x - 0.3)
+        assert abs(port(f, 0.0, 1.0) - 0.3) < 1e-11
+        with pytest.raises(ValueError, match="different signs"):
+            port(lambda x: 1e-200 * (x + 1.0), 0.0, 1.0)
+
+
+def test_no_module_imports_scipy():
     src = Path(ipflab.__file__).parent
     importers = set()
     for path in sorted(src.glob("*.py")):
@@ -247,4 +326,33 @@ def test_scipy_imported_only_by_the_root_layer():
                 continue
             if any(name == "scipy" or name.startswith("scipy.") for name in names):
                 importers.add(path.name)
-    assert importers == {"_roots.py"}
+    assert importers == set()
+
+
+def run_fresh(code, cwd):
+    """Run code in a fresh interpreter that imports ipflab from this tree."""
+    env = dict(os.environ)
+    src = str(Path(ipflab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    proc = run_fresh("import sys, ipflab.cli\n"
+                     "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--gamma", "0.5"], ["schedule"], ["network"], ["diagnose"],
+    ["reproduce", "--out", "out"],
+    ["pipeline", "--seed", "3", "--n-paths", "200", "--dt", "0.01", "--horizon", "0.5",
+     "--out", "out"]])
+def test_commands_run_without_scipy(tmp_path, argv):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    proc = run_fresh('import sys; sys.modules["scipy"] = None\n'
+                     f"from ipflab.cli import main\nsys.exit(main({argv!r}))", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout
