@@ -15,10 +15,7 @@ import csv
 import io
 import json
 import math
-import os
-import queue
-import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Optional
 
@@ -31,9 +28,6 @@ SCHEMA_VERSION = "1"
 LN2 = math.log(2.0)
 # condition number above which a matrix that must be inverted is refused
 COND_MAX = 1e12
-
-# the noise thread's consumer yields the CPU while it polls (see _steps)
-_yield_cpu = getattr(os, "sched_yield", lambda: time.sleep(0))
 
 # paths are reduced chunk-by-chunk with a fixed chunk size so the moment
 # sums form the same pairwise tree regardless of how work is distributed
@@ -106,6 +100,8 @@ class DiffusionModel:
         if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
             raise InputError("initial_cov must be positive semi-definite")
         s, t_end = self.horizon
+        if not (math.isfinite(s) and math.isfinite(t_end)):
+            raise InputError(f"horizon {self.horizon} must be finite")
         if not t_end > s:
             raise InputError("horizon must satisfy T > s")
         object.__setattr__(self, "initial_mean", mean)
@@ -189,12 +185,14 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     the kernel reuses: it stays valid until the point after next is
     requested, and consumers never write to it.  The generator raises
     SimulationDivergedError with the first bad time if any path leaves the
-    finite range.  The noise is drawn one step ahead on one helper thread
+    finite range.  The noise is drawn two steps ahead on one worker thread
     that lives only while the generator runs; the callbacks and the
     consumer run in the caller's thread (see :func:`_steps`).
     """
     if n_paths < 2:
         raise InputError("n_paths must be >= 2")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InputError(f"seed must be an integer, not {seed!r}")
     if not 0 <= seed < 2 ** 64:
         raise InputError(f"seed={seed} is outside [0, 2**64)")
     s, t_end = model.horizon
@@ -220,17 +218,15 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     tensor at once, so memory stays O(paths * n) and the result cannot
     depend on how the ensemble is later chunked.
 
-    One helper thread owns the Philox generator and draws the next step's
-    normals, in stream order, into a ring of two buffers while this thread
-    steps and the consumer reduces; the draw releases the interpreter lock.
-    Drift, sigma and control callbacks and the consumer all run in the
-    caller's thread.  The wait for a buffer polls and yields the CPU rather
-    than blocking, so the caller resumes as soon as the buffer is handed
-    over instead of when the scheduler wakes it; on a 2-vCPU host a
-    blocking wait was the slower of the two in 6 of 8 timed pairs.  The
-    poll spins only while the draw is the slower side.  The thread is
-    joined when the generator ends, is closed or raises, and an exception
-    raised by the draw is raised here.
+    A one-worker executor, held for the generator's lifetime, owns the
+    Philox generator and draws each step's normals, in stream order, into
+    one of two buffers while this thread steps and the consumer reduces;
+    the draw releases the interpreter lock.  Two draws are queued at the
+    start, and a buffer is queued again as soon as its step has added it,
+    so the draw stays two steps ahead.  Drift, sigma and control callbacks
+    and the consumer all run in the caller's thread.  An exception raised
+    by a draw is raised here, and the worker is joined when the generator
+    ends, is closed or raises.
     """
     if np.allclose(model.initial_cov, 0.0):
         x = np.tile(model.initial_mean, (n_paths, 1))
@@ -246,13 +242,12 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     # at n = 1 the noise is scaled in place; a 1x1 matmul costs ten times more
     dw = np.empty_like(x) if model.n > 1 else None
     last = len(grid) - 1
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    free.put(np.empty_like(x))
-    free.put(np.empty_like(x))
-    producer = threading.Thread(target=_draw, args=(gen, free, ready, last),
-                                name="ipflab-noise", daemon=True)
-    producer.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="ipflab-noise") as pool:
+        # draws[k % 2] fills the buffer that step k adds
+        draws = []
+        for _ in range(min(2, last)):
+            draws.append(pool.submit(_draw, gen, np.empty_like(x),
+                                     draws[-1] if draws else None))
         for k, t in enumerate(grid):
             if k == last and not drift_at_end:
                 yield t, x, None, None
@@ -270,50 +265,25 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
             # nxt is never x, so a drift that returns x itself stays intact
             np.multiply(a, dt, out=nxt)
             nxt += x
-            z = _take(ready)
+            z = draws[k % 2].result()
             z *= sqrt_dt
             if dw is None:
                 nxt += np.multiply(z, sig[0, 0], out=z)
             else:
                 nxt += np.matmul(z, sig.T, out=dw)
-            free.put(z)
+            if k + 2 < last:
+                draws[k % 2] = pool.submit(_draw, gen, z, draws[1 - k % 2])
             if not np.isfinite(nxt).all():
                 raise SimulationDivergedError(grid[k + 1])
             x, nxt = nxt, x
-    finally:
-        free.put(None)
-        producer.join()
 
 
-def _draw(gen, free, ready, count):
-    """Helper thread of :func:`_steps`: fill count free buffers, in order,
-    with standard normals and hand each over on ready; stop at a None.
-
-    Whatever the draw raises is handed over in place of a buffer, so the
-    caller raises it instead of waiting forever.
-    """
-    try:
-        for _ in range(count):
-            buf = free.get()
-            if buf is None:
-                return
-            gen.standard_normal(out=buf)
-            ready.put(buf)
-    except BaseException as exc:
-        ready.put(exc)
-
-
-def _take(ready):
-    """Next buffer from the helper thread, polling with a yield of the CPU."""
-    while True:
-        try:
-            item = ready.get_nowait()
-        except queue.Empty:
-            _yield_cpu()
-            continue
-        if isinstance(item, BaseException):
-            raise item
-        return item
+def _draw(gen, buf, before):
+    """Fill buf with the stream's next normals, once the draw before it,
+    if any, has succeeded; a failed draw so ends the stream."""
+    if before is not None:
+        before.result()
+    return gen.standard_normal(out=buf)
 
 
 def _moments(x: np.ndarray):

@@ -127,8 +127,10 @@ def gamma_ratios(a: float) -> dict:
     the residual's poles.  gamma1 = gamma2 = 1 always satisfies the system;
     the nontrivial root (if any) is reported together with the residuals of
     both equations at the reference ratio gamma1 = 3.896 (as given by the
-    ranged spectrum) so a failed fit is visible instead of forced.  a must
-    be finite and positive.
+    ranged spectrum) so a failed fit is visible instead of forced.  At
+    a = 3.896 / (2 * 2.896) the reference ratio sits on gamma2's pole,
+    where the second relation is undefined; both reference residuals are
+    then None.  a must be finite and positive.
     """
     if not (math.isfinite(a) and a > 0):
         raise InputError(f"a must be finite and positive, not {a}")
@@ -139,13 +141,17 @@ def gamma_ratios(a: float) -> dict:
     cell = next((c for c in cells if c is not None), None)
     g1 = None if cell is None else bisect(_ratio_residual, *cell, args=(a,), xtol=1e-12)
     g1_ref = 3.896
+    try:
+        g2_ref = _gamma2_of_gamma1(g1_ref, a)
+    except InputError:      # g1_ref on gamma2's pole
+        g2_ref = None
     return {"gamma1": g1,
             "gamma2": None if g1 is None else _gamma2_of_gamma1(g1, a),
             "converged": g1 is not None,
             "residuals": {
                 "eq1_at_solution": None if g1 is None else _ratio_residual(g1, a),
-                "gamma2_from_gamma1_ref": _gamma2_of_gamma1(g1_ref, a),
-                "eq1_at_reference": _ratio_residual(g1_ref, a)}}
+                "gamma2_from_gamma1_ref": g2_ref,
+                "eq1_at_reference": None if g2_ref is None else _ratio_residual(g1_ref, a)}}
 
 
 def optimal_spectrum(n: int, alpha1: float) -> np.ndarray:

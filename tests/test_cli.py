@@ -82,6 +82,14 @@ class TestStochasticCommands:
                          "--dt", "0.1", "--out", str(tmp_path)]) == 1
         assert "InputError" in capsys.readouterr().err
 
+    def test_infinite_horizon_refused(self, tmp_path, capsys):
+        # used to end in a ValueError traceback from the step count
+        assert cli.main(["simulate", "--seed", "1", "--horizon", "inf",
+                         "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error (InputError): ")
+        assert "finite" in captured.err
+
     def test_simulate_writes_csv(self, tmp_path):
         assert cli.main(["simulate", "--seed", "1", "--n-paths", "200",
                          "--dt", "0.02", "--horizon", "0.2",

@@ -34,6 +34,14 @@ class TestModelValidation:
         with pytest.raises(InputError):
             ou_model(horizon=(1.0, 1.0))
 
+    @pytest.mark.parametrize("horizon", [(0.0, math.inf), (-math.inf, 1.0),
+                                         (0.0, math.nan)])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # (0, inf) used to pass, and simulate_ensemble then raised a raw
+        # ValueError converting a NaN step count to an integer
+        with pytest.raises(InputError, match="finite"):
+            ou_model(horizon=horizon)
+
 
 class TestSimulateEnsemble:
     def test_ou_stationary_covariance(self):
@@ -107,6 +115,20 @@ class TestSimulateEnsemble:
         with pytest.raises(InputError, match="seed"):
             diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 10,
                                         dt=0.05, seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, "1", None])
+    def test_non_integer_seed_rejected(self, seed):
+        # 1.7 used to run as seed 1 and record seed 1.7; True ran as 1
+        with pytest.raises(InputError, match="seed must be an integer"):
+            diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 10,
+                                        dt=0.05, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 10,
+                                        dt=0.05, seed=np.uint64(3))
+        b = diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 10,
+                                        dt=0.05, seed=3)
+        assert np.array_equal(a.r, b.r)
 
     def test_largest_seed_accepted(self):
         stats = diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 10,

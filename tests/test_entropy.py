@@ -70,6 +70,11 @@ class TestMonteCarloInputs:
         with pytest.raises(InputError):
             entropy.entropy_mc(growth_model(), 1, dt=0.01, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.7, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(InputError, match="seed must be an integer"):
+            entropy.entropy_mc(growth_model(), 100, dt=0.01, seed=seed)
+
     def test_divergence_raises(self):
         model = diffusion.DiffusionModel(
             n=1, drift=lambda t, x, u: 1e4 * x ** 3, diffusion=lambda t: [[1.0]],

@@ -156,6 +156,15 @@ class TestGammaRatios:
         assert out["converged"] is False and out["gamma1"] is None
         assert not math.isnan(out["residuals"]["eq1_at_reference"])
 
+    def test_reference_ratio_on_the_pole_reported_as_none(self):
+        # at this a, g1_ref = 3.896 is gamma2's pole; the report field used
+        # to raise InputError and so refuse a valid a
+        a = 3.896 / (2 * 2.896)
+        out = invariants.gamma_ratios(a)
+        assert out["residuals"]["gamma2_from_gamma1_ref"] is None
+        assert out["residuals"]["eq1_at_reference"] is None
+        assert out["converged"] is False
+
     def test_overflowing_residual_is_signed_infinity(self):
         from ipflab.invariants import _ratio_residual
         # gamma2 -> +inf just below the pole 4/3 at a = 2, -inf just above

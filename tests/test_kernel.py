@@ -278,6 +278,41 @@ class TestNoiseThread:
         assert Failing.calls == 3 and Failing.caller not in Failing.threads
 
 
+class TestDrawCount:
+    """The stream is drawn once per step, never more than two steps ahead."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        class Counting(np.random.Generator):
+            calls = 0
+
+            def standard_normal(self, *args, **kwargs):
+                Counting.calls += 1
+                return super().standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(diffusion.np.random, "Generator", Counting)
+        return Counting
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 50])
+    def test_full_run_draws_once_per_step(self, monkeypatch, steps):
+        counting = self.counting(monkeypatch)
+        model = diffusion.DiffusionModel(
+            n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[1.0]],
+            initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 0.1 * steps))
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            counting.calls = 0
+            within(30, lambda: run(model, 100, dt=0.1, seed=1))
+            assert counting.calls == steps
+
+    def test_closed_generator_drew_at_most_two_ahead(self, monkeypatch):
+        counting = self.counting(monkeypatch)
+        _, _, steps = diffusion._euler_maruyama(scalar_model(), 100, 0.01, 0)
+        next(steps)
+        next(steps)
+        within(30, steps.close)
+        assert counting.calls <= 3
+
+
 A3_SIGMA = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.1, 0.8]])
 
 
