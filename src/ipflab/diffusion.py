@@ -29,8 +29,8 @@ LN2 = math.log(2.0)
 # condition number above which a matrix that must be inverted is refused
 COND_MAX = 1e12
 
-# paths are reduced chunk-by-chunk with a fixed chunk size so the moment
-# sums form the same pairwise tree regardless of how work is distributed
+# the moment sums run over chunks of this many paths, so their order, and
+# the bits of the moments, depend on (n_paths, n) only
 _REDUCE_CHUNK = 4096
 
 
@@ -241,6 +241,7 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     nxt = np.empty_like(x)
     # at n = 1 the noise is scaled in place; a 1x1 matmul costs ten times more
     dw = np.empty_like(x) if model.n > 1 else None
+    finite = np.empty(x.shape, dtype=bool)
     last = len(grid) - 1
     with ThreadPoolExecutor(1, thread_name_prefix="ipflab-noise") as pool:
         # draws[k % 2] fills the buffer that step k adds
@@ -273,7 +274,7 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
                 nxt += np.matmul(z, sig.T, out=dw)
             if k + 2 < last:
                 draws[k % 2] = pool.submit(_draw, gen, z, draws[1 - k % 2])
-            if not np.isfinite(nxt).all():
+            if not np.isfinite(nxt, out=finite).all():
                 raise SimulationDivergedError(grid[k + 1])
             x, nxt = nxt, x
 
@@ -286,18 +287,92 @@ def _draw(gen, buf, before):
     return gen.standard_normal(out=buf)
 
 
-def _moments(x: np.ndarray):
-    """Chunked pairwise reduction of mean and E[x x^T] over the path axis."""
-    n_paths = x.shape[0]
-    sums_m = []
-    sums_r = []
-    for lo in range(0, n_paths, _REDUCE_CHUNK):
-        c = x[lo:lo + _REDUCE_CHUNK]
-        sums_m.append(c.sum(axis=0))
-        sums_r.append(np.einsum("pi,pj->ij", c, c))
-    mean = np.add.reduce(sums_m) / n_paths
-    r = np.add.reduce(sums_r) / n_paths
-    return mean, 0.5 * (r + r.T)
+def _moment_reducer(n_paths: int, n: int):
+    """reduce(x, mean, r): the mean and E[x x^T] of an (n_paths, n) ensemble,
+    written into mean and r.
+
+    Built once per run, with its buffers.  Each chunk of _REDUCE_CHUNK paths
+    is summed in path order at n >= 2; at n = 1 its mean takes numpy's
+    pairwise sum and its E[x^2] einsum's SIMD lanes.  The chunk sums are
+    then added in chunk order by np.add.reduce.  At n = 2 and 3, from two
+    chunks on, all chunks are summed in one pass (see
+    :func:`_path_major_reducer`); it is slower than einsum from n = 4, and
+    no faster on one chunk or a short second one.  Otherwise each chunk
+    goes through np.add.reduce and einsum, the full chunks in one batched
+    call at n = 1.
+    """
+    if 2 <= n <= 3 and n_paths >= 2 * _REDUCE_CHUNK:
+        return _path_major_reducer(n_paths, n)
+    size = _REDUCE_CHUNK
+    chunks = -(-n_paths // size)
+    # at n > 1 a batched einsum is slower than one call per chunk
+    bulk = n_paths // size if n == 1 else 0
+    sums_m = np.empty((chunks, n))
+    sums_r = np.empty((chunks, n, n))
+
+    def reduce(x, mean, r):
+        if bulk:
+            c = x[:bulk * size].reshape(bulk, size, n)
+            np.add.reduce(c, axis=1, out=sums_m[:bulk])
+            np.einsum("cpi,cpj->cij", c, c, out=sums_r[:bulk])
+        for k in range(bulk, chunks):
+            c = x[k * size:(k + 1) * size]
+            np.add.reduce(c, axis=0, out=sums_m[k])
+            np.einsum("pi,pj->ij", c, c, out=sums_r[k])
+        np.divide(np.add.reduce(sums_m), n_paths, out=mean)
+        s = np.add.reduce(sums_r) / n_paths
+        np.multiply(0.5, s + s.T, out=r)
+
+    return reduce
+
+
+def _path_major_reducer(n_paths: int, n: int):
+    """The moment reduction of at least two chunks at n = 2 and 3, in one pass.
+
+    terms[p, c] holds path p of chunk c: its n components, then x_i x_j for
+    i <= j.  One np.add.reduce over p adds every column in path order, as
+    np.sum and einsum do chunk by chunk, but a whole row of columns at a
+    time.  The rows a short last chunk lacks hold -0.0, and +0.0 is added
+    to the product sums before they are divided, as einsum starts them
+    from +0.0.  numpy 2.4 starts np.add.reduce from +0.0 too, and there
+    both are no-ops; where a reduction starts from its first row instead,
+    they keep an all -0.0 sum what np.sum and einsum make of it.
+    """
+    size = _REDUCE_CHUNK
+    chunks = -(-n_paths // size)
+    full, tail = divmod(n_paths, size)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    width = n + len(pairs)
+    terms = np.full((size, chunks, width), -0.0)
+    rows = terms.reshape(size * chunks, width)
+    products = [(rows[:, i], rows[:, j], rows[:, n + k])
+                for k, (i, j) in enumerate(pairs)]
+    by_path = terms.reshape(size, chunks * width)
+    sums = np.empty(chunks * width)
+    # r[i, j] = r[j, i] is the sum of x_i x_j for i <= j
+    upper = np.array([n + pairs.index((min(i, j), max(i, j)))
+                      for i in range(n) for j in range(n)])
+    r_sum = np.empty((n, n))
+
+    def reduce(x, mean, r):
+        np.copyto(terms[:, :full, :n],
+                  x[:full * size].reshape(full, size, n).transpose(1, 0, 2))
+        if tail:
+            np.copyto(terms[:tail, full, :n], x[full * size:])
+        # silent, as einsum is, when a product or a sum overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b, out in products:
+                np.multiply(a, b, out=out)
+            np.add.reduce(by_path, axis=0, out=sums)
+            total = np.add.reduce(sums.reshape(chunks, width), axis=0)
+        total[n:] += 0.0
+        total /= n_paths
+        mean[:] = total[:n]
+        np.take(total, upper, out=r_sum.reshape(n * n))
+        np.add(r_sum, r_sum.T, out=r)
+        r *= 0.5
+
+    return reduce
 
 
 def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
@@ -313,8 +388,9 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
     means = np.empty((len(grid), n))
     rs = np.empty((len(grid), n, n))
     trail = np.empty((n_paths, len(grid), n)) if keep_paths else None
+    reduce = _moment_reducer(n_paths, n)
     for k, (_, x, _, _) in enumerate(steps):
-        means[k], rs[k] = _moments(x)
+        reduce(x, means[k], rs[k])
         if keep_paths:
             trail[:, k, :] = x
 
@@ -325,13 +401,22 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
 
 
 def covariance_derivative(stats: EnsembleStats) -> EnsembleStats:
-    """Fill r_dot by finite differences: central inside, one-sided at the ends."""
+    """Fill r_dot by finite differences: central inside, one-sided at the ends.
+
+    Raises InputError if r_dot is not finite, as when the grid spacing is so
+    small that np.gradient's products of spacings underflow to zero.
+    """
     grid = stats.grid
     if len(grid) < 3:
         raise InputError("grid needs at least 3 points for differentiation")
     r = stats.r
-    r_dot = np.gradient(r, grid, axis=0)
-    r_dot = 0.5 * (r_dot + np.transpose(r_dot, (0, 2, 1)))
+    with np.errstate(all="ignore"):
+        r_dot = np.gradient(r, grid, axis=0)
+        r_dot = 0.5 * (r_dot + np.transpose(r_dot, (0, 2, 1)))
+    if not np.isfinite(r_dot).all():
+        bad = int(np.argmin(np.isfinite(r_dot).all(axis=(1, 2))))
+        raise InputError(f"r_dot is not finite at t={grid[bad]:.6g} on a grid "
+                         f"of spacing {np.min(np.diff(grid)):.6g}")
     r_dot.setflags(write=False)
     return replace(stats, r_dot=r_dot)
 

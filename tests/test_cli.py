@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,16 @@ class TestStochasticCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error (InputError): ")
         assert "finite" in captured.err
+
+    def test_tiny_horizon_refused_without_nan(self, tmp_path, capsys):
+        # used to print numpy warnings and write an r_dot of NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--seed", "1", "--n-paths", "3",
+                             "--horizon", "1e-300", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (InputError): ") and "spacing" in err
+        assert not (tmp_path / "ensemble.json").exists()
 
     def test_simulate_writes_csv(self, tmp_path):
         assert cli.main(["simulate", "--seed", "1", "--n-paths", "200",

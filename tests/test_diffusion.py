@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,15 @@ class TestCovarianceDerivative:
         stats = diffusion.stats_from_covariance([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(InputError):
             diffusion.covariance_derivative(stats)
+
+    def test_underflowing_spacing_refused_without_warnings(self):
+        # np.gradient's dx1 * dx2 underflows to 0 and used to give NaN
+        grid = 1e-303 * np.arange(5)
+        stats = diffusion.stats_from_covariance(grid, 1.0 + grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="spacing 1e-303"):
+                diffusion.covariance_derivative(stats)
 
 
 class TestStatsRecord:

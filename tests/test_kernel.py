@@ -46,6 +46,22 @@ def reference_paths(model, n_paths, dt, seed):
     return grid, xs
 
 
+def reference_moments(x):
+    """Mean and E[x x^T] summed chunk by chunk, with one np.sum and one
+    einsum per chunk of diffusion._REDUCE_CHUNK paths; the simulator's
+    reduction must give these bytes."""
+    n_paths = x.shape[0]
+    sums_m = []
+    sums_r = []
+    for lo in range(0, n_paths, diffusion._REDUCE_CHUNK):
+        c = x[lo:lo + diffusion._REDUCE_CHUNK]
+        sums_m.append(c.sum(axis=0))
+        sums_r.append(np.einsum("pi,pj->ij", c, c))
+    mean = np.add.reduce(sums_m) / n_paths
+    r = np.add.reduce(sums_r) / n_paths
+    return mean, 0.5 * (r + r.T)
+
+
 def reference_entropy(model, n_paths, dt, seed):
     """(value, std_error) with drift, cond and solve at every grid point."""
     grid, xs = reference_paths(model, n_paths, dt, seed)
@@ -83,7 +99,7 @@ class TestStreamMatchesWholeTensor:
             control_law=lambda t, x: 0.3 * np.sin(t) * x)
         stats = diffusion.simulate_ensemble(model, 3000, dt=0.01, seed=5)
         grid, xs = reference_paths(model, 3000, 0.01, 5)
-        moments = [diffusion._moments(x) for x in xs]
+        moments = [reference_moments(x) for x in xs]
         assert np.array_equal(stats.grid, grid)
         assert np.array_equal(stats.mean, np.array([m for m, _ in moments]))
         assert np.array_equal(stats.r, np.array([r for _, r in moments]))
@@ -94,7 +110,7 @@ class TestStreamMatchesWholeTensor:
                                             keep_paths=True)
         _, xs = reference_paths(model, 2000, 0.01, 9)
         assert np.array_equal(stats.paths, np.stack(xs, axis=1))
-        moments = [diffusion._moments(x) for x in xs]
+        moments = [reference_moments(x) for x in xs]
         assert np.array_equal(stats.mean, np.array([m for m, _ in moments]))
         assert np.array_equal(stats.r, np.array([r for _, r in moments]))
 
@@ -334,7 +350,7 @@ def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
         horizon=(0.0, 0.1 * steps))
     stats = diffusion.simulate_ensemble(model, n_paths, dt=0.1, seed=seed)
     _, xs = reference_paths(model, n_paths, 0.1, seed)
-    moments = [diffusion._moments(x) for x in xs]
+    moments = [reference_moments(x) for x in xs]
     assert np.array_equal(stats.mean, np.array([m for m, _ in moments]))
     assert np.array_equal(stats.r, np.array([r for _, r in moments]))
     est = entropy.entropy_mc(model, n_paths, dt=0.1, seed=seed)
@@ -347,3 +363,58 @@ def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
         # reference solves, and einsum sums the quadratic form in an order
         # that depends on its operand's memory layout, which differs too
         np.testing.assert_allclose(est, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("special", ["none", "zeros", "signed zeros", "tiny",
+                                     "infs", "nan", "huge"])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_moment_reduction_equals_chunked_reference(special, seed):
+    """The per-run reducer gives the chunk-by-chunk reference's bytes, signed
+    zeros included, whichever of its layouts (n, n_paths) selects."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3, 5, 8):
+        for n_paths in (2, 3, 4095, 4096, 4097, 8193, 20000):
+            x = special_ensemble(rng, n_paths, n, special)
+            mean, r = np.empty(n), np.empty((n, n))
+            with np.errstate(all="ignore"):
+                ref_mean, ref_r = reference_moments(x)
+                diffusion._moment_reducer(n_paths, n)(x, mean, r)
+            for got, want in ((mean, ref_mean), (r, ref_r)):
+                if special == "nan":
+                    # the sign of a NaN depends on which operand an add
+                    # propagates, which differs between einsum and the ufunc
+                    # loops.  The kernel never yields a NaN state, and the
+                    # NaNs a reduction makes of finite or infinite states are
+                    # all the one default NaN, so the other cases compare raw
+                    # bytes
+                    assert np.array_equal(np.isnan(got), np.isnan(want))
+                    got, want = got.copy(), want.copy()
+                    got[np.isnan(got)] = want[np.isnan(want)] = np.nan
+                assert got.tobytes() == want.tobytes(), (n, n_paths)
+
+
+def special_ensemble(rng, n_paths, n, special):
+    """A normal (n_paths, n) ensemble, with the special values named."""
+    x = rng.standard_normal((n_paths, n))
+    mask = rng.integers(0, 4, size=x.shape)
+    if special == "zeros":
+        x[mask == 0] = 0.0
+        x[mask == 1] = -0.0
+    elif special == "signed zeros":
+        # every sum of x_0 x_j is a sum of -0.0, which einsum starts at +0.0
+        x[:] = -0.0
+        x[:, 0] = 0.0
+    elif special == "tiny":
+        # products underflow to zeros of both signs
+        x *= 1e-200
+    elif special == "infs":
+        x[mask == 0] = np.copysign(np.inf, x[mask == 0])
+        x[mask == 1] = -0.0
+    elif special == "nan":
+        x[mask == 0] = np.nan
+        x[mask == 1] = np.copysign(np.inf, x[mask == 1])
+    elif special == "huge":
+        # products and sums overflow to inf, of both signs
+        x *= 1e160
+    return x
