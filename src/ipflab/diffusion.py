@@ -32,6 +32,9 @@ COND_MAX = 1e12
 # the moment sums run over chunks of this many paths, so their order, and
 # the bits of the moments, depend on (n_paths, n) only
 _REDUCE_CHUNK = 4096
+# the path-major moment pass is taken only while its terms fit this many
+# bytes: they then stay in a 2 MiB L2, and its extra memory is bounded
+_PASS_BYTES = 2 ** 21
 
 
 def plain(obj):
@@ -295,27 +298,23 @@ def _moment_reducer(n_paths: int, n: int):
     is summed in path order at n >= 2; at n = 1 its mean takes numpy's
     pairwise sum and its E[x^2] einsum's SIMD lanes.  The chunk sums are
     then added in chunk order by np.add.reduce.  At n = 2 and 3, from two
-    chunks on, all chunks are summed in one pass (see
-    :func:`_path_major_reducer`); it is slower than einsum from n = 4, and
-    no faster on one chunk or a short second one.  Otherwise each chunk
-    goes through np.add.reduce and einsum, the full chunks in one batched
-    call at n = 1.
+    full chunks up to 7 (n = 3) or 12 (n = 2) chunks, all chunks are summed
+    in one pass (see :func:`_path_major_reducer`).  It is slower than
+    einsum from n = 4, no faster on one chunk or a short second one, and
+    slower, with about 3x the ensemble's memory, once its terms no longer
+    fit _PASS_BYTES.  Otherwise each chunk goes through np.add.reduce and
+    einsum.
     """
-    if 2 <= n <= 3 and n_paths >= 2 * _REDUCE_CHUNK:
-        return _path_major_reducer(n_paths, n)
     size = _REDUCE_CHUNK
     chunks = -(-n_paths // size)
-    # at n > 1 a batched einsum is slower than one call per chunk
-    bulk = n_paths // size if n == 1 else 0
+    terms_bytes = 8 * size * chunks * (n + n * (n + 1) // 2)
+    if 2 <= n <= 3 and 2 * size <= n_paths and terms_bytes <= _PASS_BYTES:
+        return _path_major_reducer(n_paths, n)
     sums_m = np.empty((chunks, n))
     sums_r = np.empty((chunks, n, n))
 
     def reduce(x, mean, r):
-        if bulk:
-            c = x[:bulk * size].reshape(bulk, size, n)
-            np.add.reduce(c, axis=1, out=sums_m[:bulk])
-            np.einsum("cpi,cpj->cij", c, c, out=sums_r[:bulk])
-        for k in range(bulk, chunks):
+        for k in range(chunks):
             c = x[k * size:(k + 1) * size]
             np.add.reduce(c, axis=0, out=sums_m[k])
             np.einsum("pi,pj->ij", c, c, out=sums_r[k])
@@ -332,11 +331,12 @@ def _path_major_reducer(n_paths: int, n: int):
     terms[p, c] holds path p of chunk c: its n components, then x_i x_j for
     i <= j.  One np.add.reduce over p adds every column in path order, as
     np.sum and einsum do chunk by chunk, but a whole row of columns at a
-    time.  The rows a short last chunk lacks hold -0.0, and +0.0 is added
-    to the product sums before they are divided, as einsum starts them
-    from +0.0.  numpy 2.4 starts np.add.reduce from +0.0 too, and there
-    both are no-ops; where a reduction starts from its first row instead,
-    they keep an all -0.0 sum what np.sum and einsum make of it.
+    time.  The component rows a short last chunk lacks hold -0.0, so their
+    products hold +0.0, and +0.0 is added to the product sums before they
+    are divided, as einsum starts them from +0.0.  numpy 2.4 starts
+    np.add.reduce from +0.0 too, and there both are no-ops; where a
+    reduction starts from its first row instead, they keep an all -0.0 sum
+    what np.sum and einsum make of it.
     """
     size = _REDUCE_CHUNK
     chunks = -(-n_paths // size)

@@ -374,7 +374,9 @@ def test_moment_reduction_equals_chunked_reference(special, seed):
     zeros included, whichever of its layouts (n, n_paths) selects."""
     rng = np.random.default_rng(seed)
     for n in (1, 2, 3, 5, 8):
-        for n_paths in (2, 3, 4095, 4096, 4097, 8193, 20000):
+        # each side of the one-pass layout's bound on paths at n = 2 and 3
+        bound = {2: (49152, 49153), 3: (28672, 28673)}.get(n, ())
+        for n_paths in (2, 3, 4095, 4096, 4097, 8193, 20000) + bound:
             x = special_ensemble(rng, n_paths, n, special)
             mean, r = np.empty(n), np.empty((n, n))
             with np.errstate(all="ignore"):
