@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diffusion, diagnostics, entropy, identification, invariants
 from . import control, eigenchain, network
-from .diffusion import LN2, SCHEMA_VERSION, plain
+from .diffusion import LN2, SCHEMA_VERSION, STREAM_VERSION, plain
 from .errors import IpfError
 
 
@@ -36,6 +36,12 @@ def _scalar_model(theta: float, sigma: float, x0: float, horizon,
         n=1, drift=drift, diffusion=lambda t: [[sigma]],
         initial_mean=[x0], initial_cov=[[0.0]],
         horizon=tuple(horizon), control_law=law)
+
+
+def _stream_stamp(result) -> dict:
+    """What fixes a Monte Carlo result's bits, for a document's head."""
+    return {key: getattr(result, key)
+            for key in ("stream_version", "seed", "n_paths", "dt")}
 
 
 def _outdir(args) -> Path:
@@ -58,7 +64,10 @@ def cmd_simulate(args) -> int:
     stats = diffusion.covariance_derivative(stats)
     out = _outdir(args)
     if args.format == "csv":
-        _write(out / "ensemble.csv", f"# schema_version={SCHEMA_VERSION}\n" + stats.to_csv())
+        head = {"schema_version": SCHEMA_VERSION, **_stream_stamp(stats)}
+        _write(out / "ensemble.csv",
+               "# " + " ".join(f"{k}={v}" for k, v in head.items()) + "\n"
+               + stats.to_csv())
     else:
         _write(out / "ensemble.json", stats.to_json())
     return 0
@@ -80,6 +89,7 @@ def cmd_entropy(args) -> int:
     stats = diffusion.stats_from_covariance(grid, r)
     cf = entropy.entropy_covariance_form(args.theta, stats, args.sigma)
     doc = {"schema_version": SCHEMA_VERSION,
+           **_stream_stamp(mc),
            "monte_carlo": {"value": mc.value, "std_error": mc.std_error},
            "covariance_form": {"value": cf.value},
            "gap": abs(mc.value - cf.value)}
@@ -103,6 +113,7 @@ def cmd_identify(args) -> int:
         identification.identify_closed_loop(stats, tau, b=b),
     ]
     print(json.dumps({"schema_version": SCHEMA_VERSION,
+                      **_stream_stamp(stats),
                       "reports": plain(reports)}, indent=2))
     return 0
 
@@ -272,7 +283,8 @@ def cmd_pipeline(args) -> int:
     _write(out / "diagnostics.json", report.to_json())
     artifacts.append("diagnostics.json")
 
-    manifest = {"schema_version": SCHEMA_VERSION, "artifacts": artifacts,
+    manifest = {"schema_version": SCHEMA_VERSION,
+                "stream_version": STREAM_VERSION, "artifacts": artifacts,
                 "config": {"n": args.n, "gamma": args.gamma,
                            "alpha1": args.alpha1, "n_paths": args.n_paths,
                            "dt": args.dt, "seed": args.seed,

@@ -25,6 +25,9 @@ from .errors import InputError, SimulationDivergedError
 
 # constants shared by every module; this one imports no other ipflab module
 SCHEMA_VERSION = "1"
+# the definition of the noise stream: a fixed (seed, n_paths, dt) draws the
+# same normals only under the same stream version (see _steps)
+STREAM_VERSION = "2"
 LN2 = math.log(2.0)
 # condition number above which a matrix that must be inverted is refused
 COND_MAX = 1e12
@@ -41,14 +44,16 @@ def plain(obj):
     """JSON-ready copy of a record, array or container.
 
     A dataclass becomes a dict of its fields in declaration order, leaving
-    out fields marked ``metadata={"json": False}``; a complex array field
-    x is written as x_real and x_imag; arrays become lists.
+    out fields marked ``metadata={"json": False}``, and those made by
+    :func:`stamp_field` while they are None; a complex array field x is
+    written as x_real and x_imag; arrays become lists.
     """
     if is_dataclass(obj):
         doc = {}
         for f in fields(obj):
             val = getattr(obj, f.name)
-            if not f.metadata.get("json", True):
+            write = f.metadata.get("json", True)
+            if not write or (write == "unless None" and val is None):
                 continue
             if isinstance(val, np.ndarray) and np.iscomplexobj(val):
                 doc[f.name + "_real"] = val.real.tolist()
@@ -63,6 +68,13 @@ def plain(obj):
     if isinstance(obj, (list, tuple)):
         return [plain(v) for v in obj]
     return obj
+
+
+def stamp_field():
+    """A keyword-only record field for what fixes the bits of a Monte Carlo
+    result (stream version, seed, paths, dt): None, and left out of the
+    JSON, in records of analytic results."""
+    return field(default=None, kw_only=True, metadata={"json": "unless None"})
 
 
 class Record:
@@ -117,13 +129,16 @@ class EnsembleStats(Record):
 
     r is the (non-centered) second-moment matrix E[x x^T]; r_dot is its
     time derivative, filled by :func:`covariance_derivative`.  The record
-    is a document of its own, so its JSON carries the schema version; the
-    retained paths are never written.
+    is a document of its own, so its JSON carries the schema version, and
+    a simulated ensemble's the stream version and dt as well; the retained
+    paths are never written.
     """
 
     schema_version: str = field(default=SCHEMA_VERSION, init=False)
+    stream_version: Optional[str] = stamp_field()
     seed: int
     n_paths: int
+    dt: Optional[float] = stamp_field()
     grid: np.ndarray            # (T,)
     mean: np.ndarray            # (T, n)
     r: np.ndarray               # (T, n, n)
@@ -213,16 +228,17 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
 def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     """Generator behind :func:`_euler_maruyama`.
 
-    The initial law is sampled by Cholesky when its covariance is positive
-    definite and by eigh otherwise, on a stream keyed apart from the noise.
-    The noise is the counter-based Philox stream keyed by the seed, drawn
-    one step of (path, component) normals at a time.  That is the same
+    Stream STREAM_VERSION: SeedSequence(seed) spawns two children, and
+    each drives an SFC64 generator.  The first samples the initial law, by
+    Cholesky when its covariance is positive definite and by eigh
+    otherwise.  The second draws the noise one step of (path, component)
+    normals at a time.  For a sequential generator that is the same
     sequence, bit for bit, as drawing the whole (step, path, component)
     tensor at once, so memory stays O(paths * n) and the result cannot
     depend on how the ensemble is later chunked.
 
     A one-worker executor, held for the generator's lifetime, owns the
-    Philox generator and draws each step's normals, in stream order, into
+    noise generator and draws each step's normals, in stream order, into
     one of two buffers while this thread steps and the consumer reduces;
     the draw releases the interpreter lock.  Two draws are queued at the
     start, and a buffer is queued again as soon as its step has added it,
@@ -231,15 +247,16 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     by a draw is raised here, and the worker is joined when the generator
     ends, is closed or raises.
     """
+    init_seq, noise_seq = np.random.SeedSequence(int(seed)).spawn(2)
     if np.allclose(model.initial_cov, 0.0):
         x = np.tile(model.initial_mean, (n_paths, 1))
     else:
-        rng0 = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(0x9E3779B9)))
+        rng0 = np.random.Generator(np.random.SFC64(init_seq))
         definite = np.min(np.linalg.eigvalsh(model.initial_cov)) > 0
         x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
                                      size=n_paths,
                                      method="cholesky" if definite else "eigh")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    gen = np.random.Generator(np.random.SFC64(noise_seq))
     sqrt_dt = np.sqrt(dt)
     nxt = np.empty_like(x)
     # at n = 1 the noise is scaled in place; a 1x1 matmul costs ten times more
@@ -383,7 +400,7 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
     horizon.  Raises SimulationDivergedError with the first bad time if any
     path leaves the finite range.
     """
-    grid, _, steps = _euler_maruyama(model, n_paths, dt, seed)
+    grid, dt, steps = _euler_maruyama(model, n_paths, dt, seed)
     n = model.n
     means = np.empty((len(grid), n))
     rs = np.empty((len(grid), n, n))
@@ -396,8 +413,9 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
 
     for arr in (grid, means, rs):
         arr.setflags(write=False)
-    return EnsembleStats(grid=grid, mean=means, r=rs, seed=seed,
-                         n_paths=n_paths, paths=trail)
+    return EnsembleStats(grid=grid, mean=means, r=rs, seed=int(seed),
+                         n_paths=n_paths, paths=trail, dt=dt,
+                         stream_version=STREAM_VERSION)
 
 
 def covariance_derivative(stats: EnsembleStats) -> EnsembleStats:

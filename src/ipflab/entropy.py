@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import (COND_MAX, DiffusionModel, EnsembleStats, Record,
-                        _euler_maruyama)
+from .diffusion import (COND_MAX, STREAM_VERSION, DiffusionModel,
+                        EnsembleStats, Record, _euler_maruyama, stamp_field)
 from .errors import (DegenerateFunctionalError, InputError,
                      SingularDiffusionError)
 
@@ -30,6 +30,11 @@ class EntropyEstimate(Record):
     method: str                   # "monte-carlo" or "covariance-form"
     horizon: tuple
     std_error: Optional[float] = None
+    # what fixes the Monte Carlo value's bits; None for the closed form
+    stream_version: Optional[str] = stamp_field()
+    seed: Optional[int] = stamp_field()
+    n_paths: Optional[int] = stamp_field()
+    dt: Optional[float] = stamp_field()
 
 
 def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
@@ -45,8 +50,12 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     """
     _, dt, steps = _euler_maruyama(model, n_paths, dt, seed, drift_at_end=True)
     integral = np.zeros(n_paths)
-    prev_q = sig_seen = None
-    for t, _, a, sig in steps:
+    # q at the previous and the current grid point; the trapezoid's sum
+    # is formed in the previous one's buffer, which is then free
+    qs = (np.empty(n_paths), np.empty(n_paths))
+    half_dt = 0.5 * dt
+    sig_seen = None
+    for k, (t, _, a, sig) in enumerate(steps):
         # 2b is checked and inverted only when sigma changes
         if sig_seen is None or not np.array_equal(sig, sig_seen):
             twob = sig @ sig.T
@@ -54,18 +63,26 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
                 raise SingularDiffusionError(f"2b singular at t={t}")
             inv = np.linalg.inv(twob)
             sig_seen = sig.copy()
-        # at n = 1 a plain multiply gives the 1x1 product at a tenth the cost
-        b = a * inv[0, 0] if inv.shape == (1, 1) else a @ inv.T
-        q = np.einsum("pi,pi->p", a, b)
-        if prev_q is not None:
-            integral += 0.5 * dt * (prev_q + q)
-        prev_q = q
+        q, prev_q = qs[k % 2], qs[1 - k % 2]
+        if inv.shape == (1, 1):
+            # plain multiplies give the bits of the 1x1 product and of
+            # einsum's one-term sum at a fraction of the cost
+            np.multiply(a[:, 0], inv[0, 0], out=q)
+            q *= a[:, 0]
+        else:
+            np.einsum("pi,pi->p", a, a @ inv.T, out=q)
+        if k:
+            prev_q += q
+            prev_q *= half_dt
+            integral += prev_q
 
     half = 0.5 * integral
     value = float(np.mean(half))
     se = float(np.std(half, ddof=1) / math.sqrt(n_paths))
     return EntropyEstimate(value=value, method="monte-carlo",
-                           horizon=model.horizon, std_error=se)
+                           horizon=model.horizon, std_error=se,
+                           stream_version=STREAM_VERSION, seed=int(seed),
+                           n_paths=n_paths, dt=dt)
 
 
 def entropy_covariance_form(u, stats: EnsembleStats, sigma) -> EntropyEstimate:

@@ -20,13 +20,23 @@ from ipflab import (cli, control, diagnostics, diffusion, eigenchain, entropy,
                     identification, invariants, network)
 
 SCHEMA = "1"
+STREAM = "2"
 
 
 # -- reference renderers ------------------------------------------------------
 
-def ref_ensemble(s):
+def stream_stamp(seed, n_paths, dt):
+    return {"stream_version": STREAM, "seed": seed, "n_paths": n_paths,
+            "dt": dt}
+
+
+def ref_ensemble(s, dt=None):
+    """A simulated ensemble's document when its dt is given, otherwise an
+    analytic one's, which names no stream and no dt."""
+    head = ({"seed": s.seed, "n_paths": s.n_paths} if dt is None
+            else stream_stamp(s.seed, s.n_paths, dt))
     return json.dumps({
-        "schema_version": SCHEMA, "seed": s.seed, "n_paths": s.n_paths,
+        "schema_version": SCHEMA, **head,
         "grid": s.grid.tolist(), "mean": s.mean.tolist(), "r": s.r.tolist(),
         "r_dot": None if s.r_dot is None else s.r_dot.tolist(),
     }, indent=2)
@@ -91,10 +101,12 @@ def ref_diagnostics(rep):
                        "classification": rep.classification}, indent=2)
 
 
-def ref_entropy_estimate(est):
+def ref_entropy_estimate(est, stamp=None):
+    """The Monte Carlo estimate's document with its stream stamp, the
+    closed form's without one."""
     return json.dumps({"value": est.value, "method": est.method,
                        "horizon": list(est.horizon),
-                       "std_error": est.std_error}, indent=2)
+                       "std_error": est.std_error, **(stamp or {})}, indent=2)
 
 
 def stamped_last(text):
@@ -142,7 +154,18 @@ def test_every_record_matches_its_reference():
         n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[1.0]],
         initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 0.1))
     est = entropy.entropy_mc(model, 20, dt=0.05, seed=1)
+    assert est.to_json() == ref_entropy_estimate(est, stream_stamp(1, 20, 0.05))
+    est = entropy.entropy_covariance_form(1.0, stats, 1.0)
     assert est.to_json() == ref_entropy_estimate(est)
+
+
+def test_numpy_integer_seed_stamped_as_int():
+    # a numpy seed used to end in "Object of type uint64 is not JSON
+    # serializable" when the ensemble was written
+    model = cli._scalar_model(-1.0, 1.0, 1.0, (0.0, 0.1))
+    for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+        want = run(model, 20, dt=0.05, seed=2 ** 64 - 1).to_json()
+        assert run(model, 20, dt=0.05, seed=np.uint64(2 ** 64 - 1)).to_json() == want
 
 
 # -- subcommands --------------------------------------------------------------
@@ -164,11 +187,12 @@ def test_simulate_json_and_csv(tmp_path, feedback):
     stats = sim_stats(feedback=feedback)
     out = run_cli(["simulate"] + SIM + extra + ["--out", str(tmp_path)])
     assert out == f"wrote {tmp_path / 'ensemble.json'}\n"
-    assert (tmp_path / "ensemble.json").read_bytes().decode() == ref_ensemble(stats)
+    assert (tmp_path / "ensemble.json").read_bytes().decode() == ref_ensemble(stats, 0.02)
     run_cli(["simulate"] + SIM + extra + ["--format", "csv",
                                           "--out", str(tmp_path)])
     assert ((tmp_path / "ensemble.csv").read_bytes().decode()
-            == "# schema_version=1\n" + stats.to_csv())
+            == "# schema_version=1 stream_version=2 seed=1 n_paths=200 dt=0.02\n"
+            + stats.to_csv())
 
 
 def test_entropy_document():
@@ -179,7 +203,7 @@ def test_entropy_document():
     r = 1.5 * np.exp(2 * grid) - 0.5
     cf = entropy.entropy_covariance_form(
         1.0, diffusion.stats_from_covariance(grid, r), 1.0)
-    doc = {"schema_version": SCHEMA,
+    doc = {"schema_version": SCHEMA, **stream_stamp(3, 500, 0.01),
            "monte_carlo": {"value": mc.value, "std_error": mc.std_error},
            "covariance_form": {"value": cf.value},
            "gap": abs(mc.value - cf.value)}
@@ -195,7 +219,7 @@ def test_identify_document():
         identification.identify_dispersion_window(stats, 1.0, window=1.0),
         identification.identify_closed_loop(stats, 1.0, b=b),
     ]
-    doc = {"schema_version": SCHEMA,
+    doc = {"schema_version": SCHEMA, **stream_stamp(5, 2000, 0.01),
            "reports": [json.loads(ref_operator(r)) for r in reports]}
     out = run_cli(["identify", "--seed", "5", "--n-paths", "2000",
                    "--dt", "0.01"])
@@ -260,7 +284,7 @@ def test_pipeline_files(tmp_path):
     names = ["ensemble.json", "operators.json", "schedule.json",
              "network.json", "diagnostics.json"]
     expected = {
-        "ensemble.json": ref_ensemble(stats),
+        "ensemble.json": ref_ensemble(stats, 0.01),
         "operators.json": json.dumps(
             {"schema_version": SCHEMA,
              "operators": [json.loads(ref_operator(o)) for o in ops]},
@@ -269,7 +293,8 @@ def test_pipeline_files(tmp_path):
         "network.json": ref_network(net),
         "diagnostics.json": ref_diagnostics(report),
         "manifest.json": json.dumps(
-            {"schema_version": SCHEMA, "artifacts": names,
+            {"schema_version": SCHEMA, "stream_version": STREAM,
+             "artifacts": names,
              "config": {"n": 4, "gamma": 0.4, "alpha1": 1.2, "n_paths": 300,
                         "dt": 0.01, "seed": 2, "horizon": 0.5}}, indent=2),
     }

@@ -21,19 +21,26 @@ A3 = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, 0.2], [0.0, 0.2, -0.5]])
 P3 = -np.linalg.inv(A3) / 2          # stationary covariance, positive definite
 
 
+def stream2(seed):
+    """Stream 2's generators for the initial law and for the noise, written
+    out here rather than taken from the kernel."""
+    init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
+    return (np.random.Generator(np.random.SFC64(init_seq)),
+            np.random.Generator(np.random.SFC64(noise_seq)))
+
+
 def reference_paths(model, n_paths, dt, seed):
     """Grid and ensemble at every grid point, from the whole noise tensor."""
     s, t_end = model.horizon
     n_steps = int(round((t_end - s) / dt))
     grid = s + dt * np.arange(n_steps + 1)
-    rng0 = np.random.Generator(np.random.Philox(key=np.uint64(seed) ^ np.uint64(0x9E3779B9)))
+    rng0, gen = stream2(seed)
     if np.allclose(model.initial_cov, 0.0):
         x = np.tile(model.initial_mean, (n_paths, 1))
     else:
         x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
                                      size=n_paths, method="cholesky" if
                                      np.min(np.linalg.eigvalsh(model.initial_cov)) > 0 else "eigh")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     dW = gen.standard_normal((n_steps, n_paths, model.n)) * np.sqrt(dt)
     xs = [x]
     for k in range(n_steps):
