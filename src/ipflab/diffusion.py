@@ -25,19 +25,17 @@ from .errors import InputError, SimulationDivergedError
 
 # constants shared by every module; this one imports no other ipflab module
 SCHEMA_VERSION = "1"
-# the definition of the noise stream: a fixed (seed, n_paths, dt) draws the
-# same normals only under the same stream version (see _steps)
-STREAM_VERSION = "2"
+# the definition of the simulated numbers: a fixed (seed, n_paths, dt) gives
+# the same bits only under the same stream version, which covers both the
+# noise draws (see _steps) and the moment reduction (see _moment_reducer)
+STREAM_VERSION = "3"
 LN2 = math.log(2.0)
 # condition number above which a matrix that must be inverted is refused
 COND_MAX = 1e12
 
-# the moment sums run over chunks of this many paths, so their order, and
+# the moment sums run over blocks of this many paths, so their order, and
 # the bits of the moments, depend on (n_paths, n) only
-_REDUCE_CHUNK = 4096
-# the path-major moment pass is taken only while its terms fit this many
-# bytes: they then stay in a 2 MiB L2, and its extra memory is bounded
-_PASS_BYTES = 2 ** 21
+_REDUCE_BLOCK = 2 ** 15
 
 
 def plain(obj):
@@ -311,83 +309,42 @@ def _moment_reducer(n_paths: int, n: int):
     """reduce(x, mean, r): the mean and E[x x^T] of an (n_paths, n) ensemble,
     written into mean and r.
 
-    Built once per run, with its buffers.  Each chunk of _REDUCE_CHUNK paths
-    is summed in path order at n >= 2; at n = 1 its mean takes numpy's
-    pairwise sum and its E[x^2] einsum's SIMD lanes.  The chunk sums are
-    then added in chunk order by np.add.reduce.  At n = 2 and 3, from two
-    full chunks up to 7 (n = 3) or 12 (n = 2) chunks, all chunks are summed
-    in one pass (see :func:`_path_major_reducer`).  It is slower than
-    einsum from n = 4, no faster on one chunk or a short second one, and
-    slower, with about 3x the ensemble's memory, once its terms no longer
-    fit _PASS_BYTES.  Otherwise each chunk goes through np.add.reduce and
-    einsum.
+    Built once per run, with its buffers; the one reducer for every n and
+    every path count.  The paths are taken in blocks of _REDUCE_BLOCK, the
+    last one shorter.  Each block is copied component-major into one reused
+    (n, block) buffer.  Each component row, and each product row x_i x_j
+    for i <= j, formed in one reused (block,) buffer, is summed by a
+    contiguous np.add.reduce: numpy's pairwise sum, whose error grows like
+    eps log N, not eps N as a sum in path order does.  The block sums are
+    then added in block order, and r is filled symmetrically from the sums
+    for i <= j.  The bits depend on (n_paths, n) only, also across numpy's
+    SIMD dispatch levels, and the extra memory is at most (n + 1) blocks
+    of doubles.  Silent when a product or a sum overflows: that moment is
+    then inf or NaN.
     """
-    size = _REDUCE_CHUNK
-    chunks = -(-n_paths // size)
-    terms_bytes = 8 * size * chunks * (n + n * (n + 1) // 2)
-    if 2 <= n <= 3 and 2 * size <= n_paths and terms_bytes <= _PASS_BYTES:
-        return _path_major_reducer(n_paths, n)
-    sums_m = np.empty((chunks, n))
-    sums_r = np.empty((chunks, n, n))
-
-    def reduce(x, mean, r):
-        for k in range(chunks):
-            c = x[k * size:(k + 1) * size]
-            np.add.reduce(c, axis=0, out=sums_m[k])
-            np.einsum("pi,pj->ij", c, c, out=sums_r[k])
-        np.divide(np.add.reduce(sums_m), n_paths, out=mean)
-        s = np.add.reduce(sums_r) / n_paths
-        np.multiply(0.5, s + s.T, out=r)
-
-    return reduce
-
-
-def _path_major_reducer(n_paths: int, n: int):
-    """The moment reduction of at least two chunks at n = 2 and 3, in one pass.
-
-    terms[p, c] holds path p of chunk c: its n components, then x_i x_j for
-    i <= j.  One np.add.reduce over p adds every column in path order, as
-    np.sum and einsum do chunk by chunk, but a whole row of columns at a
-    time.  The component rows a short last chunk lacks hold -0.0, so their
-    products hold +0.0, and +0.0 is added to the product sums before they
-    are divided, as einsum starts them from +0.0.  numpy 2.4 starts
-    np.add.reduce from +0.0 too, and there both are no-ops; where a
-    reduction starts from its first row instead, they keep an all -0.0 sum
-    what np.sum and einsum make of it.
-    """
-    size = _REDUCE_CHUNK
-    chunks = -(-n_paths // size)
-    full, tail = divmod(n_paths, size)
+    size = min(n_paths, _REDUCE_BLOCK)
+    starts = range(0, n_paths, _REDUCE_BLOCK)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    width = n + len(pairs)
-    terms = np.full((size, chunks, width), -0.0)
-    rows = terms.reshape(size * chunks, width)
-    products = [(rows[:, i], rows[:, j], rows[:, n + k])
-                for k, (i, j) in enumerate(pairs)]
-    by_path = terms.reshape(size, chunks * width)
-    sums = np.empty(chunks * width)
+    cols = np.empty((n, size))
+    prod = np.empty(size)
+    sums = np.empty((len(starts), n + len(pairs)))
     # r[i, j] = r[j, i] is the sum of x_i x_j for i <= j
-    upper = np.array([n + pairs.index((min(i, j), max(i, j)))
-                      for i in range(n) for j in range(n)])
-    r_sum = np.empty((n, n))
+    upper = np.array([[n + pairs.index((min(i, j), max(i, j)))
+                       for j in range(n)] for i in range(n)])
 
     def reduce(x, mean, r):
-        np.copyto(terms[:, :full, :n],
-                  x[:full * size].reshape(full, size, n).transpose(1, 0, 2))
-        if tail:
-            np.copyto(terms[:tail, full, :n], x[full * size:])
-        # silent, as einsum is, when a product or a sum overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, b, out in products:
-                np.multiply(a, b, out=out)
-            np.add.reduce(by_path, axis=0, out=sums)
-            total = np.add.reduce(sums.reshape(chunks, width), axis=0)
-        total[n:] += 0.0
+            for s, lo in zip(sums, starts):
+                c = cols[:, :min(size, n_paths - lo)]
+                np.copyto(c, x[lo:lo + size].T)
+                np.add.reduce(c, axis=1, out=s[:n])
+                p = prod[:c.shape[1]]
+                for k, (i, j) in enumerate(pairs):
+                    s[n + k] = np.add.reduce(np.multiply(c[i], c[j], out=p))
+            total = np.add.reduce(sums, axis=0)
         total /= n_paths
         mean[:] = total[:n]
-        np.take(total, upper, out=r_sum.reshape(n * n))
-        np.add(r_sum, r_sum.T, out=r)
-        r *= 0.5
+        r[:] = total[upper]
 
     return reduce
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import COND_MAX, EnsembleStats, Record
+from .diffusion import COND_MAX, EnsembleStats, Record, _moment_reducer
 from .errors import DegenerateEnsembleError, InputError
 
 
@@ -58,7 +58,10 @@ def identify_reduced(stats: EnsembleStats, v, tau: float,
     x = stats.paths[:, i, :]
     vv = np.atleast_1d(np.asarray(v(tau) if callable(v) else v, dtype=float))
     shifted = x + vv
-    r_v = shifted.T @ shifted / shifted.shape[0]
+    # the simulator's own reduction, so r_v at v = 0 has the bits of r(tau)
+    n_paths, n = shifted.shape
+    r_v = np.empty((n, n))
+    _moment_reducer(n_paths, n)(shifted, np.empty(n), r_v)
     if b is None:
         b = 0.5 * stats.r_dot_at(tau)
     A = -np.atleast_2d(b) @ _guarded_inv(r_v, "r_v")

@@ -20,7 +20,7 @@ from ipflab import (cli, control, diagnostics, diffusion, eigenchain, entropy,
                     identification, invariants, network)
 
 SCHEMA = "1"
-STREAM = "2"
+STREAM = "3"
 
 
 # -- reference renderers ------------------------------------------------------
@@ -191,7 +191,7 @@ def test_simulate_json_and_csv(tmp_path, feedback):
     run_cli(["simulate"] + SIM + extra + ["--format", "csv",
                                           "--out", str(tmp_path)])
     assert ((tmp_path / "ensemble.csv").read_bytes().decode()
-            == "# schema_version=1 stream_version=2 seed=1 n_paths=200 dt=0.02\n"
+            == "# schema_version=1 stream_version=3 seed=1 n_paths=200 dt=0.02\n"
             + stats.to_csv())
 
 

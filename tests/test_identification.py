@@ -49,10 +49,11 @@ class TestReduced:
         stats = diffusion.covariance_derivative(stats)
         op_paths = identification.identify_reduced(
             stats, lambda t: np.zeros(1), 0.5, b=np.array([[0.5]]))
-        # with v = 0 the shifted moment is r itself
+        # with v = 0 the shifted moment is r itself, bit for bit
+        assert op_paths.diagnostics["r_v"].tobytes() == stats.r_at(0.5).tobytes()
         op_r = identification.identify_reduced_feedback(stats, 0.5,
                                                         b=np.array([[0.5]]))
-        assert op_paths.A[0, 0] == pytest.approx(op_r.A[0, 0], rel=1e-6)
+        assert op_paths.A.tobytes() == op_r.A.tobytes()
 
     def test_paths_required(self):
         stats = stationary_ou(n_paths=2000)

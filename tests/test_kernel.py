@@ -7,8 +7,13 @@ Bit-reproducibility for a fixed (seed, n_paths, dt) requires the kernel to
 match it exactly, not within a tolerance.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +27,8 @@ P3 = -np.linalg.inv(A3) / 2          # stationary covariance, positive definite
 
 
 def stream2(seed):
-    """Stream 2's generators for the initial law and for the noise, written
-    out here rather than taken from the kernel."""
+    """Stream 2's generators for the initial law and for the noise, which
+    stream 3 keeps, written out here rather than taken from the kernel."""
     init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
     return (np.random.Generator(np.random.SFC64(init_seq)),
             np.random.Generator(np.random.SFC64(noise_seq)))
@@ -53,20 +58,30 @@ def reference_paths(model, n_paths, dt, seed):
     return grid, xs
 
 
+# paths per block of the moment reduction
+BLOCK = 2 ** 15
+
+
 def reference_moments(x):
-    """Mean and E[x x^T] summed chunk by chunk, with one np.sum and one
-    einsum per chunk of diffusion._REDUCE_CHUNK paths; the simulator's
-    reduction must give these bytes."""
-    n_paths = x.shape[0]
-    sums_m = []
-    sums_r = []
-    for lo in range(0, n_paths, diffusion._REDUCE_CHUNK):
-        c = x[lo:lo + diffusion._REDUCE_CHUNK]
-        sums_m.append(c.sum(axis=0))
-        sums_r.append(np.einsum("pi,pj->ij", c, c))
-    mean = np.add.reduce(sums_m) / n_paths
-    r = np.add.reduce(sums_r) / n_paths
-    return mean, 0.5 * (r + r.T)
+    """Mean and E[x x^T] as the simulator's reduction defines them: per
+    block of BLOCK paths, each column and each product column x_i x_j
+    (i <= j) summed by its own contiguous np.add.reduce; the block sums
+    added in block order; r[j, i] = r[i, j].  The simulator's reduction
+    must give these bytes."""
+    n_paths, n = x.shape
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    total = None
+    for lo in range(0, n_paths, BLOCK):
+        block = x[lo:lo + BLOCK]
+        cols = [np.ascontiguousarray(block[:, i]) for i in range(n)]
+        sums = np.array([np.add.reduce(c) for c in cols]
+                        + [np.add.reduce(cols[i] * cols[j]) for i, j in pairs])
+        total = sums if total is None else total + sums
+    total = total / n_paths
+    r = np.empty((n, n))
+    for k, (i, j) in enumerate(pairs):
+        r[i, j] = r[j, i] = total[n + k]
+    return total[:n], r
 
 
 def reference_entropy(model, n_paths, dt, seed):
@@ -342,12 +357,12 @@ A3_SIGMA = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.1, 0.8]])
 @settings(max_examples=100, deadline=None)
 @given(n=st.sampled_from([1, 2, 3]), steps=st.integers(1, 6),
        seed=st.integers(0, 2 ** 32 - 1),
-       n_paths=st.integers(2, 300) | st.sampled_from([4095, 4096, 4097]),
+       n_paths=st.integers(2, 300) | st.sampled_from([32767, 32768, 32769]),
        initial_law=st.booleans(), scale=st.floats(0.5, 2.0))
 def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
                                            initial_law, scale):
     """Horizons shorter than the two-buffer ring, and ensembles across the
-    moment reduction's chunk boundary, give the reference loop's bits."""
+    moment reduction's block boundary, give the reference loop's bits."""
     a = A3[:n, :n]
     sigma = scale * A3_SIGMA[:n, :n]
     model = diffusion.DiffusionModel(
@@ -377,30 +392,143 @@ def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
 @settings(max_examples=2, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_moment_reduction_equals_chunked_reference(special, seed):
-    """The per-run reducer gives the chunk-by-chunk reference's bytes, signed
-    zeros included, whichever of its layouts (n, n_paths) selects."""
+    """The per-run reducer gives the block-by-block reference's bytes,
+    signed zeros and NaNs included, on each side of the block bound, and
+    an r that is exactly symmetric."""
     rng = np.random.default_rng(seed)
     for n in (1, 2, 3, 5, 8):
-        # each side of the one-pass layout's bound on paths at n = 2 and 3
-        bound = {2: (49152, 49153), 3: (28672, 28673)}.get(n, ())
-        for n_paths in (2, 3, 4095, 4096, 4097, 8193, 20000) + bound:
+        for n_paths in (2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
             x = special_ensemble(rng, n_paths, n, special)
             mean, r = np.empty(n), np.empty((n, n))
             with np.errstate(all="ignore"):
                 ref_mean, ref_r = reference_moments(x)
                 diffusion._moment_reducer(n_paths, n)(x, mean, r)
             for got, want in ((mean, ref_mean), (r, ref_r)):
-                if special == "nan":
-                    # the sign of a NaN depends on which operand an add
-                    # propagates, which differs between einsum and the ufunc
-                    # loops.  The kernel never yields a NaN state, and the
-                    # NaNs a reduction makes of finite or infinite states are
-                    # all the one default NaN, so the other cases compare raw
-                    # bytes
-                    assert np.array_equal(np.isnan(got), np.isnan(want))
-                    got, want = got.copy(), want.copy()
-                    got[np.isnan(got)] = want[np.isnan(want)] = np.nan
                 assert got.tobytes() == want.tobytes(), (n, n_paths)
+            assert r.tobytes() == r.T.tobytes()
+
+
+def test_moment_reduction_silent_on_overflow():
+    """Products and sums that overflow, and inf - inf, raise no warning."""
+    x = np.full((BLOCK + 1, 3), 1e160)
+    x[::2, 1] = np.inf
+    x[1::2, 1] = -np.inf
+    mean, r = np.empty(3), np.empty((3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diffusion._moment_reducer(len(x), 3)(x, mean, r)
+    assert np.isnan(mean[1]) and np.isnan(r[0, 1]) and np.isinf(r[0, 0])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_moment_reduction_sums_pairwise(n):
+    """Against math.fsum of the same terms, every moment is off by at most
+    2 eps log2(N) of the mean magnitude of its terms: the pairwise sums
+    within a block, the block sums and the division add up to about
+    1.3 eps log2(N) at worst.  A sum in path order over the whole ensemble
+    breaks the bound on several of these moments, at both n.  Nine blocks,
+    so the block sums are also checked to add in block order past numpy's
+    eight-way unrolled pairwise sum."""
+    n_paths = 9 * BLOCK - 5
+    rng = np.random.default_rng(11)
+    x = 1.0 + 0.1 * rng.standard_normal((n_paths, n))
+    mean, r = np.empty(n), np.empty((n, n))
+    diffusion._moment_reducer(n_paths, n)(x, mean, r)
+    ref_mean, ref_r = reference_moments(x)
+    assert mean.tobytes() == ref_mean.tobytes() and r.tobytes() == ref_r.tobytes()
+    bound = 2 * np.finfo(float).eps * math.log2(n_paths)
+    for i in range(n):
+        terms = x[:, i]
+        exact = math.fsum(terms) / n_paths
+        assert abs(mean[i] - exact) <= bound * math.fsum(abs(terms)) / n_paths
+        for j in range(n):
+            terms = x[:, i] * x[:, j]
+            exact = math.fsum(terms) / n_paths
+            assert abs(r[i, j] - exact) <= bound * math.fsum(abs(terms)) / n_paths
+
+
+def golden_ensemble(n):
+    """A fixed (BLOCK + 5, n) ensemble made by exact integer arithmetic and
+    one correctly rounded division, so its values are the same everywhere."""
+    k = np.arange((BLOCK + 5) * n, dtype=np.int64).reshape(-1, n)
+    return ((k * 7919) % 10007 - 4000) / 1013.0
+
+
+# mean, then r[i, j] for i <= j, of golden_ensemble(n), as float.hex()
+GOLDEN_MOMENTS = {
+    1: ["0x1.fb0656a6148a8p-1", "0x1.23a0aca35d4c3p+3"],
+    3: ["0x1.fb23f2eef0583p-1", "0x1.facc699735422p-1", "0x1.fb12e8bb742d1p-1",
+        "0x1.23a4a1e503938p+3", "0x1.0ee7773414693p+0", "-0x1.60285ea679baap+1",
+        "0x1.23951f198d188p+3", "0x1.0de07b0bd0fd2p+0", "0x1.239bbd813b6e2p+3"],
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_MOMENTS))
+def test_moments_pinned(n):
+    x = golden_ensemble(n)
+    mean, r = np.empty(n), np.empty((n, n))
+    diffusion._moment_reducer(len(x), n)(x, mean, r)
+    got = list(mean) + [r[i, j] for i in range(n) for j in range(i, n)]
+    assert [float(v).hex() for v in got] == GOLDEN_MOMENTS[n]
+
+
+# run in a fresh process: the SIMD targets numpy dispatches to there, and
+# SHA-256 digests of the reducer's output on ensembles across the block
+# bound and of a small n = 1 simulation's moments
+DISPATCH_PROBE = """
+import hashlib, json
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from ipflab import diffusion
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+digests = {}
+rng = np.random.default_rng(5)
+for n_paths, n in ((3, 1), (32769, 1), (32769, 3), (65537, 5)):
+    x = rng.standard_normal((n_paths, n))
+    mean, r = np.empty(n), np.empty((n, n))
+    diffusion._moment_reducer(n_paths, n)(x, mean, r)
+    digests[f"reduce {n_paths} {n}"] = digest(mean, r)
+model = diffusion.DiffusionModel(
+    n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[0.7]],
+    initial_mean=[0.5], initial_cov=[[0.2]], horizon=(0.0, 1.0))
+stats = diffusion.simulate_ensemble(model, 3000, dt=0.02, seed=4)
+digests["simulate"] = digest(stats.mean, stats.r)
+print(json.dumps({"dispatch": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
+                  "digests": digests}))
+"""
+
+
+def dispatch_probe(disabled):
+    """DISPATCH_PROBE's output with the named SIMD targets disabled."""
+    env = dict(os.environ)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    src = os.path.dirname(os.path.dirname(diffusion.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", DISPATCH_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_bits_do_not_depend_on_simd_dispatch():
+    """The moment reducer and an n = 1 simulation give the same bytes when
+    numpy dispatches to fewer SIMD targets, as on an older host: each
+    process disables one more of the targets this host has, from the top,
+    down to numpy's baseline."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    targets = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    if not targets:
+        pytest.skip("numpy dispatches to no SIMD target on this host")
+    default = dispatch_probe([])
+    assert default["dispatch"] == targets
+    for k in range(len(targets)):
+        probe = dispatch_probe(targets[k:])
+        assert probe["dispatch"] == targets[:k]
+        assert probe["digests"] == default["digests"], targets[k:]
 
 
 def special_ensemble(rng, n_paths, n, special):
@@ -411,7 +539,8 @@ def special_ensemble(rng, n_paths, n, special):
         x[mask == 0] = 0.0
         x[mask == 1] = -0.0
     elif special == "signed zeros":
-        # every sum of x_0 x_j is a sum of -0.0, which einsum starts at +0.0
+        # every sum of x_0 x_j is a sum of -0.0, which np.add.reduce starts
+        # at +0.0
         x[:] = -0.0
         x[:, 0] = 0.0
     elif special == "tiny":
