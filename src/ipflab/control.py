@@ -106,7 +106,10 @@ def relative_phase_speed(x: np.ndarray, xdot: np.ndarray) -> np.ndarray:
     return out
 
 
-def detect_dp(grid, modes, modes_dot=None, tolerance: float = 1e-10) -> list:
+_DP_TOL = 1e-10  # speeds this close are equal; a crossing's relative width
+
+
+def detect_dp(grid, modes, modes_dot=None) -> list:
     """Moments where two modes have equal relative phase speed.
 
     modes is (T, n) or (n, T) on a T-point grid; derivatives default to
@@ -128,7 +131,7 @@ def detect_dp(grid, modes, modes_dot=None, tolerance: float = 1e-10) -> list:
             si = relative_phase_speed(modes[:, i], modes_dot[:, i])
             sj = relative_phase_speed(modes[:, j], modes_dot[:, j])
             d = si - sj
-            if np.all(np.abs(d[np.isfinite(d)]) <= tolerance):
+            if np.all(np.abs(d[np.isfinite(d)]) <= _DP_TOL):
                 hits.append({"pair": (i, j), "tau": float(grid[0]),
                              "note": "identical speeds throughout"})
                 continue
@@ -151,7 +154,7 @@ def detect_dp(grid, modes, modes_dot=None, tolerance: float = 1e-10) -> list:
                     vj = (1 - w) * modes_dot[k, j] + w * modes_dot[k + 1, j]
                     return abs(vi / xi) - abs(vj / xj)
                 tau = bisect(f, grid[k], grid[k + 1],
-                             xtol=tolerance * max(abs(grid[k]), 1.0))
+                             xtol=_DP_TOL * max(abs(grid[k]), 1.0))
                 hits.append({"pair": (i, j), "tau": float(tau)})
     return hits
 

@@ -46,10 +46,13 @@ def pfr(A) -> float:
     return float(np.trace(A))
 
 
-def classify(sigma: float, tol: float = 1e-12) -> str:
-    if sigma > tol:
+_STEADY_TOL = 1e-12  # exponents within this of zero are steady
+
+
+def classify(sigma: float) -> str:
+    if sigma > _STEADY_TOL:
         return "instable"
-    if sigma < -tol:
+    if sigma < -_STEADY_TOL:
         return "asymptotically-stable"
     return "steady"
 

@@ -246,7 +246,7 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     ends, is closed or raises.
     """
     init_seq, noise_seq = np.random.SeedSequence(int(seed)).spawn(2)
-    if np.allclose(model.initial_cov, 0.0):
+    if not model.initial_cov.any():
         x = np.tile(model.initial_mean, (n_paths, 1))
     else:
         rng0 = np.random.Generator(np.random.SFC64(init_seq))
@@ -257,7 +257,8 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     gen = np.random.Generator(np.random.SFC64(noise_seq))
     sqrt_dt = np.sqrt(dt)
     nxt = np.empty_like(x)
-    # at n = 1 the noise is scaled in place; a 1x1 matmul costs ten times more
+    # at n = 1 the noise is scaled in place: no (paths, n) buffer, 0.8 MB of
+    # peak RSS at 1e5 paths; no time saved, the caller waits on the draw
     dw = np.empty_like(x) if model.n > 1 else None
     finite = np.empty(x.shape, dtype=bool)
     last = len(grid) - 1
@@ -396,7 +397,7 @@ def covariance_derivative(stats: EnsembleStats) -> EnsembleStats:
     return replace(stats, r_dot=r_dot)
 
 
-def stats_from_covariance(grid, r, mean=None, seed=0, n_paths=0) -> EnsembleStats:
+def stats_from_covariance(grid, r, mean=None) -> EnsembleStats:
     """Wrap analytically known moments in the EnsembleStats container.
 
     The record holds read-only copies; the caller's arrays are untouched.
@@ -409,4 +410,4 @@ def stats_from_covariance(grid, r, mean=None, seed=0, n_paths=0) -> EnsembleStat
             else np.array(mean, dtype=float))
     for arr in (grid, mean, r):
         arr.setflags(write=False)
-    return EnsembleStats(grid=grid, mean=mean, r=r, seed=seed, n_paths=n_paths)
+    return EnsembleStats(grid=grid, mean=mean, r=r, seed=0, n_paths=0)

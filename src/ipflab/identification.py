@@ -1,16 +1,16 @@
 """Operator identification from ensemble covariances at switch moments.
 
 All four identification routes reduce to ratios of the local drift matrix
-b and a covariance: reduced-control A = -b r_v^{-1}, covariance ratio
-A = (1/2) rdot_- r^{-1}, dispersion window A = b (2 int b dt)^{-1}, and the
-closed loop A = b r^{-1}.  The conjugate-vector constraint
-E[2 X X^T + dX/dx] = 0 serves as the switch-moment diagnostic.
+b and a covariance: reduced-control A = -b r_v^{-1} and the closed loop
+A = b r^{-1}, with b = (1/2) sigma sigma^T from the caller; covariance
+ratio A = (1/2) rdot_- r^{-1} and dispersion window A = b (2 int b dt)^{-1},
+with b = (1/2) rdot.  The conjugate-vector constraint E[2 X X^T + dX/dx] = 0
+serves as the switch-moment diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -44,47 +44,39 @@ def _make(tau, A, method, diagnostics=None) -> IdentifiedOperator:
 
 
 def identify_reduced(stats: EnsembleStats, v, tau: float,
-                     b: Optional[np.ndarray] = None) -> IdentifiedOperator:
+                     b: np.ndarray) -> IdentifiedOperator:
     """A(tau) = -b r_v^{-1} with r_v the shifted second moment E[(x+v)(x+v)^T].
 
-    v is the applied reduced control (callable of t or constant vector).
-    b defaults to the left derivative (1/2) rdot(tau); near stationarity
-    that estimate collapses to noise, so the local drift matrix
-    b = (1/2) sigma sigma^T may be passed explicitly.
+    v is the applied reduced control (callable of t or constant vector of
+    length n).  b is the caller's local drift matrix b = (1/2) sigma
+    sigma^T at tau; the moments' estimate (1/2) rdot would collapse to noise
+    near stationarity and repeat identify_covariance_ratio.
     """
     i = stats.index_of(tau)
     if stats.paths is None:
         raise InputError("identify_reduced needs retained paths for r_v")
     x = stats.paths[:, i, :]
+    n_paths, n = x.shape
     vv = np.atleast_1d(np.asarray(v(tau) if callable(v) else v, dtype=float))
+    if vv.shape != (n,):
+        raise InputError(f"shift v has length {vv.size}, not the ensemble's n={n}")
     shifted = x + vv
     # the simulator's own reduction, so r_v at v = 0 has the bits of r(tau)
-    n_paths, n = shifted.shape
     r_v = np.empty((n, n))
     _moment_reducer(n_paths, n)(shifted, np.empty(n), r_v)
-    if b is None:
-        b = 0.5 * stats.r_dot_at(tau)
     A = -np.atleast_2d(b) @ _guarded_inv(r_v, "r_v")
     return _make(tau, A, "reduced-control", {"r_v": r_v})
 
 
-def _b_r_inv(stats: EnsembleStats, tau: float, b) -> np.ndarray:
-    """b r(tau)^{-1}, with b defaulting to the left derivative (1/2) rdot."""
-    r = stats.r_at(tau)
-    if b is None:
-        b = 0.5 * stats.r_dot_at(tau)
-    return np.atleast_2d(b) @ _guarded_inv(r, "r")
-
-
 def identify_reduced_feedback(stats: EnsembleStats, tau: float,
-                              b: Optional[np.ndarray] = None) -> IdentifiedOperator:
+                              b: np.ndarray) -> IdentifiedOperator:
     """Reduced identification under the doubling feedback v = -2x.
 
     With x + v = -x the shifted moment equals r, so A = -b r^{-1} needs no
-    retained paths.
+    retained paths; b = (1/2) sigma sigma^T at tau is the caller's.
     """
-    return _make(tau, -_b_r_inv(stats, tau, b), "reduced-control",
-                 {"feedback": "v=-2x"})
+    A = -(np.atleast_2d(b) @ _guarded_inv(stats.r_at(tau), "r"))
+    return _make(tau, A, "reduced-control", {"feedback": "v=-2x"})
 
 
 def identify_covariance_ratio(stats: EnsembleStats, tau: float) -> IdentifiedOperator:
@@ -119,9 +111,11 @@ def identify_dispersion_window(stats: EnsembleStats, tau: float,
 
 
 def identify_closed_loop(stats: EnsembleStats, tau: float,
-                         b: Optional[np.ndarray] = None) -> IdentifiedOperator:
-    """A^v(tau) = b r^{-1}, the operator seen under the closed loop."""
-    return _make(tau, _b_r_inv(stats, tau, b), "closed-loop", {})
+                         b: np.ndarray) -> IdentifiedOperator:
+    """A^v(tau) = b r^{-1}, the closed loop's operator; b = (1/2) sigma
+    sigma^T at tau is the caller's."""
+    A = np.atleast_2d(b) @ _guarded_inv(stats.r_at(tau), "r")
+    return _make(tau, A, "closed-loop", {})
 
 
 def conjugate_vector(stats: EnsembleStats, tau: float) -> np.ndarray:

@@ -191,7 +191,7 @@ class InvariantSet(Record):
     provenance: dict = field(default_factory=dict)
 
 
-def invariant_set(gamma: float, use_reference_a: bool = True) -> InvariantSet:
+def invariant_set(gamma: float) -> InvariantSet:
     """Solve and assemble every invariant at the given ratio, 0 <= gamma <= 1."""
     if gamma > 1:
         raise InputError("invariant_set requires 0 <= gamma <= 1")
@@ -201,7 +201,7 @@ def invariant_set(gamma: float, use_reference_a: bool = True) -> InvariantSet:
     prov = {"ao": "solved", "a": "solved", "b_o": "derived-by-ratio",
             "b": "derived-by-ratio", "delta_star": "solved"}
     a = a_formula
-    if use_reference_a and abs(gamma - 0.5) < 1e-12:
+    if abs(gamma - 0.5) < 1e-12:
         a = A_REFERENCE_HALF
         prov["a"] = "tabulated"
     ds = delta_star(ao, a)

@@ -115,6 +115,15 @@ class TestStochasticCommands:
         assert doc["monte_carlo"]["value"] > 0
         assert doc["covariance_form"]["value"] == pytest.approx(2.1459, rel=0.01)
 
+    def test_entropy_zero_drift(self, capsys):
+        # theta = 0 takes the closed form's r = r0 + sigma^2 t branch; with
+        # no drift both estimates vanish exactly
+        assert cli.main(["entropy", "--seed", "3", "--n-paths", "200",
+                         "--theta", "0", "--dt", "0.01"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["monte_carlo"]["value"] == 0.0
+        assert doc["covariance_form"]["value"] == 0.0
+
     def test_identify_reports_four_methods(self, capsys):
         assert cli.main(["identify", "--seed", "5", "--n-paths", "2000",
                          "--dt", "0.005", "--horizon", "1.0"]) == 0

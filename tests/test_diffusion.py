@@ -31,6 +31,16 @@ class TestModelValidation:
                                      initial_mean=[0], initial_cov=[[-1.0]],
                                      horizon=(0, 1))
 
+    @pytest.mark.parametrize("mean,cov", [([0.0], np.eye(2)),
+                                          ([0.0, 0.0, 0.0], np.eye(2)),
+                                          ([0.0, 0.0], np.eye(3))])
+    def test_initial_law_of_wrong_shape_rejected(self, mean, cov):
+        with pytest.raises(InputError, match="wrong shape for n=2"):
+            diffusion.DiffusionModel(n=2, drift=lambda t, x, u: -x,
+                                     diffusion=lambda t: np.eye(2),
+                                     initial_mean=mean, initial_cov=cov,
+                                     horizon=(0, 1))
+
     def test_bad_horizon_rejected(self):
         with pytest.raises(InputError):
             ou_model(horizon=(1.0, 1.0))
@@ -58,6 +68,16 @@ class TestSimulateEnsemble:
         stats = diffusion.simulate_ensemble(model, 100, dt=0.01, seed=1)
         assert np.allclose(stats.mean, 3.0)
         assert np.allclose(stats.r, 9.0)
+
+    def test_tiny_initial_covariance_sampled(self):
+        # a covariance below allclose's 1e-8 is a real spread, not zero
+        model = diffusion.DiffusionModel(
+            n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[1.0]],
+            initial_mean=[1.0], initial_cov=[[1e-9]], horizon=(0.0, 0.1))
+        stats = diffusion.simulate_ensemble(model, 4000, dt=0.01, seed=1,
+                                            keep_paths=True)
+        spread = np.std(stats.paths[:, 0, 0])
+        assert spread == pytest.approx(math.sqrt(1e-9), rel=0.05)
 
     def test_unstable_linear_growth(self):
         model = diffusion.DiffusionModel(

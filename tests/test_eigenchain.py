@@ -58,6 +58,11 @@ class TestTerminalTime:
             eigenchain.terminal_time(0.0, -1.0)
 
 
+class TestAbsSpeed:
+    def test_infinite_at_pole(self):
+        assert eigenchain._abs_speed(2.0, LN2 / 2.0) == math.inf
+
+
 class TestEqualizationChain:
     def test_single_eigenvalue_empty_chain(self):
         chain = eigenchain.build_equalization_chain([1.0], 1)

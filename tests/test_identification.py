@@ -58,7 +58,18 @@ class TestReduced:
     def test_paths_required(self):
         stats = stationary_ou(n_paths=2000)
         with pytest.raises(InputError):
-            identification.identify_reduced(stats, 0.0, 1.0)
+            identification.identify_reduced(stats, 0.0, 1.0, b=np.array([[0.5]]))
+
+    @pytest.mark.parametrize("v", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0]])
+    def test_shift_of_wrong_length_refused(self, v):
+        # a length-1 shift would broadcast silently, the others fail in numpy
+        model = diffusion.DiffusionModel(
+            n=3, drift=lambda t, x, u: -x, diffusion=lambda t: np.eye(3),
+            initial_mean=np.zeros(3), initial_cov=np.eye(3), horizon=(0.0, 0.1))
+        stats = diffusion.simulate_ensemble(model, 50, dt=0.01, seed=2,
+                                            keep_paths=True)
+        with pytest.raises(InputError, match=f"length {len(v)}.*n=3"):
+            identification.identify_reduced(stats, v, 0.1, b=0.5 * np.eye(3))
 
 
 class TestCovarianceRatio:

@@ -40,7 +40,7 @@ def reference_paths(model, n_paths, dt, seed):
     n_steps = int(round((t_end - s) / dt))
     grid = s + dt * np.arange(n_steps + 1)
     rng0, gen = stream2(seed)
-    if np.allclose(model.initial_cov, 0.0):
+    if not model.initial_cov.any():
         x = np.tile(model.initial_mean, (n_paths, 1))
     else:
         x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
@@ -138,7 +138,7 @@ class TestStreamMatchesWholeTensor:
 
     def test_entropy_time_varying_sigma(self):
         # the drift returns x itself, and sigma changes at every grid point,
-        # so the cached (2b)^{-1} is refreshed at every step
+        # so (2b)^{-1} differs at every step
         model = diffusion.DiffusionModel(
             n=1, drift=lambda t, x, u: x, diffusion=lambda t: [[1.0 + t]],
             initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 1.0))
@@ -147,8 +147,8 @@ class TestStreamMatchesWholeTensor:
         assert np.array_equal([est.value, est.std_error], [value, se])
 
     def test_entropy_piecewise_constant_sigma(self):
-        # sigma returns to an earlier value: the cache must compare values,
-        # not remember only the first matrix
+        # sigma jumps and returns to an earlier value: each grid point
+        # uses the (2b)^{-1} of its own sigma
         model = diffusion.DiffusionModel(
             n=1, drift=lambda t, x, u: -2.0 * x,
             diffusion=lambda t: [[2.0]] if 0.3 <= t < 0.6 else [[0.5]],

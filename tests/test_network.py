@@ -49,7 +49,7 @@ class TestTripletAccounting:
             abs(invariants.solve_ao(0.0)), rel=1e-12)
 
     def test_requires_positive_a(self):
-        inv = invariants.invariant_set(1.0, use_reference_a=False)
+        inv = invariants.invariant_set(1.0)
         with pytest.raises(InputError):
             network.triplet_accounting(inv)
 
