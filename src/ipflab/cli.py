@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diffusion, diagnostics, entropy, identification, invariants
 from . import control, eigenchain, network
-from .diffusion import LN2, SCHEMA_VERSION, STREAM_VERSION, plain
+from .diffusion import LN2, SCHEMA_VERSION, document, stream_stamp
 from .errors import IpfError
 
 
@@ -36,12 +36,6 @@ def _scalar_model(theta: float, sigma: float, x0: float, horizon,
         n=1, drift=drift, diffusion=lambda t: [[sigma]],
         initial_mean=[x0], initial_cov=[[0.0]],
         horizon=tuple(horizon), control_law=law)
-
-
-def _stream_stamp(result) -> dict:
-    """What fixes a Monte Carlo result's bits, for a document's head."""
-    return {key: getattr(result, key)
-            for key in ("stream_version", "seed", "n_paths", "dt")}
 
 
 def _outdir(args) -> Path:
@@ -64,7 +58,7 @@ def cmd_simulate(args) -> int:
     stats = diffusion.covariance_derivative(stats)
     out = _outdir(args)
     if args.format == "csv":
-        head = {"schema_version": SCHEMA_VERSION, **_stream_stamp(stats)}
+        head = {"schema_version": SCHEMA_VERSION, **stream_stamp(stats)}
         _write(out / "ensemble.csv",
                "# " + " ".join(f"{k}={v}" for k, v in head.items()) + "\n"
                + stats.to_csv())
@@ -88,12 +82,11 @@ def cmd_entropy(args) -> int:
         r = r0 + s2 * grid
     stats = diffusion.stats_from_covariance(grid, r)
     cf = entropy.entropy_covariance_form(args.theta, stats, args.sigma)
-    doc = {"schema_version": SCHEMA_VERSION,
-           **_stream_stamp(mc),
-           "monte_carlo": {"value": mc.value, "std_error": mc.std_error},
-           "covariance_form": {"value": cf.value},
-           "gap": abs(mc.value - cf.value)}
-    print(json.dumps(doc, indent=2))
+    print(document({**stream_stamp(mc),
+                    "monte_carlo": {"value": mc.value,
+                                    "std_error": mc.std_error},
+                    "covariance_form": {"value": cf.value},
+                    "gap": abs(mc.value - cf.value)}))
     return 0
 
 
@@ -112,9 +105,7 @@ def cmd_identify(args) -> int:
                                                   window=args.horizon),
         identification.identify_closed_loop(stats, tau, b=b),
     ]
-    print(json.dumps({"schema_version": SCHEMA_VERSION,
-                      **_stream_stamp(stats),
-                      "reports": plain(reports)}, indent=2))
+    print(document({**stream_stamp(stats), "reports": reports}))
     return 0
 
 
@@ -123,22 +114,19 @@ def cmd_schedule(args) -> int:
     chain = eigenchain.build_equalization_chain(spec, args.n)
     inv = invariants.invariant_set(args.gamma)
     sched = control.schedule_from_invariants(inv, spec)
-    print(json.dumps({"schema_version": SCHEMA_VERSION, "chain": plain(chain),
-                      "schedule": plain(sched)}, indent=2))
+    print(document({"chain": chain, "schedule": sched}))
     return 0
 
 
 def cmd_invariants(args) -> int:
     inv = invariants.invariant_set(args.gamma)
-    print(json.dumps({**plain(inv), "schema_version": SCHEMA_VERSION},
-                     indent=2))
+    print(inv.to_json())
     return 0
 
 
 def cmd_network(args) -> int:
     net = network.build_in(args.n, args.gamma, args.alpha1)
-    print(json.dumps({**plain(net), "schema_version": SCHEMA_VERSION},
-                     indent=2))
+    print(net.to_json())
     print(net.to_outline())
     return 0
 
@@ -171,8 +159,7 @@ def cmd_diagnose(args) -> int:
     sched = control.schedule_from_invariants(inv, spec)
     grid, x, dps = _segment_trace(sched)
     report = diagnostics.diagnose_segments(grid, x, dps)
-    print(json.dumps({**plain(report), "schema_version": SCHEMA_VERSION},
-                     indent=2))
+    print(report.to_json())
     return 0
 
 
@@ -245,51 +232,36 @@ def cmd_reproduce(args) -> int:
               f"computed={r['computed']:<12.8g} gap={r['relative_gap']:.2e} "
               f"{r['status']}")
     out = _outdir(args)
-    doc = {"schema_version": SCHEMA_VERSION, "rows": table}
-    _write(out / "reproduction.json", json.dumps(doc, indent=2))
+    _write(out / "reproduction.json", document({"rows": table}))
     return 0
 
 
 def cmd_pipeline(args) -> int:
-    out = _outdir(args)
-    artifacts = []
-
+    """Six documents, written once every stage has run: a stage that fails
+    leaves no partial set of artifacts behind."""
     model = _scalar_model(-1.0, 1.0, 1.0, (0.0, args.horizon), feedback=False)
     stats = diffusion.simulate_ensemble(model, args.n_paths, dt=args.dt,
                                         seed=args.seed)
     stats = diffusion.covariance_derivative(stats)
-    _write(out / "ensemble.json", stats.to_json())
-    artifacts.append("ensemble.json")
-
     ops = [identification.identify_covariance_ratio(stats, t)
            for t in np.linspace(args.horizon / 4, args.horizon, 4)]
-    _write(out / "operators.json",
-           json.dumps({"schema_version": SCHEMA_VERSION,
-                       "operators": plain(ops)}, indent=2))
-    artifacts.append("operators.json")
-
     inv = invariants.invariant_set(args.gamma)
     spec = invariants.optimal_spectrum(args.n, args.alpha1)
     sched = control.schedule_from_invariants(inv, spec)
-    _write(out / "schedule.json", sched.to_json())
-    artifacts.append("schedule.json")
-
     net = network.build_in(args.n, args.gamma, args.alpha1)
-    _write(out / "network.json", net.to_json())
-    artifacts.append("network.json")
-
-    grid, x, dps = _segment_trace(sched)
-    report = diagnostics.diagnose_segments(grid, x, dps)
-    _write(out / "diagnostics.json", report.to_json())
-    artifacts.append("diagnostics.json")
-
-    manifest = {"schema_version": SCHEMA_VERSION,
-                "stream_version": STREAM_VERSION, "artifacts": artifacts,
-                "config": {"n": args.n, "gamma": args.gamma,
-                           "alpha1": args.alpha1, "n_paths": args.n_paths,
-                           "dt": args.dt, "seed": args.seed,
-                           "horizon": args.horizon}}
-    _write(out / "manifest.json", json.dumps(manifest, indent=2))
+    report = diagnostics.diagnose_segments(*_segment_trace(sched))
+    docs = {"ensemble.json": stats.to_json(),
+            "operators.json": document({"operators": ops}),
+            "schedule.json": sched.to_json(), "network.json": net.to_json(),
+            "diagnostics.json": report.to_json()}
+    # the ensemble's stamp carries seed, n_paths and the dt actually used
+    docs["manifest.json"] = document(
+        {**stream_stamp(stats), "artifacts": list(docs),
+         "config": {"n": args.n, "gamma": args.gamma,
+                    "alpha1": args.alpha1, "horizon": args.horizon}})
+    out = _outdir(args)
+    for name, text in docs.items():
+        _write(out / name, text)
     return 0
 
 
@@ -371,8 +343,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         # precedence: explicit flags > config file > built-in defaults
-        cfg = {key.replace("-", "_"): val for key, val in
-               json.loads(Path(args.config).read_text()).items()}
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            parser.error(f"config file {args.config} cannot be read: {exc}")
+        if not isinstance(raw, dict):
+            parser.error(f"config file {args.config} must hold a JSON object, "
+                         f"not {type(raw).__name__}")
+        cfg = {key.replace("-", "_"): val for key, val in raw.items()}
         unknown = set(cfg) - (set(vars(args)) - {"config", "command"})
         if unknown:
             parser.error(f"config keys not taken by {args.command}: "

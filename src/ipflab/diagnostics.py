@@ -60,7 +60,6 @@ def classify(sigma: float) -> str:
 @dataclass(frozen=True)
 class DiagnosticsReport(Record):
     lce_per_segment: list
-    pfr: list              # always empty: written for the schema, never filled
     sign_flips: list
     classification: list
 
@@ -84,7 +83,5 @@ def diagnose_segments(grid, x, dps) -> DiagnosticsReport:
     flips = [{"after_dp_index": k, "before": lces[k], "after": lces[k + 1]}
              for k in range(len(lces) - 1)
              if lces[k] * lces[k + 1] < 0]
-    return DiagnosticsReport(lce_per_segment=lces,
-                             pfr=[],
-                             sign_flips=flips,
+    return DiagnosticsReport(lce_per_segment=lces, sign_flips=flips,
                              classification=[classify(s) for s in lces])

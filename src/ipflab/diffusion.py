@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError, SimulationDivergedError
 
 # constants shared by every module; this one imports no other ipflab module
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 # the definition of the simulated numbers: a fixed (seed, n_paths, dt) gives
 # the same bits only under the same stream version, which covers both the
 # noise draws (see _steps) and the moment reduction (see _moment_reducer)
@@ -42,9 +42,9 @@ def plain(obj):
     """JSON-ready copy of a record, array or container.
 
     A dataclass becomes a dict of its fields in declaration order, leaving
-    out fields marked ``metadata={"json": False}``, and those made by
-    :func:`stamp_field` while they are None; a complex array field x is
-    written as x_real and x_imag; arrays become lists.
+    out fields marked ``metadata={"json": False}``, and those marked "unless
+    None" while they are None; a complex array field x is written as x_real
+    and x_imag; arrays become lists.
     """
     if is_dataclass(obj):
         doc = {}
@@ -68,19 +68,35 @@ def plain(obj):
     return obj
 
 
+def document(obj) -> str:
+    """Every JSON document ipflab writes: schema_version, then a Monte Carlo
+    result's stream stamp, then the body (obj, a record or a dict)."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **plain(obj)},
+                      indent=2)
+
+
 def stamp_field():
     """A keyword-only record field for what fixes the bits of a Monte Carlo
     result (stream version, seed, paths, dt): None, and left out of the
-    JSON, in records of analytic results."""
-    return field(default=None, kw_only=True, metadata={"json": "unless None"})
+    JSON, in records of analytic results.  Records declare these fields
+    first, in that order, so their JSON carries the stamp at its head."""
+    return field(default=None, kw_only=True,
+                 metadata={"json": "unless None", "stamp": True})
+
+
+def stream_stamp(record) -> dict:
+    """The record's stamp fields that are set, in declaration order: empty
+    for an analytic result."""
+    return {f.name: getattr(record, f.name) for f in fields(record)
+            if f.metadata.get("stamp") and getattr(record, f.name) is not None}
 
 
 class Record:
     """Base of the result records, which are frozen dataclasses."""
 
     def to_json(self) -> str:
-        """The record as an indented JSON document (see :func:`plain`)."""
-        return json.dumps(plain(self), indent=2)
+        """The record as a JSON document (see :func:`document`)."""
+        return document(self)
 
 
 @dataclass(frozen=True)
@@ -126,20 +142,21 @@ class EnsembleStats(Record):
     """Per-time moments of a simulated ensemble.
 
     r is the (non-centered) second-moment matrix E[x x^T]; r_dot is its
-    time derivative, filled by :func:`covariance_derivative`.  The record
-    is a document of its own, so its JSON carries the schema version, and
-    a simulated ensemble's the stream version and dt as well; the retained
-    paths are never written.
+    time derivative, filled by :func:`covariance_derivative`, and
+    r_dot_method names how it was formed.  A simulated ensemble's JSON
+    carries its stream stamp, an analytic one's none; the retained paths
+    are never written.
     """
 
-    schema_version: str = field(default=SCHEMA_VERSION, init=False)
     stream_version: Optional[str] = stamp_field()
-    seed: int
-    n_paths: int
+    seed: Optional[int] = stamp_field()
+    n_paths: Optional[int] = stamp_field()
     dt: Optional[float] = stamp_field()
     grid: np.ndarray            # (T,)
     mean: np.ndarray            # (T, n)
     r: np.ndarray               # (T, n, n)
+    r_dot_method: Optional[str] = field(default=None,
+                                        metadata={"json": "unless None"})
     r_dot: Optional[np.ndarray] = None
     # (paths, T, n) if retained
     paths: Optional[np.ndarray] = field(default=None, metadata={"json": False})
@@ -394,7 +411,7 @@ def covariance_derivative(stats: EnsembleStats) -> EnsembleStats:
         raise InputError(f"r_dot is not finite at t={grid[bad]:.6g} on a grid "
                          f"of spacing {np.min(np.diff(grid)):.6g}")
     r_dot.setflags(write=False)
-    return replace(stats, r_dot=r_dot)
+    return replace(stats, r_dot=r_dot, r_dot_method="central-difference")
 
 
 def stats_from_covariance(grid, r, mean=None) -> EnsembleStats:
@@ -410,4 +427,4 @@ def stats_from_covariance(grid, r, mean=None) -> EnsembleStats:
             else np.array(mean, dtype=float))
     for arr in (grid, mean, r):
         arr.setflags(write=False)
-    return EnsembleStats(grid=grid, mean=mean, r=r, seed=0, n_paths=0)
+    return EnsembleStats(grid=grid, mean=mean, r=r)

@@ -26,15 +26,15 @@ from .errors import (DegenerateFunctionalError, InputError,
 
 @dataclass(frozen=True)
 class EntropyEstimate(Record):
-    value: float                  # nats
-    method: str                   # "monte-carlo" or "covariance-form"
-    horizon: tuple
-    std_error: Optional[float] = None
     # what fixes the Monte Carlo value's bits; None for the closed form
     stream_version: Optional[str] = stamp_field()
     seed: Optional[int] = stamp_field()
     n_paths: Optional[int] = stamp_field()
     dt: Optional[float] = stamp_field()
+    value: float                  # nats
+    method: str                   # "monte-carlo" or "covariance-form"
+    horizon: tuple
+    std_error: Optional[float] = None
 
 
 def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,

@@ -92,13 +92,17 @@ def identify_covariance_ratio(stats: EnsembleStats, tau: float) -> IdentifiedOpe
 
 def identify_dispersion_window(stats: EnsembleStats, tau: float,
                                window: float) -> IdentifiedOperator:
-    """A(tau) = b(tau) (2 int_{tau-w}^{tau} b dt)^{-1} with b = (1/2) rdot."""
+    """A(tau) = b(tau) (2 int_{tau-w}^{tau} b dt)^{-1} with b = (1/2) rdot;
+    a window that starts before the grid is refused, not cut short."""
     if window <= 0:
         raise InputError("window must be positive")
     grid = stats.grid
     if stats.r_dot is None:
         raise InputError("r_dot not filled; call covariance_derivative first")
     lo_t = tau - window
+    if lo_t < grid[0] - 1e-9 * (grid[-1] - grid[0]):
+        raise InputError(f"window={window} before tau={tau} starts at {lo_t}, "
+                         f"before the grid start {grid[0]}")
     mask = (grid >= lo_t - 1e-12) & (grid <= tau + 1e-12)
     if np.count_nonzero(mask) < 2:
         raise InputError("window too short for the grid")

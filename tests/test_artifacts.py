@@ -2,9 +2,11 @@
 
 The reference renderers below are frozen copies of the hand-written
 ``to_json`` bodies and CLI document layouts that the shared record writer
-replaced.  Every subcommand's stdout and files must match them byte for
-byte, so a change to field order, array conversion or stamp position
-shows up here before it reaches a user's files.
+replaced, under schema 2's one head layout: schema_version first, then a
+Monte Carlo result's stream stamp, then the body.  Every subcommand's
+stdout and files must match them byte for byte, so a change to field
+order, array conversion or stamp position shows up here before it reaches
+a user's files.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from ipflab import (cli, control, diagnostics, diffusion, eigenchain, entropy,
                     identification, invariants, network)
 
-SCHEMA = "1"
+SCHEMA = "2"
 STREAM = "3"
 
 
@@ -30,16 +32,22 @@ def stream_stamp(seed, n_paths, dt):
             "dt": dt}
 
 
+def stamped(text, stamp=None):
+    """The document of a body: schema_version first, then the stamp."""
+    return json.dumps({"schema_version": SCHEMA, **(stamp or {}),
+                       **json.loads(text)}, indent=2)
+
+
 def ref_ensemble(s, dt=None):
     """A simulated ensemble's document when its dt is given, otherwise an
-    analytic one's, which names no stream and no dt."""
-    head = ({"seed": s.seed, "n_paths": s.n_paths} if dt is None
-            else stream_stamp(s.seed, s.n_paths, dt))
-    return json.dumps({
-        "schema_version": SCHEMA, **head,
-        "grid": s.grid.tolist(), "mean": s.mean.tolist(), "r": s.r.tolist(),
-        "r_dot": None if s.r_dot is None else s.r_dot.tolist(),
-    }, indent=2)
+    analytic one's, which has no stream stamp."""
+    body = {"grid": s.grid.tolist(), "mean": s.mean.tolist(),
+            "r": s.r.tolist()}
+    if s.r_dot is not None:
+        body["r_dot_method"] = "central-difference"
+    body["r_dot"] = None if s.r_dot is None else s.r_dot.tolist()
+    return stamped(json.dumps(body), None if dt is None
+                   else stream_stamp(s.seed, s.n_paths, dt))
 
 
 def ref_operator(op):
@@ -97,22 +105,16 @@ def ref_schedule(sched):
 
 def ref_diagnostics(rep):
     return json.dumps({"lce_per_segment": rep.lce_per_segment,
-                       "pfr": rep.pfr, "sign_flips": rep.sign_flips,
+                       "sign_flips": rep.sign_flips,
                        "classification": rep.classification}, indent=2)
 
 
 def ref_entropy_estimate(est, stamp=None):
     """The Monte Carlo estimate's document with its stream stamp, the
     closed form's without one."""
-    return json.dumps({"value": est.value, "method": est.method,
-                       "horizon": list(est.horizon),
-                       "std_error": est.std_error, **(stamp or {})}, indent=2)
-
-
-def stamped_last(text):
-    doc = json.loads(text)
-    doc["schema_version"] = SCHEMA
-    return json.dumps(doc, indent=2)
+    return stamped(json.dumps({"value": est.value, "method": est.method,
+                               "horizon": list(est.horizon),
+                               "std_error": est.std_error}), stamp)
 
 
 def run_cli(argv):
@@ -134,22 +136,22 @@ def test_every_record_matches_its_reference():
     rot = identification._make(0.5, [[0.0, -1.0], [1.0, 0.0]], "test",
                                {"r_v": np.eye(2)})
     for op in (identification.identify_covariance_ratio(stats, 0.5), rot):
-        assert op.to_json() == ref_operator(op)
+        assert op.to_json() == stamped(ref_operator(op))
     inv = invariants.invariant_set(0.5)
-    assert inv.to_json() == ref_invariants(inv)
+    assert inv.to_json() == stamped(ref_invariants(inv))
     rep = network.triplet_accounting(inv)
-    assert rep.to_json() == ref_triplet(rep)
+    assert rep.to_json() == stamped(ref_triplet(rep))
     for n in (5, 6):
         net = network.build_in(n, 0.3, 1.0)
-        assert net.to_json() == ref_network(net)
+        assert net.to_json() == stamped(ref_network(net))
     spec = invariants.optimal_spectrum(3, 1.0)
     chain = eigenchain.build_equalization_chain(spec, 3)
-    assert chain.to_json() == ref_chain(chain)
+    assert chain.to_json() == stamped(ref_chain(chain))
     sched = control.schedule_from_invariants(inv, spec)
-    assert sched.to_json() == ref_schedule(sched)
+    assert sched.to_json() == stamped(ref_schedule(sched))
     t = np.linspace(0, 1, 50)
     diag = diagnostics.diagnose_segments(t, np.exp(t), [])
-    assert diag.to_json() == ref_diagnostics(diag)
+    assert diag.to_json() == stamped(ref_diagnostics(diag))
     model = diffusion.DiffusionModel(
         n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[1.0]],
         initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 0.1))
@@ -191,7 +193,7 @@ def test_simulate_json_and_csv(tmp_path, feedback):
     run_cli(["simulate"] + SIM + extra + ["--format", "csv",
                                           "--out", str(tmp_path)])
     assert ((tmp_path / "ensemble.csv").read_bytes().decode()
-            == "# schema_version=1 stream_version=3 seed=1 n_paths=200 dt=0.02\n"
+            == "# schema_version=2 stream_version=3 seed=1 n_paths=200 dt=0.02\n"
             + stats.to_csv())
 
 
@@ -230,7 +232,7 @@ def test_identify_document():
 def test_invariants_document(gamma):
     inv = invariants.invariant_set(float(gamma))
     out = run_cli(["invariants", "--gamma", gamma])
-    assert out == stamped_last(ref_invariants(inv)) + "\n"
+    assert out == stamped(ref_invariants(inv)) + "\n"
 
 
 @settings(max_examples=15, deadline=None)
@@ -249,10 +251,10 @@ def test_schedule_network_diagnose_documents(gamma, n, alpha1):
     with pytest.warns(UserWarning) if n < 3 else contextlib.nullcontext():
         net = network.build_in(n, gamma, alpha1)
         out = run_cli(["network"] + argv)
-    assert out == stamped_last(ref_network(net)) + "\n" + net.to_outline() + "\n"
+    assert out == stamped(ref_network(net)) + "\n" + net.to_outline() + "\n"
 
     report = diagnostics.diagnose_segments(*cli._segment_trace(sched))
-    assert run_cli(["diagnose"] + argv) == stamped_last(ref_diagnostics(report)) + "\n"
+    assert run_cli(["diagnose"] + argv) == stamped(ref_diagnostics(report)) + "\n"
 
 
 def test_reproduce_table_and_file(tmp_path):
@@ -289,14 +291,14 @@ def test_pipeline_files(tmp_path):
             {"schema_version": SCHEMA,
              "operators": [json.loads(ref_operator(o)) for o in ops]},
             indent=2),
-        "schedule.json": ref_schedule(sched),
-        "network.json": ref_network(net),
-        "diagnostics.json": ref_diagnostics(report),
+        "schedule.json": stamped(ref_schedule(sched)),
+        "network.json": stamped(ref_network(net)),
+        "diagnostics.json": stamped(ref_diagnostics(report)),
         "manifest.json": json.dumps(
-            {"schema_version": SCHEMA, "stream_version": STREAM,
+            {"schema_version": SCHEMA, **stream_stamp(2, 300, 0.01),
              "artifacts": names,
-             "config": {"n": 4, "gamma": 0.4, "alpha1": 1.2, "n_paths": 300,
-                        "dt": 0.01, "seed": 2, "horizon": 0.5}}, indent=2),
+             "config": {"n": 4, "gamma": 0.4, "alpha1": 1.2,
+                        "horizon": 0.5}}, indent=2),
     }
     out = run_cli(argv)
     assert out == "".join(f"wrote {tmp_path / name}\n"
@@ -304,6 +306,102 @@ def test_pipeline_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes().decode() == text, name
+
+
+# -- every document's head ----------------------------------------------------
+
+# no --dt: every Monte Carlo document must stamp the step the kernel took,
+# a thousandth of the horizon
+MC = ["--seed", "4", "--n-paths", "50", "--horizon", "0.2"]
+MC_STAMP = stream_stamp(4, 50, 0.2 * 1e-3)
+SHAPE = ["--n", "3", "--gamma", "0.5", "--alpha1", "1.0"]
+
+
+def printed(argv):
+    return lambda tmp_path: json.JSONDecoder().raw_decode(run_cli(argv))[0]
+
+
+def written(argv, name):
+    def make(tmp_path):
+        run_cli(argv + ["--out", str(tmp_path)])
+        return json.loads((tmp_path / name).read_text())
+    return make
+
+
+def from_record(build):
+    return lambda tmp_path: json.loads(build().to_json())
+
+
+def mc_model():
+    return cli._scalar_model(-1.0, 1.0, 1.0, (0.0, 0.2))
+
+
+def analytic_stats():
+    grid = np.linspace(0, 1, 11)
+    return diffusion.covariance_derivative(
+        diffusion.stats_from_covariance(grid, np.exp(grid)))
+
+
+# name: (make(tmp_path) -> parsed document, whether it is a Monte Carlo one);
+# a subcommand's name is lower case, a record's starts with its class name
+DOCUMENTS = {
+    "simulate": (written(["simulate"] + MC, "ensemble.json"), True),
+    "entropy": (printed(["entropy"] + MC), True),
+    "identify": (printed(["identify"] + MC), True),
+    "schedule": (printed(["schedule"] + SHAPE), False),
+    "invariants": (printed(["invariants", "--gamma", "0.5"]), False),
+    "network": (printed(["network"] + SHAPE), False),
+    "diagnose": (printed(["diagnose"] + SHAPE), False),
+    "reproduce": (written(["reproduce"], "reproduction.json"), False),
+    **{f"pipeline-{name}": (written(["pipeline"] + MC, name),
+                            name in ("ensemble.json", "manifest.json"))
+       for name in ("ensemble.json", "operators.json", "schedule.json",
+                    "network.json", "diagnostics.json", "manifest.json")},
+    "EnsembleStats-simulated": (from_record(
+        lambda: diffusion.covariance_derivative(
+            diffusion.simulate_ensemble(mc_model(), 50, seed=4))), True),
+    "EnsembleStats-analytic": (from_record(analytic_stats), False),
+    "IdentifiedOperator": (from_record(
+        lambda: identification.identify_covariance_ratio(analytic_stats(),
+                                                         0.5)), False),
+    "InvariantSet": (from_record(lambda: invariants.invariant_set(0.5)), False),
+    "TripletReport": (from_record(
+        lambda: network.triplet_accounting(invariants.invariant_set(0.5))),
+        False),
+    "InfoNetwork": (from_record(lambda: network.build_in(5, 0.5, 1.0)), False),
+    "EigenChain": (from_record(lambda: eigenchain.build_equalization_chain(
+        invariants.optimal_spectrum(3, 1.0), 3)), False),
+    "SegmentSchedule": (from_record(lambda: control.schedule_from_invariants(
+        invariants.invariant_set(0.5), invariants.optimal_spectrum(3, 1.0))),
+        False),
+    "DiagnosticsReport": (from_record(lambda: diagnostics.diagnose_segments(
+        np.linspace(0, 1, 50), np.exp(np.linspace(0, 1, 50)), [])), False),
+    "EntropyEstimate-monte-carlo": (from_record(
+        lambda: entropy.entropy_mc(mc_model(), 50, seed=4)), True),
+    "EntropyEstimate-covariance-form": (from_record(
+        lambda: entropy.entropy_covariance_form(1.0, analytic_stats(), 1.0)),
+        False),
+}
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_document_head(tmp_path, name):
+    """schema_version first; then, on a Monte Carlo document only, the
+    stream stamp with the dt actually used."""
+    make, monte_carlo = DOCUMENTS[name]
+    doc = make(tmp_path)
+    items = list(doc.items())
+    assert items[0] == ("schema_version", SCHEMA)
+    if monte_carlo:
+        assert items[1:1 + len(MC_STAMP)] == list(MC_STAMP.items())
+    else:
+        assert not set(doc) & set(MC_STAMP)
+
+
+def test_every_record_class_has_a_document_case():
+    classes = {cls.__name__ for cls in diffusion.Record.__subclasses__()}
+    assert classes == {name.split("-")[0] for name in DOCUMENTS
+                       if name[0].isupper()}
 
 
 # -- flags --------------------------------------------------------------------

@@ -45,7 +45,7 @@ class TestReproduce:
     def test_exit_zero_and_table_written(self, tmp_path, capsys):
         assert cli.main(["reproduce", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "reproduction.json").read_text())
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert len(doc["rows"]) >= 15
 
     def test_exactly_two_flag_rows(self):
@@ -106,7 +106,7 @@ class TestStochasticCommands:
                          "--dt", "0.02", "--horizon", "0.2",
                          "--format", "csv", "--out", str(tmp_path)]) == 0
         text = (tmp_path / "ensemble.csv").read_text()
-        assert text.startswith("# schema_version=1")
+        assert text.startswith("# schema_version=2")
 
     def test_entropy_reports_both_estimates(self, capsys):
         assert cli.main(["entropy", "--seed", "3", "--n-paths", "2000",
@@ -158,6 +158,16 @@ class TestPipeline:
                 "--gamma", "0.5", "--alpha1", "1.0", "--dt", "0.01",
                 "--horizon", "0.5", "--out", str(tmp_path)]
         assert cli.main(args) == 1
+
+    def test_failed_stage_writes_nothing(self, tmp_path, capsys):
+        # gamma > 1 is refused after the ensemble and the operators are
+        # formed; their files used to be left behind with no manifest
+        out = tmp_path / "out"
+        assert cli.main(["pipeline", "--seed", "2", "--n-paths", "20",
+                         "--horizon", "0.1", "--gamma", "1.5",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error (InputError): ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("n_paths", ["0", "1"])
     def test_n_paths_below_two_one_message(self, tmp_path, capsys, n_paths):
@@ -217,6 +227,18 @@ class TestConfigPrecedence:
         assert exc.value.code == 2
         assert f"config key {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "malformed", "not-an-object"])
+    def test_unusable_config_file_refused(self, tmp_path, capsys, text):
+        # each used to end in a traceback and exit code 1
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfg), "invariants"])
+        assert exc.value.code == 2
+        assert f"config file {cfg}" in capsys.readouterr().err
 
     def test_values_that_fit_accepted(self, tmp_path):
         # an int for a float flag, a bool for a switch, a choice, and null

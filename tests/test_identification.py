@@ -144,6 +144,25 @@ class TestDispersionWindow:
         with pytest.raises(InputError):
             identification.identify_dispersion_window(stats, 1.0, window=1e-6)
 
+    @pytest.mark.parametrize("window", [0.5 + 1e-6, 1.0, 2.0, 100.0])
+    def test_window_before_grid_start_refused(self, window):
+        # used to be cut short at grid[0]: every window here gave the A of
+        # window 0.5, under the name of the window asked for
+        grid = np.linspace(0, 1, 101)
+        stats = diffusion.covariance_derivative(
+            diffusion.stats_from_covariance(grid, grid ** 2 + 1.0))
+        with pytest.raises(InputError, match=f"window={window} .*grid start"):
+            identification.identify_dispersion_window(stats, 0.5, window=window)
+
+    def test_window_from_grid_start_within_rounding(self):
+        grid = np.linspace(0, 1, 101)
+        stats = diffusion.covariance_derivative(
+            diffusion.stats_from_covariance(grid, grid ** 2 + 1.0))
+        want = identification.identify_dispersion_window(stats, 0.5, window=0.5)
+        op = identification.identify_dispersion_window(
+            stats, 0.5, window=0.5 * (1 + 1e-12))
+        assert op.A[0, 0] == want.A[0, 0]
+
     def test_agrees_with_covariance_ratio_from_zero_start(self):
         # full-span window from r(0) = 0 makes both methods identical
         grid = np.linspace(0, 1, 4001)
