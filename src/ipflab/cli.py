@@ -91,7 +91,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    model = _scalar_model(-abs(args.theta), args.sigma, args.x0,
+    model = _scalar_model(args.theta, args.sigma, args.x0,
                           (0.0, args.horizon), feedback=False)
     stats = diffusion.simulate_ensemble(model, args.n_paths, dt=args.dt,
                                         seed=args.seed)

@@ -222,6 +222,8 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     that lives only while the generator runs; the callbacks and the
     consumer run in the caller's thread (see :func:`_steps`).
     """
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
+        raise InputError(f"n_paths must be an integer, not {n_paths!r}")
     if n_paths < 2:
         raise InputError("n_paths must be >= 2")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
@@ -246,11 +248,13 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     Stream STREAM_VERSION: SeedSequence(seed) spawns two children, and
     each drives an SFC64 generator.  The first samples the initial law, by
     Cholesky when its covariance is positive definite and by eigh
-    otherwise.  The second draws the noise one step of (path, component)
-    normals at a time.  For a sequential generator that is the same
-    sequence, bit for bit, as drawing the whole (step, path, component)
-    tensor at once, so memory stays O(paths * n) and the result cannot
-    depend on how the ensemble is later chunked.
+    otherwise, as numpy's multivariate_normal does, except that the
+    eigenvalues in [-1e-12, 0) the model admits are sampled as zero
+    (numpy scales by sqrt(|s|)).  The second draws the noise one step of
+    (path, component) normals at a time.  For a sequential generator that
+    is the same sequence, bit for bit, as drawing the whole (step, path,
+    component) tensor at once, so memory stays O(paths * n) and the result
+    cannot depend on how the ensemble is later chunked.
 
     A one-worker executor, held for the generator's lifetime, owns the
     noise generator and draws each step's normals, in stream order, into
@@ -267,10 +271,13 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
         x = np.tile(model.initial_mean, (n_paths, 1))
     else:
         rng0 = np.random.Generator(np.random.SFC64(init_seq))
-        definite = np.min(np.linalg.eigvalsh(model.initial_cov)) > 0
-        x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
-                                     size=n_paths,
-                                     method="cholesky" if definite else "eigh")
+        if np.min(np.linalg.eigvalsh(model.initial_cov)) > 0:
+            x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
+                                         size=n_paths, method="cholesky")
+        else:
+            s, u = np.linalg.eigh(model.initial_cov)
+            factor = u * np.sqrt(np.where(s > 0, s, 0.0))
+            x = model.initial_mean + rng0.standard_normal((n_paths, model.n)) @ factor.T
     gen = np.random.Generator(np.random.SFC64(noise_seq))
     sqrt_dt = np.sqrt(dt)
     nxt = np.empty_like(x)
@@ -389,7 +396,7 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
     for arr in (grid, means, rs):
         arr.setflags(write=False)
     return EnsembleStats(grid=grid, mean=means, r=rs, seed=int(seed),
-                         n_paths=n_paths, paths=trail, dt=dt,
+                         n_paths=int(n_paths), paths=trail, dt=dt,
                          stream_version=STREAM_VERSION)
 
 

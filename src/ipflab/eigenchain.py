@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import brentq, first_bracket
+from ._roots import bisect, first_bracket
 from .diffusion import LN2, Record
 from .errors import (InputError, NeedsNeedleControlError, NoCooperationError,
                      SingularRenovationError)
@@ -49,8 +49,13 @@ def terminal_time(t_prev: float, lam: float) -> float:
 
 
 def _abs_speed(lam: float, t: float) -> float:
-    """|renovated eigenvalue| as a function of segment time, +inf at the pole."""
+    """|renovated eigenvalue| as a function of segment time, +inf at the pole.
+
+    Past exp's range the value is its limit |lam|: from lam t ~ 37 on,
+    2 - e^{lam t} already rounds to -e^{lam t}."""
     x = lam * t
+    if x > 709.0:
+        return abs(lam)
     d = 2.0 - math.exp(x)
     if abs(d) < _POLE_TOL:
         return math.inf
@@ -61,17 +66,24 @@ def _equalization_root(lam_joint: float, lam_next: float, offset: float,
                        t_max: float) -> float:
     """Smallest t > 0 with |speed(lam_joint, t)| = |speed(lam_next, offset+t)|.
 
-    The first sign-change cell of the difference on 20000 points up to
-    t_max, skipping pole-straddling cells, is refined by brentq.
+    The first sign-change cell of the difference is refined by bisection.
+    The scan runs on 20000 points up to t_max plus two points around each
+    pole of the two speeds (lam t = ln 2), at p (1 -+ 1e-9): a cell of the
+    linear grid can be wider than the distance from a pole to the root,
+    and one holding both has no sign change at its ends.
     """
     def f(t):
         return _abs_speed(lam_joint, t) - _abs_speed(lam_next, offset + t)
 
-    cell = first_bracket(f, np.linspace(1e-9, t_max, 20000))
+    grid = np.linspace(1e-9, t_max, 20000)
+    poles = [LN2 / lam - t0 for lam, t0 in ((lam_joint, 0.0), (lam_next, offset)) if lam > 0]
+    sides = np.sort([p * s for p in poles for s in (1 - 1e-9, 1 + 1e-9)])
+    sides = sides[(sides > grid[0]) & (sides < grid[-1])]
+    cell = first_bracket(f, np.insert(grid, np.searchsorted(grid, sides), sides))
     if cell is None:
         raise NoCooperationError(
             f"no equalization moment for ({lam_joint}, {lam_next}) within t <= {t_max}")
-    return brentq(f, *cell, xtol=1e-13, rtol=1e-14)
+    return bisect(f, *cell, xtol=1e-13)
 
 
 @dataclass(frozen=True)

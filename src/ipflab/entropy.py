@@ -79,7 +79,7 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     return EntropyEstimate(value=value, method="monte-carlo",
                            horizon=model.horizon, std_error=se,
                            stream_version=STREAM_VERSION, seed=int(seed),
-                           n_paths=n_paths, dt=dt)
+                           n_paths=int(n_paths), dt=dt)
 
 
 def entropy_covariance_form(u, stats: EnsembleStats, sigma) -> EntropyEstimate:

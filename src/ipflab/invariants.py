@@ -45,14 +45,14 @@ def solve_ao(gamma: float) -> float:
     -1e-6 (the root nearest zero).  gamma must be finite and >= 0."""
     if not (math.isfinite(gamma) and gamma >= 0):
         raise InputError(f"gamma must be finite and nonnegative, not {gamma}")
+    f = lambda ao: _ao_residual(ao, gamma)
     lo, hi = -3.0, -1e-6
-    if _ao_residual(lo, gamma) * _ao_residual(hi, gamma) > 0:
-        cell = first_bracket(lambda ao: _ao_residual(ao, gamma),
-                             np.linspace(hi, lo, 3001))
+    if f(lo) * f(hi) > 0:
+        cell = first_bracket(f, np.linspace(hi, lo, 3001))
         if cell is None:
             raise NoRootError(f"no sign change on [-3, -1e-6] for gamma={gamma}")
         hi, lo = cell
-    return bisect(_ao_residual, lo, hi, args=(gamma,), xtol=1e-12)
+    return bisect(f, lo, hi, xtol=1e-12)
 
 
 def invariant_a(gamma: float, ao_abs: float) -> float:
@@ -134,12 +134,13 @@ def gamma_ratios(a: float) -> dict:
     """
     if not (math.isfinite(a) and a > 0):
         raise InputError(f"a must be finite and positive, not {a}")
+    f = lambda g: _ratio_residual(g, a)
     grid = np.linspace(1.02, 8.0, 1400)
-    cells = (first_bracket(lambda g: _ratio_residual(g, a), part)
+    cells = (first_bracket(f, part)
              for part in np.split(grid, np.searchsorted(grid, _ratio_poles(a)))
              if len(part) > 1)
     cell = next((c for c in cells if c is not None), None)
-    g1 = None if cell is None else bisect(_ratio_residual, *cell, args=(a,), xtol=1e-12)
+    g1 = None if cell is None else bisect(f, *cell, xtol=1e-12)
     g1_ref = 3.896
     try:
         g2_ref = _gamma2_of_gamma1(g1_ref, a)

@@ -170,6 +170,15 @@ def test_numpy_integer_seed_stamped_as_int():
         assert run(model, 20, dt=0.05, seed=np.uint64(2 ** 64 - 1)).to_json() == want
 
 
+def test_numpy_integer_n_paths_stamped_as_int():
+    # a numpy n_paths used to end in "Object of type int64 is not JSON
+    # serializable" when the record was written
+    model = cli._scalar_model(-1.0, 1.0, 1.0, (0.0, 0.1))
+    for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+        want = run(model, 20, dt=0.05, seed=1).to_json()
+        assert run(model, np.int64(20), dt=0.05, seed=1).to_json() == want
+
+
 # -- subcommands --------------------------------------------------------------
 
 SIM = ["--seed", "1", "--n-paths", "200", "--dt", "0.02", "--horizon", "0.2"]

@@ -72,6 +72,25 @@ class TestScheduleCommand:
         assert len(doc["chain"]["intervals"]) == 2
         assert len(doc["schedule"]["segments"]) == 3
 
+    def test_chain_past_n_five(self, capsys):
+        # n >= 6 used to end in an OverflowError traceback
+        assert cli.main(["schedule", "--n", "9"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["chain"]["intervals"]) == 8
+
+    def test_negative_alpha1_refused_by_name(self, capsys):
+        # used to end in an OverflowError traceback
+        assert cli.main(["schedule", "--alpha1=-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error (NoCooperationError): ")
+        assert "Traceback" not in captured.err
+
+    def test_negative_alpha1_pair_chained(self, capsys):
+        assert cli.main(["schedule", "--n", "2", "--alpha1=-1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["chain"]["intervals"]) == 1
+
 
 class TestStochasticCommands:
     def test_seed_mandatory(self):
@@ -131,6 +150,20 @@ class TestStochasticCommands:
         methods = [r["method"] for r in doc["reports"]]
         assert methods == ["reduced-control", "covariance-ratio",
                            "dispersion-window", "closed-loop"]
+
+    def test_identify_simulates_theta_as_given(self, capsys):
+        # --theta 1 used to simulate -1, the same document as --theta -1
+        docs = {}
+        for theta in ("1", "-1"):
+            assert cli.main(["identify", "--seed", "5", "--n-paths", "2000",
+                             "--dt", "0.005", "--theta", theta]) == 0
+            docs[theta] = capsys.readouterr().out
+        assert docs["1"] != docs["-1"]
+        for theta, text in docs.items():
+            # the covariance ratio carries the sign of the simulated theta
+            ratio = json.loads(text)["reports"][1]
+            assert ratio["method"] == "covariance-ratio"
+            assert (ratio["A"][0][0] > 0) == (float(theta) > 0)
 
 
 class TestPipeline:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ipflab import diffusion
+from ipflab import diffusion, entropy
 from ipflab.errors import InputError, SimulationDivergedError
 
 
@@ -79,6 +79,37 @@ class TestSimulateEnsemble:
         spread = np.std(stats.paths[:, 0, 0])
         assert spread == pytest.approx(math.sqrt(1e-9), rel=0.05)
 
+    @pytest.mark.parametrize("cov", [[[-1e-13]], [[1.0, 0.0], [0.0, -1e-13]]])
+    def test_tiny_negative_eigenvalue_sampled_as_zero(self, cov):
+        # the model admits eigenvalues down to -1e-12; numpy's eigh sampler
+        # scaled them by sqrt(|s|) and started the paths with a spread of 3e-7
+        n = len(cov)
+        model = diffusion.DiffusionModel(
+            n=n, drift=lambda t, x, u: -x, diffusion=lambda t: np.eye(n),
+            initial_mean=np.ones(n), initial_cov=cov, horizon=(0.0, 0.1))
+        stats = diffusion.simulate_ensemble(model, 1000, dt=0.05, seed=1,
+                                            keep_paths=True)
+        assert np.all(stats.paths[:, 0, -1] == 1.0)
+        if n == 2:
+            assert np.std(stats.paths[:, 0, 0]) == pytest.approx(1.0, rel=0.1)
+
+    @pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 0.0]],
+                                     [[1.0, 0.3], [0.3, 2.0]]])
+    def test_initial_law_bits_of_numpys_sampler(self, cov):
+        # a covariance with no negative eigenvalue, singular (eigh) or
+        # definite (Cholesky), keeps the bits of numpy's multivariate_normal
+        model = diffusion.DiffusionModel(
+            n=2, drift=lambda t, x, u: -x, diffusion=lambda t: np.eye(2),
+            initial_mean=[0.5, -1.0], initial_cov=cov, horizon=(0.0, 0.1))
+        assert np.min(np.linalg.eigh(model.initial_cov)[0]) >= 0
+        stats = diffusion.simulate_ensemble(model, 300, dt=0.05, seed=4,
+                                            keep_paths=True)
+        rng0 = np.random.Generator(np.random.SFC64(np.random.SeedSequence(4).spawn(2)[0]))
+        definite = np.min(np.linalg.eigvalsh(model.initial_cov)) > 0
+        want = rng0.multivariate_normal(model.initial_mean, model.initial_cov, size=300,
+                                        method="cholesky" if definite else "eigh")
+        assert stats.paths[:, 0, :].tobytes() == want.tobytes()
+
     def test_unstable_linear_growth(self):
         model = diffusion.DiffusionModel(
             n=1, drift=lambda t, x, u: x, diffusion=lambda t: [[1.0]],
@@ -143,6 +174,13 @@ class TestSimulateEnsemble:
         with pytest.raises(InputError, match="seed must be an integer"):
             diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 10,
                                         dt=0.05, seed=seed)
+
+    @pytest.mark.parametrize("run", [diffusion.simulate_ensemble, entropy.entropy_mc])
+    @pytest.mark.parametrize("n_paths", [20.5, 20.0, True, "20", None])
+    def test_non_integer_n_paths_rejected(self, run, n_paths):
+        # 20.5 used to escape as a bare TypeError from the kernel
+        with pytest.raises(InputError, match="n_paths must be an integer"):
+            run(ou_model(horizon=(0, 0.1)), n_paths, dt=0.05, seed=1)
 
     def test_numpy_integer_seed_accepted(self):
         a = diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 10,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ipflab import eigenchain
+from ipflab import eigenchain, invariants
 from ipflab.errors import (InputError, NeedsNeedleControlError,
                            NoCooperationError, SingularRenovationError)
 
@@ -61,6 +61,11 @@ class TestTerminalTime:
 class TestAbsSpeed:
     def test_infinite_at_pole(self):
         assert eigenchain._abs_speed(2.0, LN2 / 2.0) == math.inf
+
+    def test_limit_past_exp_range(self):
+        # e^{lam t} overflows past lam t ~ 709.78; |lam| is the limit
+        assert eigenchain._abs_speed(1.0, 800.0) == 1.0
+        assert eigenchain._abs_speed(-2.0, 800.0) == 0.0
 
 
 class TestEqualizationChain:
@@ -119,3 +124,38 @@ class TestEqualizationChain:
         chain = eigenchain.build_equalization_chain(spec, 3)
         ratios = eigenchain.interval_ratios(chain)
         assert ratios[0] == pytest.approx(chain.intervals[1] / chain.intervals[0])
+
+
+class TestChainsPastNFive:
+    """The ranged spectrum chains at every n up to 9; n >= 6 used to
+    overflow in the scan, and a scan cell wider than the distance from a
+    pole to the root hid the root."""
+
+    @pytest.mark.parametrize("alpha1", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_chain_zeroes_the_state(self, n, alpha1):
+        chain = eigenchain.build_equalization_chain(
+            invariants.optimal_spectrum(n, alpha1), n)
+        assert len(chain.intervals) == n - 1
+        out = eigenchain.chain_state_trace(chain, 1.0)
+        assert abs(out["final_state"]) <= 1e-9 * max(abs(z) for z in out["states"])
+
+    def test_interval_ratio_tends_to_spectrum_ratio(self):
+        # the tabulated alpha2 / alpha3 of the ranged spectrum
+        target = 0.4514 / 0.2567
+        gaps = []
+        for n in range(5, 10):
+            chain = eigenchain.build_equalization_chain(
+                invariants.optimal_spectrum(n, 1.0), n)
+            gaps.append(abs(eigenchain.interval_ratios(chain)[-1] - target))
+        assert gaps[-1] <= 1e-4
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    def test_negative_spectrum(self):
+        # the joined eigenvalue turns positive after the first stage, and
+        # its speed never falls to the next one's: no cooperation
+        chain = eigenchain.build_equalization_chain(
+            invariants.optimal_spectrum(2, -1.0), 2)
+        assert len(chain.intervals) == 1
+        with pytest.raises(NoCooperationError):
+            eigenchain.build_equalization_chain(invariants.optimal_spectrum(3, -1.0), 3)
