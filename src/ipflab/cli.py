@@ -95,7 +95,6 @@ def cmd_identify(args) -> int:
                           (0.0, args.horizon), feedback=False)
     stats = diffusion.simulate_ensemble(model, args.n_paths, dt=args.dt,
                                         seed=args.seed)
-    stats = diffusion.covariance_derivative(stats)
     tau = args.horizon
     b = np.array([[0.5 * args.sigma ** 2]])
     reports = [

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputError, SimulationDivergedError
+from .errors import InputError, NonFiniteOutputError, SimulationDivergedError
 
 # constants shared by every module; this one imports no other ipflab module
 SCHEMA_VERSION = "2"
@@ -42,16 +42,15 @@ def plain(obj):
     """JSON-ready copy of a record, array or container.
 
     A dataclass becomes a dict of its fields in declaration order, leaving
-    out fields marked ``metadata={"json": False}``, and those marked "unless
-    None" while they are None; a complex array field x is written as x_real
-    and x_imag; arrays become lists.
+    out those marked ``metadata={"json": "unless None"}`` while they are
+    None; a complex array field x is written as x_real and x_imag; arrays
+    become lists.
     """
     if is_dataclass(obj):
         doc = {}
         for f in fields(obj):
             val = getattr(obj, f.name)
-            write = f.metadata.get("json", True)
-            if not write or (write == "unless None" and val is None):
+            if val is None and f.metadata.get("json") == "unless None":
                 continue
             if isinstance(val, np.ndarray) and np.iscomplexobj(val):
                 doc[f.name + "_real"] = val.real.tolist()
@@ -70,9 +69,24 @@ def plain(obj):
 
 def document(obj) -> str:
     """Every JSON document ipflab writes: schema_version, then a Monte Carlo
-    result's stream stamp, then the body (obj, a record or a dict)."""
-    return json.dumps({"schema_version": SCHEMA_VERSION, **plain(obj)},
-                      indent=2)
+    result's stream stamp, then the body (obj, a record or a dict).  A NaN or
+    infinity, which JSON lacks, raises NonFiniteOutputError with its key path."""
+    doc = {"schema_version": SCHEMA_VERSION, **plain(obj)}
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteOutputError(f"{_non_finite(doc)} is not a finite number")
+
+
+def _non_finite(val, path=""):
+    """Key path of the first NaN or infinity in a plain document, or None."""
+    if isinstance(val, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in val.items())
+    elif isinstance(val, list):
+        items = ((f"{path}[{k}]", v) for k, v in enumerate(val))
+    else:
+        return path if isinstance(val, float) and not math.isfinite(val) else None
+    return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
 
 
 def stamp_field():
@@ -139,13 +153,13 @@ class DiffusionModel:
 
 @dataclass(frozen=True)
 class EnsembleStats(Record):
-    """Per-time moments of a simulated ensemble.
+    """Per-time moments of an ensemble, simulated or analytic.
 
-    r is the (non-centered) second-moment matrix E[x x^T]; r_dot is its
-    time derivative, filled by :func:`covariance_derivative`, and
+    r is the (non-centered) second-moment matrix E[x x^T]; grid, mean and r
+    are all that identification and control read.  r_dot, its derivative,
+    is filled by :func:`covariance_derivative` for the written record, and
     r_dot_method names how it was formed.  A simulated ensemble's JSON
-    carries its stream stamp, an analytic one's none; the retained paths
-    are never written.
+    carries its stream stamp, an analytic one's none.
     """
 
     stream_version: Optional[str] = stamp_field()
@@ -158,8 +172,6 @@ class EnsembleStats(Record):
     r_dot_method: Optional[str] = field(default=None,
                                         metadata={"json": "unless None"})
     r_dot: Optional[np.ndarray] = None
-    # (paths, T, n) if retained
-    paths: Optional[np.ndarray] = field(default=None, metadata={"json": False})
 
     @property
     def n(self) -> int:
@@ -179,14 +191,12 @@ class EnsembleStats(Record):
 
     def r_dot_at(self, t: float) -> np.ndarray:
         """Backward difference of r at t, symmetrized: the correct branch at a
-        control-switch moment.  r_dot[0] at grid[0], which has no left one."""
-        i = self.index_of(t)
-        if i > 0:
-            d = (self.r[i] - self.r[i - 1]) / (self.grid[i] - self.grid[i - 1])
-            return 0.5 * (d + d.T)
-        if self.r_dot is None:
-            raise InputError("r_dot not filled; call covariance_derivative first")
-        return self.r_dot[0]
+        control-switch moment.  Forward at grid[0], as r_dot[0] is."""
+        if len(self.grid) < 2:
+            raise InputError("r_dot needs at least 2 grid points")
+        i = max(self.index_of(t), 1)
+        d = (self.r[i] - self.r[i - 1]) / (self.grid[i] - self.grid[i - 1])
+        return 0.5 * (d + d.T)
 
     def to_csv(self) -> str:
         n = self.n
@@ -375,7 +385,7 @@ def _moment_reducer(n_paths: int, n: int):
 
 
 def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
-                      seed: int = 0, keep_paths: bool = False) -> EnsembleStats:
+                      seed: int = 0) -> EnsembleStats:
     """Euler-Maruyama ensemble of the controlled diffusion.
 
     Deterministic for fixed (seed, n_paths, dt).  dt must divide the
@@ -386,17 +396,13 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
     n = model.n
     means = np.empty((len(grid), n))
     rs = np.empty((len(grid), n, n))
-    trail = np.empty((n_paths, len(grid), n)) if keep_paths else None
     reduce = _moment_reducer(n_paths, n)
     for k, (_, x, _, _) in enumerate(steps):
         reduce(x, means[k], rs[k])
-        if keep_paths:
-            trail[:, k, :] = x
-
     for arr in (grid, means, rs):
         arr.setflags(write=False)
     return EnsembleStats(grid=grid, mean=means, r=rs, seed=int(seed),
-                         n_paths=int(n_paths), paths=trail, dt=dt,
+                         n_paths=int(n_paths), dt=dt,
                          stream_version=STREAM_VERSION)
 
 

@@ -14,6 +14,7 @@ interval ln 2 / lam zeroes the state exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,23 +22,33 @@ import numpy as np
 from ._roots import bisect, first_bracket
 from .diffusion import LN2, Record
 from .errors import (InputError, NeedsNeedleControlError, NoCooperationError,
-                     SingularRenovationError)
+                     SimulationDivergedError, SingularRenovationError)
 
 _POLE_TOL = 1e-12
+_EXP_MAX = math.log(sys.float_info.max)     # math.exp overflows above it
 
 
 def eigen_step(lam: float, t: float) -> float:
-    """Renovated eigenvalue after a segment of length t."""
+    """Renovated eigenvalue after a segment of length t.  Past exp's range it
+    is its limit lam: from lam t ~ 37 on, 2 - e^{lam t} rounds to -e^{lam t}."""
     x = lam * t
     if abs(x - LN2) < _POLE_TOL:
         raise SingularRenovationError(f"lam*t = ln 2 at lam={lam}, t={t}")
+    if x > 709.0:
+        return lam
     e = math.exp(x)
     return -lam * e / (2.0 - e)
 
 
 def state_step(z, lam: float, t: float):
-    """State multiplier (2 - e^{lam t}) applied segment-wise; zero is legal."""
-    return (2.0 - math.exp(lam * t)) * np.asarray(z)
+    """State multiplier (2 - e^{lam t}) applied segment-wise; zero is legal.
+    A state past the float range raises SimulationDivergedError at t."""
+    x = lam * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (2.0 - (math.exp(x) if x <= _EXP_MAX else math.inf)) * np.asarray(z)
+    if not np.isfinite(z).all():
+        raise SimulationDivergedError(t)
+    return z
 
 
 def terminal_time(t_prev: float, lam: float) -> float:
@@ -49,17 +60,11 @@ def terminal_time(t_prev: float, lam: float) -> float:
 
 
 def _abs_speed(lam: float, t: float) -> float:
-    """|renovated eigenvalue| as a function of segment time, +inf at the pole.
-
-    Past exp's range the value is its limit |lam|: from lam t ~ 37 on,
-    2 - e^{lam t} already rounds to -e^{lam t}."""
-    x = lam * t
-    if x > 709.0:
-        return abs(lam)
-    d = 2.0 - math.exp(x)
-    if abs(d) < _POLE_TOL:
+    """|renovated eigenvalue| as a function of segment time, +inf at the pole."""
+    try:
+        return abs(eigen_step(lam, t))
+    except SingularRenovationError:
         return math.inf
-    return abs(lam * math.exp(x) / d)
 
 
 def _equalization_root(lam_joint: float, lam_next: float, offset: float,
@@ -142,7 +147,8 @@ def chain_state_trace(chain: EigenChain, z0: float) -> dict:
     """Propagate a scalar state through the chain and the zeroing tail.
 
     Returns the per-stage states, the terminal time, and the final state
-    (exactly zero when the tail lands on lam*t = ln 2).
+    (exactly zero when the tail lands on lam*t = ln 2).  A state past the
+    float range raises SimulationDivergedError at its stage's length.
     """
     z = float(z0)
     states = [z]

@@ -17,6 +17,10 @@ class SimulationDivergedError(IpfError):
         super().__init__(message or f"simulation diverged at t = {t_bad}")
 
 
+class NonFiniteOutputError(IpfError):
+    """A result to be written holds a NaN or an infinity, which JSON cannot."""
+
+
 class SingularDiffusionError(IpfError):
     """2b = sigma sigma^T is singular at an evaluation point."""
 

@@ -12,6 +12,7 @@ a user's files.
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from ipflab import (cli, control, diagnostics, diffusion, eigenchain, entropy,
                     identification, invariants, network)
+from ipflab.errors import NonFiniteOutputError
 
 SCHEMA = "2"
 STREAM = "3"
@@ -411,6 +413,27 @@ def test_every_record_class_has_a_document_case():
     classes = {cls.__name__ for cls in diffusion.Record.__subclasses__()}
     assert classes == {name.split("-")[0] for name in DOCUMENTS
                        if name[0].isupper()}
+
+
+@pytest.mark.parametrize("body,path", [
+    ({"a": float("nan")}, "a"),
+    ({"a": [1.0, {"b": [0.0, float("-inf")]}], "c": float("inf")}, "a[1].b[1]"),
+])
+def test_non_finite_number_refused_by_key_path(body, path):
+    # json.dumps used to write NaN and Infinity, which are not JSON
+    with pytest.raises(NonFiniteOutputError,
+                       match=f"^{re.escape(path)} is not a finite number"):
+        diffusion.document(body)
+
+
+def test_network_with_an_infinite_time_exits_by_name(capsys):
+    # a subnormal alpha1 overflows t_r, which used to be written as Infinity
+    # with exit 0
+    with np.errstate(over="ignore"):
+        code = cli.main(["network", "--n", "3", "--alpha1", "1e-320"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error (NonFiniteOutputError): nodes[0].t_r ")
 
 
 # -- flags --------------------------------------------------------------------

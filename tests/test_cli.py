@@ -78,6 +78,17 @@ class TestScheduleCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["chain"]["intervals"]) == 8
 
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_chain_past_n_nine(self, n, capsys):
+        # n = 13 used to end in an OverflowError traceback
+        assert cli.main(["schedule", "--n", str(n)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} in the document")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert len(doc["chain"]["intervals"]) == n - 1
+
     def test_negative_alpha1_refused_by_name(self, capsys):
         # used to end in an OverflowError traceback
         assert cli.main(["schedule", "--alpha1=-1"]) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from ipflab import diffusion, entropy
 from ipflab.errors import InputError, SimulationDivergedError
+from kernel_states import kernel_states
 
 
 def ou_model(theta=1.0, sigma=1.0, x0=0.0, horizon=(0.0, 5.0)):
@@ -74,9 +75,8 @@ class TestSimulateEnsemble:
         model = diffusion.DiffusionModel(
             n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[1.0]],
             initial_mean=[1.0], initial_cov=[[1e-9]], horizon=(0.0, 0.1))
-        stats = diffusion.simulate_ensemble(model, 4000, dt=0.01, seed=1,
-                                            keep_paths=True)
-        spread = np.std(stats.paths[:, 0, 0])
+        x0 = kernel_states(model, 4000, 0.01, 1)[0]
+        spread = np.std(x0[:, 0])
         assert spread == pytest.approx(math.sqrt(1e-9), rel=0.05)
 
     @pytest.mark.parametrize("cov", [[[-1e-13]], [[1.0, 0.0], [0.0, -1e-13]]])
@@ -87,11 +87,10 @@ class TestSimulateEnsemble:
         model = diffusion.DiffusionModel(
             n=n, drift=lambda t, x, u: -x, diffusion=lambda t: np.eye(n),
             initial_mean=np.ones(n), initial_cov=cov, horizon=(0.0, 0.1))
-        stats = diffusion.simulate_ensemble(model, 1000, dt=0.05, seed=1,
-                                            keep_paths=True)
-        assert np.all(stats.paths[:, 0, -1] == 1.0)
+        x0 = kernel_states(model, 1000, 0.05, 1)[0]
+        assert np.all(x0[:, -1] == 1.0)
         if n == 2:
-            assert np.std(stats.paths[:, 0, 0]) == pytest.approx(1.0, rel=0.1)
+            assert np.std(x0[:, 0]) == pytest.approx(1.0, rel=0.1)
 
     @pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 0.0]],
                                      [[1.0, 0.3], [0.3, 2.0]]])
@@ -102,13 +101,12 @@ class TestSimulateEnsemble:
             n=2, drift=lambda t, x, u: -x, diffusion=lambda t: np.eye(2),
             initial_mean=[0.5, -1.0], initial_cov=cov, horizon=(0.0, 0.1))
         assert np.min(np.linalg.eigh(model.initial_cov)[0]) >= 0
-        stats = diffusion.simulate_ensemble(model, 300, dt=0.05, seed=4,
-                                            keep_paths=True)
+        x0 = kernel_states(model, 300, 0.05, 4)[0]
         rng0 = np.random.Generator(np.random.SFC64(np.random.SeedSequence(4).spawn(2)[0]))
         definite = np.min(np.linalg.eigvalsh(model.initial_cov)) > 0
         want = rng0.multivariate_normal(model.initial_mean, model.initial_cov, size=300,
                                         method="cholesky" if definite else "eigh")
-        assert stats.paths[:, 0, :].tobytes() == want.tobytes()
+        assert x0.tobytes() == want.tobytes()
 
     def test_unstable_linear_growth(self):
         model = diffusion.DiffusionModel(
@@ -194,11 +192,6 @@ class TestSimulateEnsemble:
                                             dt=0.05, seed=2 ** 64 - 1)
         assert stats.seed == 2 ** 64 - 1
 
-    def test_keep_paths_shape(self):
-        stats = diffusion.simulate_ensemble(ou_model(horizon=(0, 0.1)), 50,
-                                            dt=0.01, seed=0, keep_paths=True)
-        assert stats.paths.shape == (50, 11, 1)
-
 
 class TestCovarianceDerivative:
     def test_linear_ramp(self):
@@ -266,10 +259,19 @@ class TestStatsRecord:
         with pytest.raises(TypeError):
             stats.r_dot_at(0.5, side="Left")
 
-    def test_r_dot_at_start_needs_r_dot(self):
-        stats = diffusion.stats_from_covariance(np.linspace(0, 1, 11), np.ones(11))
-        assert stats.r_dot_at(0.5)[0, 0] == 0.0
-        with pytest.raises(InputError, match="r_dot"):
+    @pytest.mark.parametrize("grid", [np.linspace(0, 1, 11),
+                                      np.array([0.0, 0.1, 0.25, 0.7, 1.0])])
+    def test_r_dot_at_start_without_covariance_derivative(self, grid):
+        # the forward difference on the first cell, bit for bit r_dot[0]
+        r = np.stack([[[1 + t, t * t], [t * t, np.exp(t)]] for t in grid])
+        stats = diffusion.stats_from_covariance(grid, r)
+        want = diffusion.covariance_derivative(stats).r_dot[0]
+        assert stats.r_dot is None
+        assert stats.r_dot_at(grid[0]).tobytes() == want.tobytes()
+
+    def test_r_dot_at_on_one_point_refused(self):
+        stats = diffusion.stats_from_covariance([0.0], [1.0])
+        with pytest.raises(InputError, match="at least 2 grid points"):
             stats.r_dot_at(0.0)
 
     def test_from_covariance_holds_read_only_copies(self):

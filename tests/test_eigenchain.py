@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from ipflab import eigenchain, invariants
 from ipflab.errors import (InputError, NeedsNeedleControlError,
-                           NoCooperationError, SingularRenovationError)
+                           NoCooperationError, SimulationDivergedError,
+                           SingularRenovationError)
 
 LN2 = math.log(2.0)
 
@@ -159,3 +161,36 @@ class TestChainsPastNFive:
         assert len(chain.intervals) == 1
         with pytest.raises(NoCooperationError):
             eigenchain.build_equalization_chain(invariants.optimal_spectrum(3, -1.0), 3)
+
+
+class TestChainsPastNNine:
+    """Past n = 9 exp(lam t) leaves the float range: the renovated
+    eigenvalue takes its limit, and a state that leaves the range is
+    refused by name.  n = 13 used to raise a bare OverflowError, and the
+    n = 12 trace returned an infinite final state with a RuntimeWarning."""
+
+    def test_eigen_step_limit(self):
+        assert eigenchain.eigen_step(1.0, 800.0) == 1.0
+        assert eigenchain.eigen_step(-2.0, -400.0) == -2.0
+
+    @pytest.mark.parametrize("z,lam,t", [(1.0, 1.0, 800.0), (1e307, 1.0, 5.0)])
+    def test_state_out_of_range_refused(self, z, lam, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDivergedError) as exc:
+                eigenchain.state_step(z, lam, t)
+        assert exc.value.t_bad == t
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_chain_builds_and_its_trace_is_refused(self, n):
+        chain = eigenchain.build_equalization_chain(
+            invariants.optimal_spectrum(n, 1.0), n)
+        assert len(chain.intervals) == n - 1
+        assert all(math.isfinite(t) for t in chain.intervals)
+        assert eigenchain.interval_ratios(chain)[-1] == pytest.approx(1.7585, abs=5e-5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationDivergedError) as exc:
+                eigenchain.chain_state_trace(chain, 1.0)
+        # the end of the stage whose state overflowed, on the stage's clock
+        assert exc.value.t_bad in chain.intervals

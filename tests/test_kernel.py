@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from ipflab import diffusion, entropy
 from ipflab.errors import InputError, SimulationDivergedError
+from kernel_states import kernel_states
 
 A3 = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, 0.2], [0.0, 0.2, -0.5]])
 P3 = -np.linalg.inv(A3) / 2          # stationary covariance, positive definite
@@ -127,11 +128,11 @@ class TestStreamMatchesWholeTensor:
         assert np.array_equal(stats.r, np.array([r for _, r in moments]))
 
     def test_three_dim_initial_law_keep_paths(self):
+        # the states the kernel steps through, and the moments reduced from them
         model = model3(initial_cov=P3)
-        stats = diffusion.simulate_ensemble(model, 2000, dt=0.01, seed=9,
-                                            keep_paths=True)
+        stats = diffusion.simulate_ensemble(model, 2000, dt=0.01, seed=9)
         _, xs = reference_paths(model, 2000, 0.01, 9)
-        assert np.array_equal(stats.paths, np.stack(xs, axis=1))
+        assert np.array_equal(kernel_states(model, 2000, 0.01, 9), np.stack(xs))
         moments = [reference_moments(x) for x in xs]
         assert np.array_equal(stats.mean, np.array([m for m, _ in moments]))
         assert np.array_equal(stats.r, np.array([r for _, r in moments]))
@@ -191,20 +192,20 @@ class TestKernel:
                 run(model, 10, dt=0.01, seed=0)
 
     def test_same_initial_ensemble_in_both_entry_points(self):
-        seen = {}
+        seen = []
 
         def drift(t, x, u):
             if t == 0.0:
-                seen["x0"] = x.copy()
+                seen.append(x.copy())
             return x @ A3.T
 
         model = diffusion.DiffusionModel(
             n=3, drift=drift, diffusion=lambda t: np.eye(3),
             initial_mean=[0.1, 0.0, -0.2], initial_cov=P3, horizon=(0.0, 0.1))
-        stats = diffusion.simulate_ensemble(model, 500, dt=0.01, seed=4,
-                                            keep_paths=True)
+        diffusion.simulate_ensemble(model, 500, dt=0.01, seed=4)
         entropy.entropy_mc(model, 500, dt=0.01, seed=4)
-        assert np.array_equal(seen["x0"], stats.paths[:, 0, :])
+        assert len(seen) == 2 and seen[0].any()
+        assert seen[0].tobytes() == seen[1].tobytes()
 
 
 def scalar_model(drift=lambda t, x, u: -x):

@@ -5,7 +5,8 @@ n_paths, dt) gives the same bits only under the same STREAM_VERSION.  The
 golden values below fail on any change to the draws, and such a change
 must bump the version.  Stream 3 changed only the moment reduction, so its
 draws are still stream 2's.  The moment checks read the raw normals back from a
-driftless model with sigma = I, whose increments are sqrt(dt) z.
+driftless model with sigma = I, whose increments are sqrt(dt) z, through the
+states the kernel steps through.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from ipflab import diffusion
+from kernel_states import kernel_states
 
 
 def driftless(n, initial_cov, horizon=1.0):
@@ -42,25 +44,21 @@ def test_stream_version():
 def test_first_draws_pinned(seed):
     noise, initial = GOLDEN[seed]
     # one step of dt = 1 from x0 = 0: the state after it is the noise itself
-    stats = diffusion.simulate_ensemble(driftless(1, [[0.0]]), 4, dt=1.0,
-                                        seed=seed, keep_paths=True)
-    assert [float(v).hex() for v in stats.paths[:, 1, 0]] == noise
+    states = kernel_states(driftless(1, [[0.0]]), 4, 1.0, seed)
+    assert [float(v).hex() for v in states[1, :, 0]] == noise
     # N(0, 1) by Cholesky: the initial state is the initial-law normal
-    stats = diffusion.simulate_ensemble(driftless(1, [[1.0]]), 4, dt=1.0,
-                                        seed=seed, keep_paths=True)
-    assert float(stats.paths[0, 0, 0]).hex() == initial
+    states = kernel_states(driftless(1, [[1.0]]), 4, 1.0, seed)
+    assert float(states[0, 0, 0]).hex() == initial
 
 
 PATHS, DT, K = 20000, 0.02, 5.0     # 50 steps of 3 components; K standard errors
 
 
 def normals(seed, initial_cov=np.zeros((3, 3))):
-    """(initial states, z): the kept paths' start and their increments over
-    sqrt(dt), shaped (paths, 3) and (paths, steps, 3)."""
-    paths = diffusion.simulate_ensemble(driftless(3, initial_cov), PATHS,
-                                        dt=DT, seed=seed,
-                                        keep_paths=True).paths
-    return paths[:, 0, :], np.diff(paths, axis=1) / math.sqrt(DT)
+    """(initial states, z): the ensemble at the start and its increments
+    over sqrt(dt), shaped (paths, 3) and (steps, paths, 3)."""
+    states = kernel_states(driftless(3, initial_cov), PATHS, DT, seed)
+    return states[0], np.diff(states, axis=0) / math.sqrt(DT)
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +84,15 @@ def test_mean_and_variance(z7):
 def test_cross_component_and_lag_one(z7):
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert_uncorrelated(z7[..., i], z7[..., j])
-    assert_uncorrelated(z7[:, :-1, :], z7[:, 1:, :])
+    assert_uncorrelated(z7[:-1], z7[1:])
 
 
 def test_initial_law_apart_from_noise():
     x0, z = normals(7, initial_cov=np.eye(3))
     assert abs(x0.var() - 1.0) <= K * math.sqrt(2.0 / x0.size)
     # the first step's normals sit at the initial draws' stream positions
-    assert_uncorrelated(x0, z[:, 0, :])
-    assert_uncorrelated(x0[:, None, :], z)
+    assert_uncorrelated(x0, z[0])
+    assert_uncorrelated(x0[None], z)
 
 
 def test_adjacent_seeds_apart(z7):
