@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Optional
 
@@ -28,14 +28,15 @@ SCHEMA_VERSION = "2"
 # the definition of the simulated numbers: a fixed (seed, n_paths, dt) gives
 # the same bits only under the same stream version, which covers both the
 # noise draws (see _steps) and the moment reduction (see _moment_reducer)
-STREAM_VERSION = "3"
+STREAM_VERSION = "4"
 LN2 = math.log(2.0)
 # condition number above which a matrix that must be inverted is refused
 COND_MAX = 1e12
 
-# the moment sums run over blocks of this many paths, so their order, and
-# the bits of the moments, depend on (n_paths, n) only
-_REDUCE_BLOCK = 2 ** 15
+# the paths are taken in blocks of this many: each block draws its noise
+# from its own stream, and the moment sums run over the same blocks, so the
+# draws and the order of the sums depend on n_paths alone
+_BLOCK = 2 ** 15
 
 
 def plain(obj):
@@ -121,8 +122,10 @@ class DiffusionModel:
     (or None when no control is installed) and return (paths, n).
     diffusion(t) returns the n x n matrix sigma(t).  control_law(t, x) maps
     the ensemble state to the control; None means zero control.  The
-    simulator reuses the array it passes as x, so a callback that keeps
-    the state beyond the call must copy it.
+    simulator calls every callback in the calling thread, once per grid
+    point, on the whole ensemble, so a callback may read the whole
+    ensemble and needs no locking.  It reuses the array it passes as x, so
+    a callback that keeps the state beyond the call must copy it.
     """
 
     n: int
@@ -228,9 +231,11 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     the kernel reuses: it stays valid until the point after next is
     requested, and consumers never write to it.  The generator raises
     SimulationDivergedError with the first bad time if any path leaves the
-    finite range.  The noise is drawn two steps ahead on one worker thread
-    that lives only while the generator runs; the callbacks and the
-    consumer run in the caller's thread (see :func:`_steps`).
+    finite range.  The noise is drawn by one draw thread, up to two steps
+    ahead, and by the caller's thread where the draw thread has not
+    started a block of the step it needs; the draw thread lives only while
+    the generator runs.  The callbacks and the consumer run in the
+    caller's thread (see :func:`_steps`).
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
         raise InputError(f"n_paths must be an integer, not {n_paths!r}")
@@ -255,26 +260,25 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
 def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     """Generator behind :func:`_euler_maruyama`.
 
-    Stream STREAM_VERSION: SeedSequence(seed) spawns two children, and
-    each drives an SFC64 generator.  The first samples the initial law, by
+    Stream STREAM_VERSION: SeedSequence(seed) spawns two children.  The
+    first drives an SFC64 generator that samples the initial law, by
     Cholesky when its covariance is positive definite and by eigh
     otherwise, as numpy's multivariate_normal does, except that the
     eigenvalues in [-1e-12, 0) the model admits are sampled as zero
-    (numpy scales by sqrt(|s|)).  The second draws the noise one step of
-    (path, component) normals at a time.  For a sequential generator that
-    is the same sequence, bit for bit, as drawing the whole (step, path,
-    component) tensor at once, so memory stays O(paths * n) and the result
-    cannot depend on how the ensemble is later chunked.
+    (numpy scales by sqrt(|s|)).  The second spawns one child per block of
+    _BLOCK paths, the last block shorter, and each drives an SFC64
+    generator that draws its block's (path, component) normals one step
+    at a time.  For a sequential generator that is the same sequence, bit
+    for bit, as drawing the block's whole (step, path, component) tensor
+    at once, so memory stays O(paths * n), and the bits depend on
+    (seed, n_paths, dt) alone: not on which thread drew a block, on the
+    number of CPUs or on timing (see :class:`_NoiseDraw`).
 
-    A one-worker executor, held for the generator's lifetime, owns the
-    noise generator and draws each step's normals, in stream order, into
-    one of two buffers while this thread steps and the consumer reduces;
-    the draw releases the interpreter lock.  Two draws are queued at the
-    start, and a buffer is queued again as soon as its step has added it,
-    so the draw stays two steps ahead.  Drift, sigma and control callbacks
-    and the consumer all run in the caller's thread.  An exception raised
-    by a draw is raised here, and the worker is joined when the generator
-    ends, is closed or raises.
+    Drift, sigma and control callbacks, the Euler update and the consumer
+    all run in the caller's thread, once per grid point on the whole
+    ensemble.  An exception raised by a draw is raised here, whichever
+    thread drew, and the draw thread is joined when the generator ends,
+    is closed or raises.
     """
     init_seq, noise_seq = np.random.SeedSequence(int(seed)).spawn(2)
     if not model.initial_cov.any():
@@ -288,20 +292,17 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
             s, u = np.linalg.eigh(model.initial_cov)
             factor = u * np.sqrt(np.where(s > 0, s, 0.0))
             x = model.initial_mean + rng0.standard_normal((n_paths, model.n)) @ factor.T
-    gen = np.random.Generator(np.random.SFC64(noise_seq))
-    sqrt_dt = np.sqrt(dt)
+    starts = range(0, n_paths, _BLOCK)
+    gens = [np.random.Generator(np.random.SFC64(seq))
+            for seq in noise_seq.spawn(len(starts))]
     nxt = np.empty_like(x)
     # at n = 1 the noise is scaled in place: no (paths, n) buffer, 0.8 MB of
-    # peak RSS at 1e5 paths; no time saved, the caller waits on the draw
+    # peak RSS at 1e5 paths
     dw = np.empty_like(x) if model.n > 1 else None
     finite = np.empty(x.shape, dtype=bool)
     last = len(grid) - 1
-    with ThreadPoolExecutor(1, thread_name_prefix="ipflab-noise") as pool:
-        # draws[k % 2] fills the buffer that step k adds
-        draws = []
-        for _ in range(min(2, last)):
-            draws.append(pool.submit(_draw, gen, np.empty_like(x),
-                                     draws[-1] if draws else None))
+    noise = _NoiseDraw(gens, x, starts, np.sqrt(dt), last)
+    try:
         for k, t in enumerate(grid):
             if k == last and not drift_at_end:
                 yield t, x, None, None
@@ -319,25 +320,108 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
             # nxt is never x, so a drift that returns x itself stays intact
             np.multiply(a, dt, out=nxt)
             nxt += x
-            z = draws[k % 2].result()
-            z *= sqrt_dt
+            z = noise.take(k)
             if dw is None:
                 nxt += np.multiply(z, sig[0, 0], out=z)
             else:
                 nxt += np.matmul(z, sig.T, out=dw)
-            if k + 2 < last:
-                draws[k % 2] = pool.submit(_draw, gen, z, draws[1 - k % 2])
+            noise.release(k)
             if not np.isfinite(nxt, out=finite).all():
                 raise SimulationDivergedError(grid[k + 1])
             x, nxt = nxt, x
+    finally:
+        noise.close()
 
 
-def _draw(gen, buf, before):
-    """Fill buf with the stream's next normals, once the draw before it,
-    if any, has succeeded; a failed draw so ends the stream."""
-    if before is not None:
-        before.result()
-    return gen.standard_normal(out=buf)
+class _NoiseDraw:
+    """The scaled noise of every step, drawn by one draw thread and by the
+    caller's thread.
+
+    Block b has its own generator gens[b], which draws the block's normals
+    step after step into rows of one of two (paths, n) buffers, step k's
+    into bufs[k % 2], and scales them by sqrt(dt).  The draw thread takes
+    the (step, block) pieces in order, at most two steps ahead of the
+    caller.  take(k), called when step k needs its noise, draws every
+    block of step k that the draw thread has not started, from the last
+    block down, and waits for the rest; a caller that would wait draws
+    instead.  The draw thread takes the blocks of a step from the first
+    up, so the two meet in between.  A piece is drawn only after its
+    block's previous step, by whichever thread: each generator still
+    draws its steps in order.  The draws release the interpreter lock.
+    """
+
+    def __init__(self, gens, x, starts, scale, steps):
+        self.gens, self.scale, self.steps = gens, scale, steps
+        self.bufs = (np.empty_like(x), np.empty_like(x))
+        self.blocks = [[buf[lo:lo + _BLOCK] for lo in starts] for buf in self.bufs]
+        self.cond = threading.Condition()
+        # per block: steps taken by either thread, and steps drawn
+        self.claimed = [0] * len(gens)
+        self.drawn = [0] * len(gens)
+        # steps whose buffer the caller has finished with
+        self.released = 0
+        self.error = None
+        self.stopped = False
+        self.thread = threading.Thread(target=self._run, name="ipflab-noise",
+                                       daemon=True)
+        self.thread.start()
+
+    def _draw(self, k, b):
+        z = self.blocks[k % 2][b]
+        self.gens[b].standard_normal(out=z)
+        z *= self.scale
+        with self.cond:
+            self.drawn[b] = k + 1
+            self.cond.notify_all()
+
+    def _run(self):
+        try:
+            for k in range(self.steps):
+                for b in range(len(self.gens)):
+                    with self.cond:
+                        self.cond.wait_for(lambda: (
+                            self.stopped or self.claimed[b] > k
+                            or (k < self.released + 2 and self.drawn[b] == k)))
+                        if self.stopped:
+                            return
+                        if self.claimed[b] > k:
+                            continue
+                        self.claimed[b] = k + 1
+                    self._draw(k, b)
+        except BaseException as exc:
+            # raised again in the caller's thread, by take
+            with self.cond:
+                self.error = exc
+                self.cond.notify_all()
+
+    def take(self, k):
+        """Step k's noise, once each of its blocks is drawn."""
+        for b in reversed(range(len(self.gens))):
+            with self.cond:
+                if self.claimed[b] > k:
+                    # the draw thread has this block and every one below it
+                    break
+                self.claimed[b] = k + 1
+            self._draw(k, b)
+        with self.cond:
+            self.cond.wait_for(lambda: self.error is not None
+                               or min(self.drawn) > k)
+            if self.error is not None:
+                raise self.error
+        return self.bufs[k % 2]
+
+    def release(self, k):
+        """The caller is done with step k's buffer: step k + 2 may fill it."""
+        with self.cond:
+            self.released = k + 1
+            self.cond.notify_all()
+
+    def close(self):
+        """Stop the draw thread after its current piece, and join it."""
+        with self.cond:
+            self.stopped = True
+            self.cond.notify_all()
+        self.thread.join()
 
 
 def _moment_reducer(n_paths: int, n: int):
@@ -345,7 +429,7 @@ def _moment_reducer(n_paths: int, n: int):
     written into mean and r.
 
     Built once per run, with its buffers; the one reducer for every n and
-    every path count.  The paths are taken in blocks of _REDUCE_BLOCK, the
+    every path count.  The paths are taken in blocks of _BLOCK, the
     last one shorter.  Each block is copied component-major into one reused
     (n, block) buffer.  Each component row, and each product row x_i x_j
     for i <= j, formed in one reused (block,) buffer, is summed by a
@@ -357,8 +441,8 @@ def _moment_reducer(n_paths: int, n: int):
     of doubles.  Silent when a product or a sum overflows: that moment is
     then inf or NaN.
     """
-    size = min(n_paths, _REDUCE_BLOCK)
-    starts = range(0, n_paths, _REDUCE_BLOCK)
+    size = min(n_paths, _BLOCK)
+    starts = range(0, n_paths, _BLOCK)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     cols = np.empty((n, size))
     prod = np.empty(size)

@@ -54,11 +54,16 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     # is formed in the previous one's buffer, which is then free
     qs = (np.empty(n_paths), np.empty(n_paths))
     half_dt = 0.5 * dt
+    # 2b, its check and its inverse are formed again only where sigma(t)
+    # changes; a copy, as the callback may return one array it mutates
+    prev_sig = None
     for k, (t, _, a, sig) in enumerate(steps):
-        twob = sig @ sig.T
-        if np.linalg.cond(twob) > COND_MAX:
-            raise SingularDiffusionError(f"2b singular at t={t}")
-        inv = np.linalg.inv(twob)
+        if prev_sig is None or not np.array_equal(sig, prev_sig):
+            twob = sig @ sig.T
+            if np.linalg.cond(twob) > COND_MAX:
+                raise SingularDiffusionError(f"2b singular at t={t}")
+            inv = np.linalg.inv(twob)
+            prev_sig = sig.copy()
         q, prev_q = qs[k % 2], qs[1 - k % 2]
         if inv.shape == (1, 1):
             # plain multiplies give the bits of the 1x1 product and of

@@ -13,6 +13,7 @@ later node joins the running node with the next two entries.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -123,6 +124,9 @@ def build_in(n: int, gamma: float, alpha1: float) -> InfoNetwork:
     inv = invariant_set(gamma)
     report = triplet_accounting(inv)
     spectrum = optimal_spectrum(n, alpha1)
+    # an alpha_r3 of at least this keeps t_r = |ao| / alpha_r3 finite:
+    # |ao| / max is rounded, so the next float up bounds it from above
+    min_alpha_r3 = math.nextafter(inv.ao_abs / sys.float_info.max, math.inf)
 
     nodes = []
     idx = 3
@@ -132,6 +136,9 @@ def build_in(n: int, gamma: float, alpha1: float) -> InfoNetwork:
         ending = members[-1]
         alpha_jt = (inv.a / inv.ao_abs) * abs(ending)
         alpha_r3 = 3.0 * alpha_jt
+        if not alpha_r3 >= min_alpha_r3:
+            raise InputError(f"alpha1={alpha1} is too close to 0: the cooperation "
+                             f"time of node {level} overflows")
         nodes.append({
             "level": level,
             "members": [float(m) for m in members],

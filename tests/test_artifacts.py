@@ -24,7 +24,7 @@ from ipflab import (cli, control, diagnostics, diffusion, eigenchain, entropy,
 from ipflab.errors import NonFiniteOutputError
 
 SCHEMA = "2"
-STREAM = "3"
+STREAM = "4"
 
 
 # -- reference renderers ------------------------------------------------------
@@ -204,7 +204,7 @@ def test_simulate_json_and_csv(tmp_path, feedback):
     run_cli(["simulate"] + SIM + extra + ["--format", "csv",
                                           "--out", str(tmp_path)])
     assert ((tmp_path / "ensemble.csv").read_bytes().decode()
-            == "# schema_version=2 stream_version=3 seed=1 n_paths=200 dt=0.02\n"
+            == "# schema_version=2 stream_version=4 seed=1 n_paths=200 dt=0.02\n"
             + stats.to_csv())
 
 
@@ -428,12 +428,11 @@ def test_non_finite_number_refused_by_key_path(body, path):
 
 def test_network_with_an_infinite_time_exits_by_name(capsys):
     # a subnormal alpha1 overflows t_r, which used to be written as Infinity
-    # with exit 0
-    with np.errstate(over="ignore"):
-        code = cli.main(["network", "--n", "3", "--alpha1", "1e-320"])
+    # with exit 0; build_in now refuses it before the division
+    code = cli.main(["network", "--n", "3", "--alpha1", "1e-320"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith("error (NonFiniteOutputError): nodes[0].t_r ")
+    assert captured.err.startswith("error (InputError): alpha1=1e-320 ")
 
 
 # -- flags --------------------------------------------------------------------

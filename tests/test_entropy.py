@@ -56,6 +56,17 @@ class TestMonteCarlo:
         assert est.std_error is not None and est.std_error > 0
 
 
+def sigma_mutated_in_place():
+    """sigma(t) returning one array, made singular in place from t = 0.5."""
+    s = np.eye(2)
+
+    def sigma(t):
+        s[1, 1] = 1.0 if t < 0.5 else 0.0
+        return s
+
+    return sigma
+
+
 class TestMonteCarloInputs:
     def test_zero_dt_rejected(self):
         with pytest.raises(InputError):
@@ -89,6 +100,20 @@ class TestMonteCarloInputs:
             n=1, drift=lambda t, x, u: x,
             diffusion=lambda t: [[1.0]] if t < 0.5 else [[0.0]],
             initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 1.0))
+        with pytest.raises(SingularDiffusionError, match="t=0.5"):
+            entropy.entropy_mc(model, 100, dt=0.01, seed=0)
+
+    @pytest.mark.parametrize("sigma", [
+        lambda t: np.eye(2) if t < 0.5 else np.diag([1.0, 0.0]),
+        # 2b is formed again only where sigma changes, which a kept
+        # reference to this one array would not see
+        sigma_mutated_in_place(),
+    ], ids=["new array", "one array"])
+    def test_constant_sigma_turning_singular_rejected(self, sigma):
+        model = diffusion.DiffusionModel(
+            n=2, drift=lambda t, x, u: x, diffusion=sigma,
+            initial_mean=[1.0, 1.0], initial_cov=np.zeros((2, 2)),
+            horizon=(0.0, 1.0))
         with pytest.raises(SingularDiffusionError, match="t=0.5"):
             entropy.entropy_mc(model, 100, dt=0.01, seed=0)
 

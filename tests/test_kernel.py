@@ -1,18 +1,20 @@
 """The streaming Euler-Maruyama kernel against the loop it replaced.
 
-The reference below draws the whole (steps, paths, n) noise tensor at once,
-steps with fresh arrays and solves against 2b at every grid point, as the
-simulator and the entropy estimator did before they shared one kernel.
-Bit-reproducibility for a fixed (seed, n_paths, dt) requires the kernel to
-match it exactly, not within a tolerance.
+The reference below draws each block's whole (steps, paths, n) noise tensor
+at once, steps the whole ensemble with fresh arrays and solves against 2b
+at every grid point, as the simulator and the entropy estimator did before
+they shared one kernel.  Bit-reproducibility for a fixed (seed, n_paths,
+dt) requires the kernel to match it exactly, not within a tolerance.
 """
 
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -26,28 +28,39 @@ from kernel_states import kernel_states
 A3 = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, 0.2], [0.0, 0.2, -0.5]])
 P3 = -np.linalg.inv(A3) / 2          # stationary covariance, positive definite
 
+# paths per block: of the noise streams and of the moment reduction
+BLOCK = 2 ** 15
 
-def stream2(seed):
-    """Stream 2's generators for the initial law and for the noise, which
-    stream 3 keeps, written out here rather than taken from the kernel."""
+
+def stream4(seed, n_paths):
+    """Stream 4's generators, written out here rather than taken from the
+    kernel: one for the initial law, and (first path, generator) for the
+    noise of each block of BLOCK paths, spawned from the second child."""
     init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
+    starts = range(0, n_paths, BLOCK)
     return (np.random.Generator(np.random.SFC64(init_seq)),
-            np.random.Generator(np.random.SFC64(noise_seq)))
+            [(lo, np.random.Generator(np.random.SFC64(seq)))
+             for lo, seq in zip(starts, noise_seq.spawn(len(starts)))])
 
 
 def reference_paths(model, n_paths, dt, seed):
-    """Grid and ensemble at every grid point, from the whole noise tensor."""
+    """Grid and ensemble at every grid point, from each block's whole noise
+    tensor."""
     s, t_end = model.horizon
     n_steps = int(round((t_end - s) / dt))
     grid = s + dt * np.arange(n_steps + 1)
-    rng0, gen = stream2(seed)
+    rng0, blocks = stream4(seed, n_paths)
     if not model.initial_cov.any():
         x = np.tile(model.initial_mean, (n_paths, 1))
     else:
         x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
                                      size=n_paths, method="cholesky" if
                                      np.min(np.linalg.eigvalsh(model.initial_cov)) > 0 else "eigh")
-    dW = gen.standard_normal((n_steps, n_paths, model.n)) * np.sqrt(dt)
+    dW = np.empty((n_steps, n_paths, model.n))
+    for lo, gen in blocks:
+        block = dW[:, lo:lo + BLOCK]
+        block[:] = gen.standard_normal(block.shape)
+    dW *= np.sqrt(dt)
     xs = [x]
     for k in range(n_steps):
         t = grid[k]
@@ -57,10 +70,6 @@ def reference_paths(model, n_paths, dt, seed):
         x = x + a * dt + dW[k] @ sig.T
         xs.append(x)
     return grid, xs
-
-
-# paths per block of the moment reduction
-BLOCK = 2 ** 15
 
 
 def reference_moments(x):
@@ -235,8 +244,8 @@ def within(seconds, fn):
 
 
 class TestNoiseThread:
-    """The noise is drawn one step ahead on one helper thread, which never
-    outlives the kernel call, however the call ends."""
+    """The noise is drawn by one draw thread and by the caller's thread; the
+    draw thread never outlives the kernel call, however the call ends."""
 
     def test_one_extra_thread_during_a_run_none_after(self):
         before = threading.active_count()
@@ -293,32 +302,212 @@ class TestNoiseThread:
             assert threading.active_count() == before
 
     def test_failing_draw_raised_in_caller(self, monkeypatch):
-        class Failing(np.random.Generator):
-            calls = 0
-            threads = []
+        # the tenth draw is block 1 of step 2
+        steps, blocks, fail_at = 10, 4, 10
+        for mode in ("normal", "caller", "draw thread"):
+            with monkeypatch.context() as patch:
+                recording, hold = draws_by(patch, mode, blocks, steps)
+                recording.fail_at = fail_at
 
-            def standard_normal(self, *args, **kwargs):
-                Failing.calls += 1
-                Failing.threads.append(threading.current_thread())
-                if Failing.calls == 3:
-                    raise RuntimeError("draw failed")
+                def run():
+                    recording.caller = threading.current_thread()
+                    diffusion.simulate_ensemble(shared_model(1, hold, steps),
+                                                SHARED_PATHS, dt=0.1, seed=1)
+
+                before = threading.active_count()
+                with pytest.raises(RuntimeError, match="draw failed"):
+                    within(30, run)
+                assert threading.active_count() == before
+            failing = recording.threads[fail_at - 1]
+            if mode == "caller":
+                assert failing is recording.caller
+            elif mode == "draw thread":
+                assert failing is not recording.caller
+
+
+# four blocks, the last of 5 paths
+SHARED_PATHS = 3 * BLOCK + 5
+
+
+def shared_model(n, hold=lambda: None, steps=3):
+    """The n-dimensional model of A3 from its stationary law, with hold()
+    called at the start of every drift call."""
+    a, sigma = A3[:n, :n], A3_SIGMA[:n, :n]
+
+    def drift(t, x, u):
+        hold()
+        return x @ a.T
+
+    return diffusion.DiffusionModel(
+        n=n, drift=drift, diffusion=lambda t: sigma,
+        initial_mean=[0.1, 0.0, -0.2][:n], initial_cov=-np.linalg.inv(a) / 2,
+        horizon=(0.0, 0.1 * steps))
+
+
+def draws_by(monkeypatch, mode, blocks, steps):
+    """(recording, hold): the noise generators record the thread of each
+    draw in recording.threads, and draw number recording.fail_at, if set,
+    raises.  In mode "caller" the draw thread draws nothing, so the caller
+    draws every block.  In mode "draw thread", hold(), called at the start
+    of the drift at grid point k, returns only once the draw thread has
+    started every block of step k, so the caller draws none."""
+
+    class Recording(np.random.Generator):
+        cond = threading.Condition()
+        threads = []
+        fail_at = None
+        failed = False
+
+        def standard_normal(self, *args, **kwargs):
+            if "out" not in kwargs:
+                # the initial law's draw
                 return super().standard_normal(*args, **kwargs)
+            with Recording.cond:
+                Recording.threads.append(threading.current_thread())
+                fail = len(Recording.threads) == Recording.fail_at
+                Recording.failed |= fail
+                Recording.cond.notify_all()
+            if fail:
+                raise RuntimeError("draw failed")
+            return super().standard_normal(*args, **kwargs)
 
-        def run():
-            Failing.caller = threading.current_thread()
-            diffusion.simulate_ensemble(scalar_model(), 100, dt=0.01, seed=1)
+    monkeypatch.setattr(diffusion.np.random, "Generator", Recording)
+    if mode == "caller":
+        monkeypatch.setattr(diffusion._NoiseDraw, "_run", lambda self: None)
+    grid_points = itertools.count()
 
-        monkeypatch.setattr(diffusion.np.random, "Generator", Failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="draw failed"):
-            within(30, run)
-        assert threading.active_count() == before
-        # the draws ran on the helper thread, not in the caller's
-        assert Failing.calls == 3 and Failing.caller not in Failing.threads
+    def hold():
+        if mode != "draw thread":
+            return
+        target = blocks * min(next(grid_points) + 1, steps)
+        with Recording.cond:
+            assert Recording.cond.wait_for(
+                lambda: Recording.failed or len(Recording.threads) >= target,
+                timeout=30)
+
+    return Recording, hold
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_bits_do_not_depend_on_who_draws(monkeypatch, n):
+    """The draw thread drawing every block, the caller drawing every block
+    and a normal run give the same bytes, in both entry points."""
+    results = {}
+    for mode in ("normal", "caller", "draw thread"):
+        outputs = []
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            with monkeypatch.context() as patch:
+                recording, hold = draws_by(patch, mode, 4, 3)
+                out, caller = within(60, lambda: (
+                    run(shared_model(n, hold), SHARED_PATHS, dt=0.1, seed=6),
+                    threading.current_thread()))
+            assert len(recording.threads) == 4 * 3
+            if mode == "caller":
+                assert all(t is caller for t in recording.threads)
+            elif mode == "draw thread":
+                assert all(t is not caller for t in recording.threads)
+            outputs += ([out.mean, out.r] if run is diffusion.simulate_ensemble
+                        else [np.array([out.value, out.std_error])])
+        results[mode] = b"".join(o.tobytes() for o in outputs)
+    assert results["caller"] == results["normal"] == results["draw thread"]
+
+
+def test_bits_under_thread_contention():
+    """Three kernel calls at once, each with its own draw thread, on two
+    cores or fewer, with the interpreter switching threads every
+    microsecond, give the bytes of one call alone."""
+    model = shared_model(1, steps=20)
+    alone = diffusion.simulate_ensemble(model, SHARED_PATHS, dt=0.1, seed=3)
+    results = [None] * 3
+
+    def run(i):
+        results[i] = diffusion.simulate_ensemble(model, SHARED_PATHS, dt=0.1,
+                                                 seed=3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        calls = [threading.Thread(target=run, args=(i,), daemon=True)
+                 for i in range(3)]
+        for call in calls:
+            call.start()
+        for call in calls:
+            call.join(60)
+        assert not any(call.is_alive() for call in calls)
+    finally:
+        sys.setswitchinterval(interval)
+    for res in results:
+        assert res.mean.tobytes() == alone.mean.tobytes()
+        assert res.r.tobytes() == alone.r.tobytes()
+
+
+def test_each_block_draws_its_steps_in_order(monkeypatch):
+    """A block's step is drawn only once its previous step is, also when
+    the other thread draws that one slowly.  Block 0's first draw, which
+    the draw thread makes, and block 2's first draw sleep, so that the
+    caller draws block 2 of step 0 while the draw thread reaches step 1."""
+    # a zero initial law: the kernel makes no generator but the blocks'
+    model = diffusion.DiffusionModel(
+        n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[0.7]],
+        initial_mean=[0.5], initial_cov=[[0.0]], horizon=(0.0, 0.3))
+    normal = diffusion.simulate_ensemble(model, SHARED_PATHS, dt=0.1, seed=5)
+    created = itertools.count()
+
+    class Slow(np.random.Generator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            # the kernel makes the blocks' generators in block order
+            self.block, self.draws = next(created), 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.draws += 1
+            if self.draws == 1 and self.block in (0, 2):
+                time.sleep(0.2 * (1 + self.block))
+            return super().standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion.np.random, "Generator", Slow)
+    slow = within(30, lambda: diffusion.simulate_ensemble(
+        model, SHARED_PATHS, dt=0.1, seed=5))
+    assert slow.r.tobytes() == normal.r.tobytes()
+
+
+def test_callbacks_and_consumer_run_in_the_caller(monkeypatch):
+    """Every callback, the consumer of the kernel and the moment reducer run
+    in the calling thread, also while the draw thread draws: cProfile counts
+    only the calling thread on Python 3.10 and 3.11, but every thread from
+    3.12, so the traced benchmark run alone cannot show this."""
+    threads = set()
+
+    def record(fn):
+        def wrapped(*args):
+            threads.add(threading.current_thread())
+            return fn(*args)
+        return wrapped
+
+    reducer = diffusion._moment_reducer
+    monkeypatch.setattr(diffusion, "_moment_reducer",
+                        lambda *args: record(reducer(*args)))
+    a, sigma = A3[:3, :3], A3_SIGMA[:3, :3]
+    model = diffusion.DiffusionModel(
+        n=3, drift=record(lambda t, x, u: x @ a.T + u),
+        diffusion=record(lambda t: sigma),
+        control_law=record(lambda t, x: -0.1 * x),
+        initial_mean=[0.1, 0.0, -0.2], initial_cov=P3, horizon=(0.0, 0.5))
+
+    def run():
+        for _, _, _, _ in diffusion._euler_maruyama(model, SHARED_PATHS, 0.1, 2)[2]:
+            threads.add(threading.current_thread())
+        diffusion.simulate_ensemble(model, SHARED_PATHS, dt=0.1, seed=2)
+        entropy.entropy_mc(model, SHARED_PATHS, dt=0.1, seed=2)
+        return threading.current_thread()
+
+    caller = within(60, run)
+    assert threads == {caller}
 
 
 class TestDrawCount:
-    """The stream is drawn once per step, never more than two steps ahead."""
+    """Each block's stream is drawn once per step, never more than two
+    steps ahead."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -338,18 +527,22 @@ class TestDrawCount:
         model = diffusion.DiffusionModel(
             n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[1.0]],
             initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 0.1 * steps))
-        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
-            counting.calls = 0
-            within(30, lambda: run(model, 100, dt=0.1, seed=1))
-            assert counting.calls == steps
+        for n_paths, blocks in ((100, 1), (SHARED_PATHS, 4)):
+            for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+                counting.calls = 0
+                within(30, lambda: run(model, n_paths, dt=0.1, seed=1))
+                assert counting.calls == steps * blocks
 
     def test_closed_generator_drew_at_most_two_ahead(self, monkeypatch):
         counting = self.counting(monkeypatch)
-        _, _, steps = diffusion._euler_maruyama(scalar_model(), 100, 0.01, 0)
-        next(steps)
-        next(steps)
-        within(30, steps.close)
-        assert counting.calls <= 3
+        for n_paths, blocks in ((100, 1), (SHARED_PATHS, 4)):
+            counting.calls = 0
+            _, _, steps = diffusion._euler_maruyama(scalar_model(), n_paths, 0.01, 0)
+            next(steps)
+            next(steps)
+            within(30, steps.close)
+            # step 0 was added; steps 1 and 2 may be drawn, not step 3
+            assert counting.calls <= 3 * blocks
 
 
 A3_SIGMA = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.1, 0.8]])

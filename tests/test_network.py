@@ -98,6 +98,23 @@ class TestBuildIn:
         assert doc["totals"]["node_count"] == 2
         assert "node 1" in net.to_outline()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha1", [1e-308, 1e-320, -1e-320, 5e-324])
+    def test_alpha1_overflowing_t_r_refused(self, alpha1):
+        # t_r = |ao| / alpha_r3 used to overflow to inf, with numpy's
+        # overflow warning
+        with pytest.raises(InputError, match=f"alpha1={alpha1} .*node 1 overflows"):
+            network.build_in(3, 0.5, alpha1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_alpha1_with_finite_t_r_builds(self):
+        for n in (3, 9):
+            net = network.build_in(n, 0.5, 1e-300)
+            assert all(math.isfinite(node["t_r"]) for node in net.nodes)
+        # a later node's t_r overflows first
+        with pytest.raises(InputError, match="node 3 overflows"):
+            network.build_in(9, 0.5, 1e-307)
+
 
 class TestEmitCode:
     def test_network_passthrough(self):
