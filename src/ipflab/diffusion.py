@@ -1,4 +1,4 @@
-"""Microlevel controlled diffusion: Euler-Maruyama ensembles and their moments.
+"""Microlevel controlled diffusion: weak Euler ensembles and their moments.
 
 The model is the Ito equation
 
@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import threading
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Optional
 
@@ -28,14 +27,13 @@ SCHEMA_VERSION = "2"
 # the definition of the simulated numbers: a fixed (seed, n_paths, dt) gives
 # the same bits only under the same stream version, which covers both the
 # noise draws (see _steps) and the moment reduction (see _moment_reducer)
-STREAM_VERSION = "4"
+STREAM_VERSION = "5"
 LN2 = math.log(2.0)
 # condition number above which a matrix that must be inverted is refused
 COND_MAX = 1e12
 
-# the paths are taken in blocks of this many: each block draws its noise
-# from its own stream, and the moment sums run over the same blocks, so the
-# draws and the order of the sums depend on n_paths alone
+# the moment sums run over blocks of this many paths, so their order
+# depends on n_paths alone
 _BLOCK = 2 ** 15
 
 
@@ -122,10 +120,14 @@ class DiffusionModel:
     (or None when no control is installed) and return (paths, n).
     diffusion(t) returns the n x n matrix sigma(t).  control_law(t, x) maps
     the ensemble state to the control; None means zero control.  The
-    simulator calls every callback in the calling thread, once per grid
-    point, on the whole ensemble, so a callback may read the whole
-    ensemble and needs no locking.  It reuses the array it passes as x, so
-    a callback that keeps the state beyond the call must copy it.
+    simulator steps the model by the simplified weak Euler scheme, with
+    two-point increments +-sqrt(dt) (Kloeden & Platen 1992, sec. 14.1): its
+    expectations converge at weak order 1, but its paths are not Gaussian
+    at finite dt, and ipflab reads only expectations of them.  It runs in
+    one thread and calls every callback in it, once per grid point, on the
+    whole ensemble, so a callback may read the whole ensemble and needs no
+    locking.  It reuses the array it passes as x, so a callback that keeps
+    the state beyond the call must copy it.
     """
 
     n: int
@@ -221,7 +223,7 @@ class EnsembleStats(Record):
 
 def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
                     drift_at_end: bool = False):
-    """The one Euler-Maruyama kernel: returns (grid, dt, steps).
+    """The one Euler kernel: returns (grid, dt, steps).
 
     Checks the arguments at once.  dt defaults to a thousandth of the
     horizon and must divide it.  steps is a generator of (t, x, a, sig) at
@@ -231,11 +233,9 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     the kernel reuses: it stays valid until the point after next is
     requested, and consumers never write to it.  The generator raises
     SimulationDivergedError with the first bad time if any path leaves the
-    finite range.  The noise is drawn by one draw thread, up to two steps
-    ahead, and by the caller's thread where the draw thread has not
-    started a block of the step it needs; the draw thread lives only while
-    the generator runs.  The callbacks and the consumer run in the
-    caller's thread (see :func:`_steps`).
+    finite range.  The scheme is the simplified weak Euler scheme: its
+    increments are two-point, +-sqrt(dt) (see :func:`_steps`).  Everything
+    runs in the caller's thread; the kernel starts no other.
     """
     if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
         raise InputError(f"n_paths must be an integer, not {n_paths!r}")
@@ -260,25 +260,32 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
 def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     """Generator behind :func:`_euler_maruyama`.
 
+    The step is x' = x + a dt + sig z, where z has independent components
+    +-sqrt(dt), each sign with probability 1/2: the simplified weak Euler
+    scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992, sec. 14.1).
+    Its increments match the first three moments of N(0, dt I), which is
+    all weak order 1 needs, so every expectation of the paths converges
+    at order dt as with Gaussian increments; the paths themselves are not
+    Gaussian at finite dt, and ipflab reads only expectations of them
+    (moments and the entropy functional's mean).
+
     Stream STREAM_VERSION: SeedSequence(seed) spawns two children.  The
     first drives an SFC64 generator that samples the initial law, by
     Cholesky when its covariance is positive definite and by eigh
     otherwise, as numpy's multivariate_normal does, except that the
     eigenvalues in [-1e-12, 0) the model admits are sampled as zero
-    (numpy scales by sqrt(|s|)).  The second spawns one child per block of
-    _BLOCK paths, the last block shorter, and each drives an SFC64
-    generator that draws its block's (path, component) normals one step
-    at a time.  For a sequential generator that is the same sequence, bit
-    for bit, as drawing the block's whole (step, path, component) tensor
-    at once, so memory stays O(paths * n), and the bits depend on
-    (seed, n_paths, dt) alone: not on which thread drew a block, on the
-    number of CPUs or on timing (see :class:`_NoiseDraw`).
+    (numpy scales by sqrt(|s|)).  The second drives one SFC64 bit
+    generator.  Each step takes ceil(n_paths * n / 64) fresh words from it,
+    read as little-endian bytes on every host; bit i of the step (bit i %
+    64 of word i // 64) is the sign of z's i-th entry in row-major (path,
+    component) order, 0 for +sqrt(dt) and 1 for -sqrt(dt).  z is formed
+    as s - 2 s bit with s = sqrt(dt), which is exact; at n = 1, z sig is
+    formed the same way from +-(s sig), the exact products (+-s) sig.  So
+    the bits depend on (seed, n_paths, dt) alone.
 
-    Drift, sigma and control callbacks, the Euler update and the consumer
-    all run in the caller's thread, once per grid point on the whole
-    ensemble.  An exception raised by a draw is raised here, whichever
-    thread drew, and the draw thread is joined when the generator ends,
-    is closed or raises.
+    Drift, sigma and control callbacks, the noise draw, the Euler update
+    and the consumer all run in the caller's thread, once per grid point
+    on the whole ensemble; the kernel starts no thread.
     """
     init_seq, noise_seq = np.random.SeedSequence(int(seed)).spawn(2)
     if not model.initial_cov.any():
@@ -292,136 +299,45 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
             s, u = np.linalg.eigh(model.initial_cov)
             factor = u * np.sqrt(np.where(s > 0, s, 0.0))
             x = model.initial_mean + rng0.standard_normal((n_paths, model.n)) @ factor.T
-    starts = range(0, n_paths, _BLOCK)
-    gens = [np.random.Generator(np.random.SFC64(seq))
-            for seq in noise_seq.spawn(len(starts))]
+    signs = np.random.SFC64(noise_seq)
+    size = x.size
+    words = -(-size // 64)
+    scale = math.sqrt(dt)
     nxt = np.empty_like(x)
-    # at n = 1 the noise is scaled in place: no (paths, n) buffer, 0.8 MB of
-    # peak RSS at 1e5 paths
+    z = np.empty_like(x)
+    # at n = 1 the noise needs no second (paths, n) buffer: 0.8 MB of peak
+    # RSS at 1e5 paths
     dw = np.empty_like(x) if model.n > 1 else None
     finite = np.empty(x.shape, dtype=bool)
     last = len(grid) - 1
-    noise = _NoiseDraw(gens, x, starts, np.sqrt(dt), last)
-    try:
-        for k, t in enumerate(grid):
-            if k == last and not drift_at_end:
-                yield t, x, None, None
-                return
-            u = model.control_law(t, x) if model.control_law is not None else None
-            a = model.drift(t, x, u)
-            sig = np.atleast_2d(np.asarray(model.diffusion(t), dtype=float))
-            if sig.shape != (model.n, model.n):
-                raise InputError(f"sigma({t}) has shape {sig.shape}, not "
-                                 f"({model.n}, {model.n})")
-            yield t, x, a, sig
-            if k == last:
-                return
-            # same operations, in the same order, as x + a * dt + z @ sig.T;
-            # nxt is never x, so a drift that returns x itself stays intact
-            np.multiply(a, dt, out=nxt)
-            nxt += x
-            z = noise.take(k)
-            if dw is None:
-                nxt += np.multiply(z, sig[0, 0], out=z)
-            else:
-                nxt += np.matmul(z, sig.T, out=dw)
-            noise.release(k)
-            if not np.isfinite(nxt, out=finite).all():
-                raise SimulationDivergedError(grid[k + 1])
-            x, nxt = nxt, x
-    finally:
-        noise.close()
-
-
-class _NoiseDraw:
-    """The scaled noise of every step, drawn by one draw thread and by the
-    caller's thread.
-
-    Block b has its own generator gens[b], which draws the block's normals
-    step after step into rows of one of two (paths, n) buffers, step k's
-    into bufs[k % 2], and scales them by sqrt(dt).  The draw thread takes
-    the (step, block) pieces in order, at most two steps ahead of the
-    caller.  take(k), called when step k needs its noise, draws every
-    block of step k that the draw thread has not started, from the last
-    block down, and waits for the rest; a caller that would wait draws
-    instead.  The draw thread takes the blocks of a step from the first
-    up, so the two meet in between.  A piece is drawn only after its
-    block's previous step, by whichever thread: each generator still
-    draws its steps in order.  The draws release the interpreter lock.
-    """
-
-    def __init__(self, gens, x, starts, scale, steps):
-        self.gens, self.scale, self.steps = gens, scale, steps
-        self.bufs = (np.empty_like(x), np.empty_like(x))
-        self.blocks = [[buf[lo:lo + _BLOCK] for lo in starts] for buf in self.bufs]
-        self.cond = threading.Condition()
-        # per block: steps taken by either thread, and steps drawn
-        self.claimed = [0] * len(gens)
-        self.drawn = [0] * len(gens)
-        # steps whose buffer the caller has finished with
-        self.released = 0
-        self.error = None
-        self.stopped = False
-        self.thread = threading.Thread(target=self._run, name="ipflab-noise",
-                                       daemon=True)
-        self.thread.start()
-
-    def _draw(self, k, b):
-        z = self.blocks[k % 2][b]
-        self.gens[b].standard_normal(out=z)
-        z *= self.scale
-        with self.cond:
-            self.drawn[b] = k + 1
-            self.cond.notify_all()
-
-    def _run(self):
-        try:
-            for k in range(self.steps):
-                for b in range(len(self.gens)):
-                    with self.cond:
-                        self.cond.wait_for(lambda: (
-                            self.stopped or self.claimed[b] > k
-                            or (k < self.released + 2 and self.drawn[b] == k)))
-                        if self.stopped:
-                            return
-                        if self.claimed[b] > k:
-                            continue
-                        self.claimed[b] = k + 1
-                    self._draw(k, b)
-        except BaseException as exc:
-            # raised again in the caller's thread, by take
-            with self.cond:
-                self.error = exc
-                self.cond.notify_all()
-
-    def take(self, k):
-        """Step k's noise, once each of its blocks is drawn."""
-        for b in reversed(range(len(self.gens))):
-            with self.cond:
-                if self.claimed[b] > k:
-                    # the draw thread has this block and every one below it
-                    break
-                self.claimed[b] = k + 1
-            self._draw(k, b)
-        with self.cond:
-            self.cond.wait_for(lambda: self.error is not None
-                               or min(self.drawn) > k)
-            if self.error is not None:
-                raise self.error
-        return self.bufs[k % 2]
-
-    def release(self, k):
-        """The caller is done with step k's buffer: step k + 2 may fill it."""
-        with self.cond:
-            self.released = k + 1
-            self.cond.notify_all()
-
-    def close(self):
-        """Stop the draw thread after its current piece, and join it."""
-        with self.cond:
-            self.stopped = True
-            self.cond.notify_all()
-        self.thread.join()
+    for k, t in enumerate(grid):
+        if k == last and not drift_at_end:
+            yield t, x, None, None
+            return
+        u = model.control_law(t, x) if model.control_law is not None else None
+        a = model.drift(t, x, u)
+        sig = np.atleast_2d(np.asarray(model.diffusion(t), dtype=float))
+        if sig.shape != (model.n, model.n):
+            raise InputError(f"sigma({t}) has shape {sig.shape}, not "
+                             f"({model.n}, {model.n})")
+        yield t, x, a, sig
+        if k == last:
+            return
+        # same operations, in the same order, as x + a * dt + z @ sig.T;
+        # nxt is never x, so a drift that returns x itself stays intact
+        np.multiply(a, dt, out=nxt)
+        nxt += x
+        raw = signs.random_raw(words).astype("<u8", copy=False)
+        bits = np.unpackbits(raw.view(np.uint8), count=size, bitorder="little")
+        # v - 2 v bit is +-v exactly; at n = 1, z sig = +-(s sig) exactly, so
+        # the signs pick from +-(s sig) directly, one pass fewer
+        v = scale * sig[0, 0] if dw is None else scale
+        np.multiply(bits.reshape(x.shape), -2.0 * v, out=z)
+        z += v
+        nxt += z if dw is None else np.matmul(z, sig.T, out=dw)
+        if not np.isfinite(nxt, out=finite).all():
+            raise SimulationDivergedError(grid[k + 1])
+        x, nxt = nxt, x
 
 
 def _moment_reducer(n_paths: int, n: int):
@@ -470,7 +386,7 @@ def _moment_reducer(n_paths: int, n: int):
 
 def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
                       seed: int = 0) -> EnsembleStats:
-    """Euler-Maruyama ensemble of the controlled diffusion.
+    """Weak Euler ensemble of the controlled diffusion (see :func:`_steps`).
 
     Deterministic for fixed (seed, n_paths, dt).  dt must divide the
     horizon.  Raises SimulationDivergedError with the first bad time if any

@@ -24,7 +24,7 @@ from ipflab import (cli, control, diagnostics, diffusion, eigenchain, entropy,
 from ipflab.errors import NonFiniteOutputError
 
 SCHEMA = "2"
-STREAM = "4"
+STREAM = "5"
 
 
 # -- reference renderers ------------------------------------------------------
@@ -204,7 +204,7 @@ def test_simulate_json_and_csv(tmp_path, feedback):
     run_cli(["simulate"] + SIM + extra + ["--format", "csv",
                                           "--out", str(tmp_path)])
     assert ((tmp_path / "ensemble.csv").read_bytes().decode()
-            == "# schema_version=2 stream_version=4 seed=1 n_paths=200 dt=0.02\n"
+            == "# schema_version=2 stream_version=5 seed=1 n_paths=200 dt=0.02\n"
             + stats.to_csv())
 
 

@@ -171,10 +171,13 @@ class TestStochasticCommands:
             docs[theta] = capsys.readouterr().out
         assert docs["1"] != docs["-1"]
         for theta, text in docs.items():
-            # the covariance ratio carries the sign of the simulated theta
-            ratio = json.loads(text)["reports"][1]
-            assert ratio["method"] == "covariance-ratio"
-            assert (ratio["A"][0][0] > 0) == (float(theta) > 0)
+            # the closed-loop route's A is b r(tau)^{-1} with b = 0.5, so it
+            # shows r(1): 10.6 from x0^2 = 1 at theta = 1, 0.57 at theta = -1.
+            # The covariance ratio's A, theta + b / r(tau), is -0.12 at
+            # theta = -1 with a standard error near 0.4: its sign is no check
+            loop = json.loads(text)["reports"][3]
+            assert loop["method"] == "closed-loop"
+            assert (0.5 / loop["A"][0][0] > 1.0) == (float(theta) > 0)
 
 
 class TestPipeline:

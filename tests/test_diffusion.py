@@ -301,3 +301,88 @@ class TestExport:
         assert len(rows) == len(stats.grid) + 1
         doc = json.loads(stats.to_json())
         assert doc["seed"] == 0 and len(doc["grid"]) == len(stats.grid)
+
+
+def euler_moments(a, sigma, mean0, cov0, dt, n_steps):
+    """Mean and E[x x^T] of the Euler recursion x' = M x + sigma dW, with
+    M = I + a dt, at every grid point: m <- M m, R <- M R M^T + sigma
+    sigma^T dt.  They are exact for any increments with E dW = 0 and
+    E dW dW^T = dt I, Gaussian or two-point, so they check the scheme and
+    not a sampler."""
+    M = np.eye(len(a)) + a * dt
+    m = np.array(mean0, dtype=float)
+    R = np.array(cov0, dtype=float) + np.outer(m, m)
+    means, rs = [m], [R]
+    for _ in range(n_steps):
+        m = M @ m
+        R = M @ R @ M.T + sigma @ sigma.T * dt
+        means.append(m)
+        rs.append(R)
+    return np.array(means), np.array(rs)
+
+
+def assert_moments_within(stats, means, rs, n_paths, k=5.0):
+    """Every simulated mean and r entry within k standard errors of the
+    exact ones, at every grid point.  The standard errors are those of a
+    Gaussian x with these moments: two-point increments have a negative
+    fourth cumulant, so the Gaussian variance of x_i x_j bounds theirs
+    from above.  A deterministic start has none; there r is a sum of
+    equal squares, exact to rounding."""
+    cov = rs - np.einsum("ti,tj->tij", means, means)
+    var = np.einsum("tii->ti", cov)
+    mi, mj = means[:, :, None], means[:, None, :]
+    vi, vj = var[:, :, None], var[:, None, :]
+    var_r = vi * vj + cov ** 2 + mi ** 2 * vj + mj ** 2 * vi + 2 * mi * mj * cov
+    assert np.all(np.abs(stats.mean - means) <= k * np.sqrt(var / n_paths))
+    assert np.all(np.abs(stats.r - rs)
+                  <= k * np.sqrt(var_r / n_paths) + 1e-12 * np.abs(rs))
+
+
+# ensemble3's model: drift x A^T, sigma = I, from N(0, P) with
+# P = -A^{-1} / 2, stationary for the diffusion (not for Euler, whose
+# stationary law differs by O(dt))
+A3 = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, 0.2], [0.0, 0.2, -0.5]])
+P3 = -np.linalg.inv(A3) / 2
+ENSEMBLE3 = diffusion.DiffusionModel(
+    n=3, drift=lambda t, x, u: x @ A3.T, diffusion=lambda t: np.eye(3),
+    initial_mean=np.zeros(3), initial_cov=P3, horizon=(0.0, 2.0))
+
+
+class TestWeakScheme:
+    """The simulated moments and entropy against the exact moments of the
+    Euler recursion the kernel steps, which two-point increments keep."""
+
+    def test_ou_moments(self):
+        # the pipeline model, dx = -x dt + dW from x0 = 1
+        n_paths, dt = 20000, 1e-3
+        stats = diffusion.simulate_ensemble(ou_model(x0=1.0, horizon=(0.0, 1.0)),
+                                            n_paths, dt=dt, seed=1)
+        means, rs = euler_moments(-np.eye(1), np.eye(1), [1.0], [[0.0]], dt, 1000)
+        assert_moments_within(stats, means, rs, n_paths)
+
+    def test_three_dim_stationary_moments(self):
+        n_paths, dt = 20000, 2e-3
+        stats = diffusion.simulate_ensemble(ENSEMBLE3, n_paths, dt=dt, seed=1)
+        means, rs = euler_moments(A3, np.eye(3), np.zeros(3), P3, dt, 1000)
+        assert_moments_within(stats, means, rs, n_paths)
+
+    def test_growth_entropy(self):
+        # dx = x dt + dW from x0 = 1: q = x^2, so E of the trapezoid of q is
+        # the trapezoid of the recursion's r
+        n_paths, dt = 20000, 1e-3
+        model = diffusion.DiffusionModel(
+            n=1, drift=lambda t, x, u: x, diffusion=lambda t: [[1.0]],
+            initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 1.0))
+        r = euler_moments(np.eye(1), np.eye(1), [1.0], [[0.0]], dt, 1000)[1][:, 0, 0]
+        exact = 0.5 * dt * (r.sum() - 0.5 * (r[0] + r[-1]))
+        est = entropy.entropy_mc(model, n_paths, dt=dt, seed=1)
+        assert abs(est.value - exact) <= 5 * est.std_error
+
+    def test_three_dim_entropy(self):
+        # 2b = I, so q = |A x|^2, whose mean is tr(A R A^T)
+        n_paths, dt = 20000, 2e-3
+        rs = euler_moments(A3, np.eye(3), np.zeros(3), P3, dt, 1000)[1]
+        q = np.einsum("ij,tjk,ik->t", A3, rs, A3)
+        exact = 0.5 * dt * (q.sum() - 0.5 * (q[0] + q[-1]))
+        est = entropy.entropy_mc(ENSEMBLE3, n_paths, dt=dt, seed=1)
+        assert abs(est.value - exact) <= 5 * est.std_error

@@ -1,20 +1,19 @@
-"""The streaming Euler-Maruyama kernel against the loop it replaced.
+"""The streaming Euler kernel against the loop it replaced.
 
-The reference below draws each block's whole (steps, paths, n) noise tensor
-at once, steps the whole ensemble with fresh arrays and solves against 2b
-at every grid point, as the simulator and the entropy estimator did before
-they shared one kernel.  Bit-reproducibility for a fixed (seed, n_paths,
-dt) requires the kernel to match it exactly, not within a tolerance.
+The reference below draws every step's noise words at once, reads their
+bits by integer shifts, steps the whole ensemble with fresh arrays and
+solves against 2b at every grid point, as the simulator and the entropy
+estimator did before they shared one kernel.  Bit-reproducibility for a
+fixed (seed, n_paths, dt) requires the kernel to match it exactly, not
+within a tolerance.
 """
 
-import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -28,39 +27,38 @@ from kernel_states import kernel_states
 A3 = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, 0.2], [0.0, 0.2, -0.5]])
 P3 = -np.linalg.inv(A3) / 2          # stationary covariance, positive definite
 
-# paths per block: of the noise streams and of the moment reduction
+# paths per block of the moment reduction
 BLOCK = 2 ** 15
 
 
-def stream4(seed, n_paths):
-    """Stream 4's generators, written out here rather than taken from the
-    kernel: one for the initial law, and (first path, generator) for the
-    noise of each block of BLOCK paths, spawned from the second child."""
+def stream5(seed):
+    """Stream 5's generators, written out here rather than taken from the
+    kernel: one for the initial law, and the noise's bit generator, from
+    the two children of the seed's SeedSequence."""
     init_seq, noise_seq = np.random.SeedSequence(seed).spawn(2)
-    starts = range(0, n_paths, BLOCK)
-    return (np.random.Generator(np.random.SFC64(init_seq)),
-            [(lo, np.random.Generator(np.random.SFC64(seq)))
-             for lo, seq in zip(starts, noise_seq.spawn(len(starts)))])
+    return np.random.Generator(np.random.SFC64(init_seq)), np.random.SFC64(noise_seq)
 
 
 def reference_paths(model, n_paths, dt, seed):
-    """Grid and ensemble at every grid point, from each block's whole noise
-    tensor."""
+    """Grid and ensemble at every grid point, from every step's noise words
+    drawn at once: each step takes ceil(paths * n / 64) words, and bit j
+    of a step is bit j % 64 of its word j // 64, the sign of the j-th
+    increment in (path, component) order, 1 for -sqrt(dt)."""
     s, t_end = model.horizon
     n_steps = int(round((t_end - s) / dt))
     grid = s + dt * np.arange(n_steps + 1)
-    rng0, blocks = stream4(seed, n_paths)
+    rng0, noise = stream5(seed)
     if not model.initial_cov.any():
         x = np.tile(model.initial_mean, (n_paths, 1))
     else:
         x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
                                      size=n_paths, method="cholesky" if
                                      np.min(np.linalg.eigvalsh(model.initial_cov)) > 0 else "eigh")
-    dW = np.empty((n_steps, n_paths, model.n))
-    for lo, gen in blocks:
-        block = dW[:, lo:lo + BLOCK]
-        block[:] = gen.standard_normal(block.shape)
-    dW *= np.sqrt(dt)
+    size = n_paths * model.n
+    words = noise.random_raw(n_steps * -(-size // 64)).reshape(n_steps, -1)
+    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    bits = bits.reshape(n_steps, -1)[:, :size].reshape(n_steps, n_paths, model.n)
+    dW = np.where(bits == 1, -math.sqrt(dt), math.sqrt(dt))
     xs = [x]
     for k in range(n_steps):
         t = grid[k]
@@ -106,12 +104,12 @@ def reference_entropy(model, n_paths, dt, seed):
         assert np.linalg.cond(twob) <= 1e12
         return np.einsum("pi,pi->p", a, np.linalg.solve(twob, a.T).T)
 
-    integral = np.zeros(n_paths)
-    prev_q = quadratic(grid[0], xs[0])
-    for k in range(len(grid) - 1):
-        q = quadratic(grid[k + 1], xs[k + 1])
-        integral += 0.5 * dt * (prev_q + q)
-        prev_q = q
+    # q/2 at the ends, q inside, in grid order; times dt at the end
+    qs = [quadratic(t, x) for t, x in zip(grid, xs)]
+    integral = 0.5 * qs[0]
+    for q in qs[1:-1]:
+        integral = integral + q
+    integral = (integral + 0.5 * qs[-1]) * dt
     half = 0.5 * integral
     return float(np.mean(half)), float(np.std(half, ddof=1) / math.sqrt(n_paths))
 
@@ -223,54 +221,23 @@ def scalar_model(drift=lambda t, x, u: -x):
         initial_cov=[[0.0]], horizon=(0.0, 1.0))
 
 
-def within(seconds, fn):
-    """fn() run on a watchdog thread: its result, or its exception raised
-    here; fails instead of hanging if fn does not return in time."""
-    box = {}
+class TestOneThread:
+    """The kernel runs in the caller's thread and starts no other."""
 
-    def run():
-        try:
-            box["value"] = fn()
-        except BaseException as exc:
-            box["error"] = exc
-
-    watchdog = threading.Thread(target=run, daemon=True)
-    watchdog.start()
-    watchdog.join(seconds)
-    assert not watchdog.is_alive(), f"no return within {seconds} s"
-    if "error" in box:
-        raise box["error"]
-    return box["value"]
-
-
-class TestNoiseThread:
-    """The noise is drawn by one draw thread and by the caller's thread; the
-    draw thread never outlives the kernel call, however the call ends."""
-
-    def test_one_extra_thread_during_a_run_none_after(self):
-        before = threading.active_count()
+    def test_no_thread_started(self):
+        before = threading.enumerate()
         seen = []
 
         def drift(t, x, u):
-            seen.append(threading.active_count())
+            seen.append(threading.enumerate())
             return -x
 
         diffusion.simulate_ensemble(scalar_model(drift), 100, dt=0.01, seed=1)
-        assert threading.active_count() == before
         entropy.entropy_mc(scalar_model(drift), 100, dt=0.01, seed=1)
-        assert threading.active_count() == before
-        assert max(seen) <= before + 1
+        assert len(seen) == 100 + 101
+        assert all(threads == before for threads in seen)
 
-    def test_closed_generator_joins_its_thread(self):
-        before = threading.active_count()
-        _, _, steps = diffusion._euler_maruyama(scalar_model(), 100, 0.01, 0)
-        next(steps)
-        next(steps)
-        assert threading.active_count() == before + 1
-        within(30, steps.close)
-        assert threading.active_count() == before
-
-    def test_raising_drift_propagates_and_joins(self):
+    def test_raising_drift_propagates(self):
         class Boom(Exception):
             pass
 
@@ -279,144 +246,33 @@ class TestNoiseThread:
                 raise Boom(t)
             return -x
 
-        before = threading.active_count()
-        with pytest.raises(Boom):
-            within(30, lambda: diffusion.simulate_ensemble(
-                scalar_model(drift), 100, dt=0.01, seed=1))
-        assert threading.active_count() == before
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            with pytest.raises(Boom):
+                run(scalar_model(drift), 100, dt=0.01, seed=1)
 
-    def test_divergence_reports_first_bad_time_and_joins(self):
+    def test_divergence_reports_first_bad_time(self):
         # x is 1, then about 1e299, then inf at the second step
         model = scalar_model(lambda t, x, u: 1e300 * x)
-
-        def diverge(run):
-            # errstate holds only in the thread that sets it
-            with np.errstate(over="ignore", invalid="ignore"):
-                run(model, 50, dt=0.1, seed=2)
-
-        before = threading.active_count()
         for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
-            with pytest.raises(SimulationDivergedError) as exc:
-                within(30, lambda: diverge(run))
+            with pytest.raises(SimulationDivergedError) as exc, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                run(model, 50, dt=0.1, seed=2)
             assert exc.value.t_bad == 0.1 * 2
-            assert threading.active_count() == before
-
-    def test_failing_draw_raised_in_caller(self, monkeypatch):
-        # the tenth draw is block 1 of step 2
-        steps, blocks, fail_at = 10, 4, 10
-        for mode in ("normal", "caller", "draw thread"):
-            with monkeypatch.context() as patch:
-                recording, hold = draws_by(patch, mode, blocks, steps)
-                recording.fail_at = fail_at
-
-                def run():
-                    recording.caller = threading.current_thread()
-                    diffusion.simulate_ensemble(shared_model(1, hold, steps),
-                                                SHARED_PATHS, dt=0.1, seed=1)
-
-                before = threading.active_count()
-                with pytest.raises(RuntimeError, match="draw failed"):
-                    within(30, run)
-                assert threading.active_count() == before
-            failing = recording.threads[fail_at - 1]
-            if mode == "caller":
-                assert failing is recording.caller
-            elif mode == "draw thread":
-                assert failing is not recording.caller
 
 
-# four blocks, the last of 5 paths
+# four blocks of the moment reduction, the last of 5 paths
 SHARED_PATHS = 3 * BLOCK + 5
 
 
-def shared_model(n, hold=lambda: None, steps=3):
-    """The n-dimensional model of A3 from its stationary law, with hold()
-    called at the start of every drift call."""
-    a, sigma = A3[:n, :n], A3_SIGMA[:n, :n]
-
-    def drift(t, x, u):
-        hold()
-        return x @ a.T
-
-    return diffusion.DiffusionModel(
-        n=n, drift=drift, diffusion=lambda t: sigma,
-        initial_mean=[0.1, 0.0, -0.2][:n], initial_cov=-np.linalg.inv(a) / 2,
-        horizon=(0.0, 0.1 * steps))
-
-
-def draws_by(monkeypatch, mode, blocks, steps):
-    """(recording, hold): the noise generators record the thread of each
-    draw in recording.threads, and draw number recording.fail_at, if set,
-    raises.  In mode "caller" the draw thread draws nothing, so the caller
-    draws every block.  In mode "draw thread", hold(), called at the start
-    of the drift at grid point k, returns only once the draw thread has
-    started every block of step k, so the caller draws none."""
-
-    class Recording(np.random.Generator):
-        cond = threading.Condition()
-        threads = []
-        fail_at = None
-        failed = False
-
-        def standard_normal(self, *args, **kwargs):
-            if "out" not in kwargs:
-                # the initial law's draw
-                return super().standard_normal(*args, **kwargs)
-            with Recording.cond:
-                Recording.threads.append(threading.current_thread())
-                fail = len(Recording.threads) == Recording.fail_at
-                Recording.failed |= fail
-                Recording.cond.notify_all()
-            if fail:
-                raise RuntimeError("draw failed")
-            return super().standard_normal(*args, **kwargs)
-
-    monkeypatch.setattr(diffusion.np.random, "Generator", Recording)
-    if mode == "caller":
-        monkeypatch.setattr(diffusion._NoiseDraw, "_run", lambda self: None)
-    grid_points = itertools.count()
-
-    def hold():
-        if mode != "draw thread":
-            return
-        target = blocks * min(next(grid_points) + 1, steps)
-        with Recording.cond:
-            assert Recording.cond.wait_for(
-                lambda: Recording.failed or len(Recording.threads) >= target,
-                timeout=30)
-
-    return Recording, hold
-
-
-@pytest.mark.parametrize("n", [1, 3])
-def test_bits_do_not_depend_on_who_draws(monkeypatch, n):
-    """The draw thread drawing every block, the caller drawing every block
-    and a normal run give the same bytes, in both entry points."""
-    results = {}
-    for mode in ("normal", "caller", "draw thread"):
-        outputs = []
-        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
-            with monkeypatch.context() as patch:
-                recording, hold = draws_by(patch, mode, 4, 3)
-                out, caller = within(60, lambda: (
-                    run(shared_model(n, hold), SHARED_PATHS, dt=0.1, seed=6),
-                    threading.current_thread()))
-            assert len(recording.threads) == 4 * 3
-            if mode == "caller":
-                assert all(t is caller for t in recording.threads)
-            elif mode == "draw thread":
-                assert all(t is not caller for t in recording.threads)
-            outputs += ([out.mean, out.r] if run is diffusion.simulate_ensemble
-                        else [np.array([out.value, out.std_error])])
-        results[mode] = b"".join(o.tobytes() for o in outputs)
-    assert results["caller"] == results["normal"] == results["draw thread"]
-
-
 def test_bits_under_thread_contention():
-    """Three kernel calls at once, each with its own draw thread, on two
-    cores or fewer, with the interpreter switching threads every
-    microsecond, give the bytes of one call alone."""
-    model = shared_model(1, steps=20)
+    """Three kernel calls at once, each in its own thread, on two cores or
+    fewer, with the interpreter switching threads every microsecond, give
+    the bytes of one call alone: the kernel shares no state between calls."""
+    sigma = A3_SIGMA[:1, :1]
+    model = diffusion.DiffusionModel(
+        n=1, drift=lambda t, x, u: x @ A3[:1, :1].T, diffusion=lambda t: sigma,
+        initial_mean=[0.1], initial_cov=-np.linalg.inv(A3[:1, :1]) / 2,
+        horizon=(0.0, 2.0))
     alone = diffusion.simulate_ensemble(model, SHARED_PATHS, dt=0.1, seed=3)
     results = [None] * 3
 
@@ -441,41 +297,11 @@ def test_bits_under_thread_contention():
         assert res.r.tobytes() == alone.r.tobytes()
 
 
-def test_each_block_draws_its_steps_in_order(monkeypatch):
-    """A block's step is drawn only once its previous step is, also when
-    the other thread draws that one slowly.  Block 0's first draw, which
-    the draw thread makes, and block 2's first draw sleep, so that the
-    caller draws block 2 of step 0 while the draw thread reaches step 1."""
-    # a zero initial law: the kernel makes no generator but the blocks'
-    model = diffusion.DiffusionModel(
-        n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[0.7]],
-        initial_mean=[0.5], initial_cov=[[0.0]], horizon=(0.0, 0.3))
-    normal = diffusion.simulate_ensemble(model, SHARED_PATHS, dt=0.1, seed=5)
-    created = itertools.count()
-
-    class Slow(np.random.Generator):
-        def __init__(self, *args):
-            super().__init__(*args)
-            # the kernel makes the blocks' generators in block order
-            self.block, self.draws = next(created), 0
-
-        def standard_normal(self, *args, **kwargs):
-            self.draws += 1
-            if self.draws == 1 and self.block in (0, 2):
-                time.sleep(0.2 * (1 + self.block))
-            return super().standard_normal(*args, **kwargs)
-
-    monkeypatch.setattr(diffusion.np.random, "Generator", Slow)
-    slow = within(30, lambda: diffusion.simulate_ensemble(
-        model, SHARED_PATHS, dt=0.1, seed=5))
-    assert slow.r.tobytes() == normal.r.tobytes()
-
-
 def test_callbacks_and_consumer_run_in_the_caller(monkeypatch):
     """Every callback, the consumer of the kernel and the moment reducer run
-    in the calling thread, also while the draw thread draws: cProfile counts
-    only the calling thread on Python 3.10 and 3.11, but every thread from
-    3.12, so the traced benchmark run alone cannot show this."""
+    in the calling thread: cProfile counts only the calling thread on
+    Python 3.10 and 3.11, but every thread from 3.12, so the traced
+    benchmark run alone cannot show this."""
     threads = set()
 
     def record(fn):
@@ -493,56 +319,52 @@ def test_callbacks_and_consumer_run_in_the_caller(monkeypatch):
         diffusion=record(lambda t: sigma),
         control_law=record(lambda t, x: -0.1 * x),
         initial_mean=[0.1, 0.0, -0.2], initial_cov=P3, horizon=(0.0, 0.5))
-
-    def run():
-        for _, _, _, _ in diffusion._euler_maruyama(model, SHARED_PATHS, 0.1, 2)[2]:
-            threads.add(threading.current_thread())
-        diffusion.simulate_ensemble(model, SHARED_PATHS, dt=0.1, seed=2)
-        entropy.entropy_mc(model, SHARED_PATHS, dt=0.1, seed=2)
-        return threading.current_thread()
-
-    caller = within(60, run)
-    assert threads == {caller}
+    for _, _, _, _ in diffusion._euler_maruyama(model, SHARED_PATHS, 0.1, 2)[2]:
+        threads.add(threading.current_thread())
+    diffusion.simulate_ensemble(model, SHARED_PATHS, dt=0.1, seed=2)
+    entropy.entropy_mc(model, SHARED_PATHS, dt=0.1, seed=2)
+    assert threads == {threading.current_thread()}
 
 
 class TestDrawCount:
-    """Each block's stream is drawn once per step, never more than two
-    steps ahead."""
+    """The noise generator is drawn once per step, ceil(paths * n / 64)
+    words at a time, and never ahead of the step that needs it."""
 
     @staticmethod
     def counting(monkeypatch):
-        class Counting(np.random.Generator):
-            calls = 0
+        class Counting(np.random.SFC64):
+            sizes = []
 
-            def standard_normal(self, *args, **kwargs):
-                Counting.calls += 1
-                return super().standard_normal(*args, **kwargs)
+            def random_raw(self, size=None, output=True):
+                Counting.sizes.append(size)
+                return super().random_raw(size, output)
 
-        monkeypatch.setattr(diffusion.np.random, "Generator", Counting)
+        monkeypatch.setattr(diffusion.np.random, "SFC64", Counting)
         return Counting
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 50])
     def test_full_run_draws_once_per_step(self, monkeypatch, steps):
         counting = self.counting(monkeypatch)
-        model = diffusion.DiffusionModel(
-            n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[1.0]],
-            initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 0.1 * steps))
-        for n_paths, blocks in ((100, 1), (SHARED_PATHS, 4)):
+        for n, n_paths, words in ((1, 100, 2), (1, SHARED_PATHS, 1537),
+                                  (3, 64, 3), (3, 2000, 94)):
+            model = diffusion.DiffusionModel(
+                n=n, drift=lambda t, x, u: -x, diffusion=lambda t: np.eye(n),
+                initial_mean=np.ones(n), initial_cov=np.eye(n),
+                horizon=(0.0, 0.1 * steps))
             for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
-                counting.calls = 0
-                within(30, lambda: run(model, n_paths, dt=0.1, seed=1))
-                assert counting.calls == steps * blocks
+                counting.sizes.clear()
+                run(model, n_paths, dt=0.1, seed=1)
+                assert counting.sizes == [words] * steps
 
     def test_closed_generator_drew_at_most_two_ahead(self, monkeypatch):
         counting = self.counting(monkeypatch)
-        for n_paths, blocks in ((100, 1), (SHARED_PATHS, 4)):
-            counting.calls = 0
-            _, _, steps = diffusion._euler_maruyama(scalar_model(), n_paths, 0.01, 0)
-            next(steps)
-            next(steps)
-            within(30, steps.close)
-            # step 0 was added; steps 1 and 2 may be drawn, not step 3
-            assert counting.calls <= 3 * blocks
+        _, _, steps = diffusion._euler_maruyama(scalar_model(), 100, 0.01, 0)
+        next(steps)
+        assert counting.sizes == []
+        next(steps)
+        steps.close()
+        # step 0 was added to reach the second grid point; no step ahead
+        assert counting.sizes == [2]
 
 
 A3_SIGMA = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.1, 0.8]])
@@ -555,8 +377,9 @@ A3_SIGMA = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.1, 0.8]])
        initial_law=st.booleans(), scale=st.floats(0.5, 2.0))
 def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
                                            initial_law, scale):
-    """Horizons shorter than the two-buffer ring, and ensembles across the
-    moment reduction's block boundary, give the reference loop's bits."""
+    """Horizons of one to six steps, ensembles across a noise word's and
+    the moment reduction's block boundary, give the reference loop's
+    bits."""
     a = A3[:n, :n]
     sigma = scale * A3_SIGMA[:n, :n]
     model = diffusion.DiffusionModel(
@@ -668,12 +491,12 @@ def test_moments_pinned(n):
 
 # run in a fresh process: the SIMD targets numpy dispatches to there, and
 # SHA-256 digests of the reducer's output on ensembles across the block
-# bound and of a small n = 1 simulation's moments
+# bound and of a small n = 1 simulation's moments and entropy estimate
 DISPATCH_PROBE = """
 import hashlib, json
 import numpy as np
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-from ipflab import diffusion
+from ipflab import diffusion, entropy
 
 def digest(*arrays):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
@@ -690,6 +513,8 @@ model = diffusion.DiffusionModel(
     initial_mean=[0.5], initial_cov=[[0.2]], horizon=(0.0, 1.0))
 stats = diffusion.simulate_ensemble(model, 3000, dt=0.02, seed=4)
 digests["simulate"] = digest(stats.mean, stats.r)
+est = entropy.entropy_mc(model, 3000, dt=0.02, seed=4)
+digests["entropy"] = digest(np.array([est.value, est.std_error]))
 print(json.dumps({"dispatch": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
                   "digests": digests}))
 """
@@ -709,8 +534,9 @@ def dispatch_probe(disabled):
 
 
 def test_bits_do_not_depend_on_simd_dispatch():
-    """The moment reducer and an n = 1 simulation give the same bytes when
-    numpy dispatches to fewer SIMD targets, as on an older host: each
+    """The moment reducer, and simulate_ensemble and entropy_mc at n = 1,
+    whose increments are exact, give the same bytes when numpy
+    dispatches to fewer SIMD targets, as on an older host: each
     process disables one more of the targets this host has, from the top,
     down to numpy's baseline."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
