@@ -24,18 +24,13 @@ from .diffusion import LN2, SCHEMA_VERSION, document, stream_stamp
 from .errors import IpfError
 
 
-def _scalar_model(theta: float, sigma: float, x0: float, horizon,
-                  feedback: bool = False) -> diffusion.DiffusionModel:
-    """Scalar linear model dx = theta (x + v) dt + sigma dW."""
-    law = (lambda t, x: -2.0 * x) if feedback else None
-    if feedback:
-        drift = lambda t, x, u: theta * (x + u)
-    else:
-        drift = lambda t, x, u: theta * x
+def _scalar_model(theta: float, sigma: float, x0: float,
+                  horizon) -> diffusion.DiffusionModel:
+    """Scalar linear model dx = theta x dt + sigma dW.  Under the doubling
+    feedback v = -2x, theta (x + v) is (-theta) x: pass -theta for it."""
     return diffusion.DiffusionModel(
-        n=1, drift=drift, diffusion=lambda t: [[sigma]],
-        initial_mean=[x0], initial_cov=[[0.0]],
-        horizon=tuple(horizon), control_law=law)
+        n=1, drift=lambda t, x, u: theta * x, diffusion=lambda t: [[sigma]],
+        initial_mean=[x0], initial_cov=[[0.0]], horizon=tuple(horizon))
 
 
 def _outdir(args) -> Path:
@@ -51,8 +46,7 @@ def _write(path: Path, text: str):
 
 
 def cmd_simulate(args) -> int:
-    model = _scalar_model(args.theta, args.sigma, args.x0,
-                          (0.0, args.horizon), feedback=args.feedback)
+    model = _scalar_model(args.theta, args.sigma, args.x0, (0.0, args.horizon))
     stats = diffusion.simulate_ensemble(model, args.n_paths, dt=args.dt,
                                         seed=args.seed)
     stats = diffusion.covariance_derivative(stats)
@@ -68,8 +62,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    model = _scalar_model(args.theta, args.sigma, args.x0,
-                          (0.0, args.horizon), feedback=False)
+    model = _scalar_model(args.theta, args.sigma, args.x0, (0.0, args.horizon))
     mc = entropy.entropy_mc(model, args.n_paths, dt=args.dt, seed=args.seed)
     grid = np.linspace(0.0, args.horizon, 2001)
     # closed-form covariance of the linear model from its moment equation
@@ -91,8 +84,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    model = _scalar_model(args.theta, args.sigma, args.x0,
-                          (0.0, args.horizon), feedback=False)
+    model = _scalar_model(args.theta, args.sigma, args.x0, (0.0, args.horizon))
     stats = diffusion.simulate_ensemble(model, args.n_paths, dt=args.dt,
                                         seed=args.seed)
     tau = args.horizon
@@ -238,7 +230,7 @@ def cmd_reproduce(args) -> int:
 def cmd_pipeline(args) -> int:
     """Six documents, written once every stage has run: a stage that fails
     leaves no partial set of artifacts behind."""
-    model = _scalar_model(-1.0, 1.0, 1.0, (0.0, args.horizon), feedback=False)
+    model = _scalar_model(-1.0, 1.0, 1.0, (0.0, args.horizon))
     stats = diffusion.simulate_ensemble(model, args.n_paths, dt=args.dt,
                                         seed=args.seed)
     stats = diffusion.covariance_derivative(stats)
@@ -286,7 +278,6 @@ def build_parser(config: dict = None) -> argparse.ArgumentParser:
         p.add_argument("--x0", type=float, default=1.0)
     cmds["simulate"].add_argument("--format", choices=("json", "csv"),
                                   default="json")
-    cmds["simulate"].add_argument("--feedback", action="store_true")
     for name in ("schedule", "network", "diagnose", "pipeline"):
         p = cmds[name]
         p.add_argument("--n", type=int, default=3)
@@ -309,14 +300,12 @@ def build_parser(config: dict = None) -> argparse.ArgumentParser:
 def _config_misfit(action, val):
     """What a config value for this flag must be, or None if it fits.
 
-    Values are refused, never converted: a bool for a switch, an int (not
-    a bool) for an int flag, an int or a float for a float flag, one of
-    the choices where the flag has them, a string otherwise; null only
-    where the flag's default is None.
+    Values are refused, never converted: an int (not a bool) for an int
+    flag, an int or a float for a float flag, one of the choices where the
+    flag has them, a string otherwise; null only where the flag's default
+    is None.
     """
-    if action.nargs == 0:
-        want, ok = "true or false", isinstance(val, bool)
-    elif action.type is int:
+    if action.type is int:
         want, ok = "an integer", isinstance(val, int) and not isinstance(val, bool)
     elif action.type is float:
         want, ok = "a number", (isinstance(val, (int, float))

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import bisect
-from .diffusion import EnsembleStats, Record
+from .diffusion import EnsembleStats, Record, guarded_inv
 from .errors import DegenerateEnsembleError, InputError, UndefinedAngleError
-from .identification import _guarded_inv
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def starting_control(stats: EnsembleStats, at: float) -> dict:
     """
     r = np.atleast_2d(stats.r_at(at))
     b = 0.5 * np.atleast_2d(stats.r_dot_at(at))
-    r_inv = _guarded_inv(r, "r")
+    r_inv = guarded_inv(r, "r", DegenerateEnsembleError)
     mean = stats.mean[stats.index_of(at)]
     v = -2.0 * mean
     u = b @ r_inv @ v
@@ -188,8 +187,9 @@ def schedule_from_invariants(inv, spectrum) -> SegmentSchedule:
     segment by construction.
     """
     spec = np.atleast_1d(np.asarray(spectrum, dtype=float))
-    if np.any(spec == 0):
-        raise InputError("spectrum entries must be nonzero")
+    if np.any(spec == 0) or not np.isfinite(spec).all():
+        raise InputError(f"spectrum entries must be finite and nonzero, "
+                         f"not {spec.tolist()}")
     durations = inv.ao_abs / np.abs(spec)
     t = 0.0
     dps = []

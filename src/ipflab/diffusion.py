@@ -37,6 +37,21 @@ COND_MAX = 1e12
 _BLOCK = 2 ** 15
 
 
+def guarded_inv(mat, what: str, error) -> np.ndarray:
+    """Inverse of the matrix mat; raises error (an IpfError subclass) naming
+    what when mat's condition number exceeds COND_MAX."""
+    mat = np.atleast_2d(mat)
+    if np.linalg.cond(mat) > COND_MAX:
+        raise error(f"{what} is numerically singular")
+    return np.linalg.inv(mat)
+
+
+def require_int(val, name: str):
+    """Refuse val unless it is an integer; a bool is not one."""
+    if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, not {val!r}")
+
+
 def plain(obj):
     """JSON-ready copy of a record, array or container.
 
@@ -139,10 +154,16 @@ class DiffusionModel:
     control_law: Optional[Callable] = None
 
     def __post_init__(self):
+        require_int(self.n, "n")
+        if self.n < 1:
+            raise InputError(f"n must be >= 1, not {self.n}")
         mean = np.atleast_1d(np.asarray(self.initial_mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.initial_cov, dtype=float))
         if mean.shape != (self.n,) or cov.shape != (self.n, self.n):
             raise InputError(f"initial law has wrong shape for n={self.n}")
+        for name, arr in (("initial_mean", mean), ("initial_cov", cov)):
+            if not np.isfinite(arr).all():
+                raise InputError(f"{name} must be finite")
         if not np.allclose(cov, cov.T):
             raise InputError("initial_cov must be symmetric")
         if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
@@ -237,12 +258,10 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     increments are two-point, +-sqrt(dt) (see :func:`_steps`).  Everything
     runs in the caller's thread; the kernel starts no other.
     """
-    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)):
-        raise InputError(f"n_paths must be an integer, not {n_paths!r}")
+    require_int(n_paths, "n_paths")
     if n_paths < 2:
         raise InputError("n_paths must be >= 2")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InputError(f"seed must be an integer, not {seed!r}")
+    require_int(seed, "seed")
     if not 0 <= seed < 2 ** 64:
         raise InputError(f"seed={seed} is outside [0, 2**64)")
     s, t_end = model.horizon

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import (COND_MAX, STREAM_VERSION, DiffusionModel,
-                        EnsembleStats, Record, _euler_maruyama, stamp_field)
+from .diffusion import (STREAM_VERSION, DiffusionModel, EnsembleStats,
+                        Record, _euler_maruyama, guarded_inv, stamp_field)
 from .errors import (DegenerateFunctionalError, InputError,
                      SingularDiffusionError)
 
@@ -60,10 +60,8 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     prev_sig = None
     for k, (t, _, a, sig) in enumerate(steps):
         if prev_sig is None or not np.array_equal(sig, prev_sig):
-            twob = sig @ sig.T
-            if np.linalg.cond(twob) > COND_MAX:
-                raise SingularDiffusionError(f"2b singular at t={t}")
-            inv = np.linalg.inv(twob)
+            inv = guarded_inv(sig @ sig.T, f"2b at t={t}",
+                              SingularDiffusionError)
             prev_sig = sig.copy()
         if inv.shape == (1, 1):
             # plain multiplies give the bits of the 1x1 product and of

@@ -14,15 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import COND_MAX, EnsembleStats, Record
+from .diffusion import EnsembleStats, Record, guarded_inv
 from .errors import DegenerateEnsembleError, InputError
-
-
-def _guarded_inv(mat: np.ndarray, what: str) -> np.ndarray:
-    mat = np.atleast_2d(mat)
-    if np.linalg.cond(mat) > COND_MAX:
-        raise DegenerateEnsembleError(f"{what} is numerically singular")
-    return np.linalg.inv(mat)
 
 
 @dataclass(frozen=True)
@@ -43,6 +36,13 @@ def _make(tau, A, method, diagnostics=None) -> IdentifiedOperator:
                               diagnostics=diagnostics or {})
 
 
+def _b_over_r(stats: EnsembleStats, tau: float, b) -> np.ndarray:
+    """b r(tau)^{-1}: the closed loop's operator, and minus the reduced one
+    under the doubling feedback."""
+    return np.atleast_2d(b) @ guarded_inv(stats.r_at(tau), "r",
+                                          DegenerateEnsembleError)
+
+
 def identify_reduced(stats: EnsembleStats, v, tau: float,
                      b: np.ndarray) -> IdentifiedOperator:
     """A(tau) = -b r_v^{-1} with r_v the shifted second moment E[(x+v)(x+v)^T].
@@ -60,7 +60,7 @@ def identify_reduced(stats: EnsembleStats, v, tau: float,
     mv = np.outer(stats.mean[i], vv)
     # m v^T + v m^T is exactly symmetric, so r_v is
     r_v = stats.r[i] + (mv + mv.T) + np.outer(vv, vv)
-    A = -np.atleast_2d(b) @ _guarded_inv(r_v, "r_v")
+    A = -np.atleast_2d(b) @ guarded_inv(r_v, "r_v", DegenerateEnsembleError)
     return _make(tau, A, "reduced-control", {"r_v": r_v})
 
 
@@ -71,15 +71,15 @@ def identify_reduced_feedback(stats: EnsembleStats, tau: float,
     v is random here, but x + v = -x, so the shifted moment equals r and
     A = -b r^{-1}; b = (1/2) sigma sigma^T at tau is the caller's.
     """
-    A = -(np.atleast_2d(b) @ _guarded_inv(stats.r_at(tau), "r"))
-    return _make(tau, A, "reduced-control", {"feedback": "v=-2x"})
+    return _make(tau, -_b_over_r(stats, tau, b), "reduced-control",
+                 {"feedback": "v=-2x"})
 
 
 def identify_covariance_ratio(stats: EnsembleStats, tau: float) -> IdentifiedOperator:
     """A_-(tau) = (1/2) rdot(tau-) r(tau)^{-1}, rdot taken from the left."""
     r = stats.r_at(tau)
     rdot = stats.r_dot_at(tau)
-    r_inv = _guarded_inv(r, "r")
+    r_inv = guarded_inv(r, "r", DegenerateEnsembleError)
     A = 0.5 * rdot @ r_inv
     comm = 0.5 * rdot @ r_inv - 0.5 * r_inv @ rdot
     return _make(tau, A, "covariance-ratio",
@@ -102,8 +102,8 @@ def identify_dispersion_window(stats: EnsembleStats, tau: float,
     if j == i or window < (1 - 1e-9) * (grid[i] - grid[i - 1]):
         raise InputError(f"window={window} is shorter than the grid step")
     b_tau = 0.5 * stats.r_dot_at(tau)
-    A = np.atleast_2d(b_tau) @ _guarded_inv(stats.r[i] - stats.r[j],
-                                            "window integral")
+    A = np.atleast_2d(b_tau) @ guarded_inv(
+        stats.r[i] - stats.r[j], "window integral", DegenerateEnsembleError)
     return _make(tau, A, "dispersion-window", {"window": window})
 
 
@@ -111,8 +111,7 @@ def identify_closed_loop(stats: EnsembleStats, tau: float,
                          b: np.ndarray) -> IdentifiedOperator:
     """A^v(tau) = b r^{-1}, the closed loop's operator; b = (1/2) sigma
     sigma^T at tau is the caller's."""
-    A = np.atleast_2d(b) @ _guarded_inv(stats.r_at(tau), "r")
-    return _make(tau, A, "closed-loop", {})
+    return _make(tau, _b_over_r(stats, tau, b), "closed-loop", {})
 
 
 def check_constraint(stats: EnsembleStats, tau: float,
@@ -124,5 +123,5 @@ def check_constraint(stats: EnsembleStats, tau: float,
     dt)^{-1}, which matches -(1/2) r^{-1} only at a genuine switch moment,
     so the residual separates switch moments from mid-segment times.
     """
-    exx = 0.5 * _guarded_inv(stats.r_at(tau), "r")
+    exx = 0.5 * guarded_inv(stats.r_at(tau), "r", DegenerateEnsembleError)
     return float(np.linalg.norm(exx + np.atleast_2d(grad)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._roots import bisect, first_bracket
-from .diffusion import LN2, Record
+from .diffusion import LN2, Record, require_int
 from .errors import InputError, NoRootError
 
 # admissible ratio window; evaluation outside it is allowed for diagnostics
@@ -157,6 +157,7 @@ def gamma_ratios(a: float) -> dict:
 
 def optimal_spectrum(n: int, alpha1: float) -> np.ndarray:
     """Ranged eigenvalue spectrum alpha_{i+1} = 0.2567^i 0.4514^{1-i} alpha_1."""
+    require_int(n, "n")
     if n < 1:
         raise InputError("n must be >= 1")
     if not (math.isfinite(alpha1) and alpha1 != 0):
@@ -205,9 +206,8 @@ def invariant_set(gamma: float) -> InvariantSet:
     if abs(gamma - 0.5) < 1e-12:
         a = A_REFERENCE_HALF
         prov["a"] = "tabulated"
-    ds = delta_star(ao, a)
     return InvariantSet(gamma=gamma, ao_signed=ao_signed, ao_abs=ao,
                         a=a, a_formula=a_formula,
                         b_o=gamma * ao, b=gamma * a,
-                        delta_star=ds, defect=ds * ao * ao,
-                        provenance=prov)
+                        delta_star=delta_star(ao, a),
+                        defect=balance_defect(ao, a), provenance=prov)

@@ -3,8 +3,9 @@
 Triplet accounting at ratio g follows the two-interval timing chain: the
 first interval ratio is g13 = 1 + ao(0)/a (the post-needle segment is
 real, so it carries the maximal real invariant ao at g = 0), the second
-follows from the eigenvalue-ratio relation, each delivery a(g-1) is
-consumed through the renovation map |x e^x (2 - e^x)^{-1}|, and the
+follows from the eigenvalue-ratio relation, each delivery d = a(g-1) is
+consumed through the renovation map |x e^x (2 - e^x)^{-1}| at x = -d (the
+eigenchain's renovated eigenvalue after a unit segment at -d), and the
 doublet balance closes on ao^2 up to twice the defect.  Networks chain
 these triplets: the first three ranged eigenvalues form node 1; every
 later node joins the running node with the next two entries.
@@ -21,6 +22,7 @@ import numpy as np
 
 from .control import SegmentSchedule
 from .diffusion import LN2, Record
+from .eigenchain import eigen_step
 from .errors import InputError
 from .invariants import InvariantSet, _gamma2_of_gamma1, invariant_set, optimal_spectrum, solve_ao
 
@@ -28,12 +30,6 @@ from .invariants import InvariantSet, _gamma2_of_gamma1, invariant_set, optimal_
 # B = needle consolidation (1)
 LETTER_REGULAR = "A"
 LETTER_NEEDLE = "B"
-
-
-def _consumed(delivered: float) -> float:
-    """Renovation loss |x e^x (2 - e^x)^{-1}| at x = -delivered."""
-    x = -delivered
-    return abs(x * math.exp(x) / (2.0 - math.exp(x)))
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class TripletReport(Record):
 
 def triplet_accounting(inv: InvariantSet) -> TripletReport:
     """Information ledger of one triplet built from a complete invariant set."""
-    for name in ("ao_abs", "a", "delta_star"):
+    for name in ("ao_abs", "a", "delta_star", "defect"):
         val = getattr(inv, name, None)
         if val is None or not math.isfinite(val):
             raise InputError(f"invariant set missing {name}")
@@ -67,9 +63,9 @@ def triplet_accounting(inv: InvariantSet) -> TripletReport:
     gamma23 = _gamma2_of_gamma1(gamma13, a)
     deliver1 = a * (gamma13 - 1.0)
     deliver2 = a * (gamma23 - 1.0)
-    consumed1 = _consumed(deliver1)
-    consumed2 = _consumed(deliver2)
-    defect = inv.delta_star * ao * ao
+    consumed1 = abs(eigen_step(-deliver1, 1.0))
+    consumed2 = abs(eigen_step(-deliver2, 1.0))
+    defect = inv.defect
     closure = consumed1 + consumed2 + 2.0 * defect
     total = 4.0 * ao * ao + 3.0 * a
     node_transfer = ao * ao + a - defect

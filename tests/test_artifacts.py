@@ -187,22 +187,18 @@ SIM = ["--seed", "1", "--n-paths", "200", "--dt", "0.02", "--horizon", "0.2"]
 
 
 def sim_stats(theta=-1.0, sigma=1.0, x0=1.0, horizon=0.2, n_paths=200,
-              dt=0.02, seed=1, feedback=False):
-    model = cli._scalar_model(theta, sigma, x0, (0.0, horizon),
-                              feedback=feedback)
+              dt=0.02, seed=1):
+    model = cli._scalar_model(theta, sigma, x0, (0.0, horizon))
     stats = diffusion.simulate_ensemble(model, n_paths, dt=dt, seed=seed)
     return diffusion.covariance_derivative(stats)
 
 
-@pytest.mark.parametrize("feedback", [False, True])
-def test_simulate_json_and_csv(tmp_path, feedback):
-    extra = ["--feedback"] if feedback else []
-    stats = sim_stats(feedback=feedback)
-    out = run_cli(["simulate"] + SIM + extra + ["--out", str(tmp_path)])
+def test_simulate_json_and_csv(tmp_path):
+    stats = sim_stats()
+    out = run_cli(["simulate"] + SIM + ["--out", str(tmp_path)])
     assert out == f"wrote {tmp_path / 'ensemble.json'}\n"
     assert (tmp_path / "ensemble.json").read_bytes().decode() == ref_ensemble(stats, 0.02)
-    run_cli(["simulate"] + SIM + extra + ["--format", "csv",
-                                          "--out", str(tmp_path)])
+    run_cli(["simulate"] + SIM + ["--format", "csv", "--out", str(tmp_path)])
     assert ((tmp_path / "ensemble.csv").read_bytes().decode()
             == "# schema_version=2 stream_version=5 seed=1 n_paths=200 dt=0.02\n"
             + stats.to_csv())
@@ -443,7 +439,8 @@ REMOVED = (
     + [(cmd, ["--format", "json"]) for cmd in
        ("entropy", "identify", "schedule", "invariants", "network",
         "diagnose", "reproduce", "pipeline")]
-    + [(cmd, ["--feedback"]) for cmd in ("entropy", "identify", "pipeline")]
+    + [(cmd, ["--feedback"]) for cmd in
+       ("simulate", "entropy", "identify", "pipeline")]
     + [("pipeline", [flag, "1.0"]) for flag in ("--theta", "--sigma", "--x0")]
 )
 

@@ -263,7 +263,7 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("key,val", [("n_paths", 50.5), ("seed", "x"),
                                          ("format", "xml"), ("n_paths", True),
-                                         ("feedback", 1), ("dt", "0.1")])
+                                         ("dt", "0.1")])
     def test_value_of_wrong_type_refused(self, tmp_path, capsys, key, val):
         # refused, never converted: 50.5 does not become 50
         cfg = tmp_path / "cfg.json"
@@ -288,12 +288,11 @@ class TestConfigPrecedence:
         assert f"config file {cfg}" in capsys.readouterr().err
 
     def test_values_that_fit_accepted(self, tmp_path):
-        # an int for a float flag, a bool for a switch, a choice, and null
-        # for a flag whose default is unset
+        # an int for a float flag, a choice, and null for a flag whose
+        # default is unset
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_paths": 20, "horizon": 1, "dt": None,
-                                   "feedback": True, "format": "csv",
-                                   "out": str(tmp_path)}))
+                                   "format": "csv", "out": str(tmp_path)}))
         assert cli.main(["--config", str(cfg), "simulate", "--seed", "1"]) == 0
         assert (tmp_path / "ensemble.csv").exists()
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ class TestSchedule:
         assert all(b > a for a, b in zip(sched.dps, sched.dps[1:]))
         doc = json.loads(sched.to_json())
         assert len(doc["segments"]) == 3 and len(doc["needle_events"]) == 3
+
+    @pytest.mark.parametrize("spec", [[1.0, math.nan], [math.inf],
+                                      [1.0, -math.inf], [0.0]],
+                             ids=["nan", "inf", "minus-inf", "zero"])
+    def test_zero_or_non_finite_spectrum_refused(self, spec):
+        # [1.0, nan] used to give a NaN switch moment, and [inf] a
+        # zero-length segment after a RuntimeWarning
+        inv = invariants.invariant_set(0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="finite and nonzero"):
+                control.schedule_from_invariants(inv, spec)
 
     def test_unsorted_dps_rejected(self):
         with pytest.raises(InputError):

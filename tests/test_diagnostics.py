@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,22 @@ class TestLce:
     def test_short_window_rejected(self):
         with pytest.raises(InputError):
             diagnostics.lce_local([0.0], [1.0])
+
+    @pytest.mark.parametrize("x", [np.ones(5), np.exp(np.arange(5.0))])
+    def test_window_at_one_time_refused(self, x, capfd):
+        # used to print LAPACK DLASCL lines and a polyfit RuntimeWarning,
+        # then raise numpy's LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="2 distinct times"):
+                diagnostics.lce_local(np.zeros(5), x)
+        assert capfd.readouterr().err == ""
+
+    def test_constant_trace_skips_the_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("polyfit called on a constant trace")
+        monkeypatch.setattr(np, "polyfit", no_fit)
+        assert diagnostics.lce_local(np.linspace(0, 1, 5), np.full(5, 2.0)) == 0.0
 
 
 class TestPfr:

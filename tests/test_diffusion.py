@@ -46,6 +46,41 @@ class TestModelValidation:
         with pytest.raises(InputError):
             ou_model(horizon=(1.0, 1.0))
 
+    @pytest.mark.parametrize("n,match", [(2.5, "n must be an integer"),
+                                         (2.0, "n must be an integer"),
+                                         (True, "n must be an integer"),
+                                         (-1, "n must be >= 1")])
+    def test_n_not_a_positive_integer_refused(self, n, match):
+        with pytest.raises(InputError, match=match):
+            diffusion.DiffusionModel(n=n, drift=lambda t, x, u: -x,
+                                     diffusion=lambda t: [[1.0]],
+                                     initial_mean=[0.0], initial_cov=[[1.0]],
+                                     horizon=(0, 1))
+
+    def test_zero_dimensional_model_refused(self):
+        # used to escape from eigvalsh as a bare numpy ValueError
+        with pytest.raises(InputError, match="n must be >= 1"):
+            diffusion.DiffusionModel(n=0, drift=lambda t, x, u: x,
+                                     diffusion=lambda t: np.zeros((0, 0)),
+                                     initial_mean=np.zeros(0),
+                                     initial_cov=np.zeros((0, 0)),
+                                     horizon=(0, 1))
+
+    @pytest.mark.parametrize("mean,cov,name", [
+        # [[inf]] used to be accepted, [[nan]] refused as asymmetric, and a
+        # NaN mean surfaced as SimulationDivergedError at t = dt
+        ([0.0], [[math.inf]], "initial_cov"),
+        ([0.0], [[math.nan]], "initial_cov"),
+        ([math.nan], [[1.0]], "initial_mean"),
+        ([-math.inf], [[0.0]], "initial_mean")],
+        ids=["cov-inf", "cov-nan", "mean-nan", "mean-minus-inf"])
+    def test_non_finite_initial_law_refused(self, mean, cov, name):
+        with pytest.raises(InputError, match=f"{name} must be finite"):
+            diffusion.DiffusionModel(n=1, drift=lambda t, x, u: -x,
+                                     diffusion=lambda t: [[1.0]],
+                                     initial_mean=mean, initial_cov=cov,
+                                     horizon=(0, 1))
+
     @pytest.mark.parametrize("horizon", [(0.0, math.inf), (-math.inf, 1.0),
                                          (0.0, math.nan)])
     def test_non_finite_horizon_rejected(self, horizon):

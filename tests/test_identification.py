@@ -18,6 +18,18 @@ def stationary_ou(theta=1.0, sigma=1.0, n_paths=20000, seed=21, horizon=1.0):
     return diffusion.covariance_derivative(stats)
 
 
+@pytest.fixture(scope="module")
+def ensemble3():
+    """The benchmark's n = 3 model: drift x A^T, sigma = I, started in its
+    stationary law N(0, -A^{-1}/2)."""
+    a = np.array([[-1.0, 0.3, 0.0], [0.3, -2.0, 0.2], [0.0, 0.2, -0.5]])
+    model = diffusion.DiffusionModel(
+        n=3, drift=lambda t, x, u: x @ a.T, diffusion=lambda t: np.eye(3),
+        initial_mean=np.zeros(3), initial_cov=-0.5 * np.linalg.inv(a),
+        horizon=(0.0, 2.0))
+    return diffusion.simulate_ensemble(model, 2000, dt=2e-3, seed=1)
+
+
 class TestReduced:
     def test_ou_recovery_with_explicit_b(self):
         stats = stationary_ou()
@@ -53,6 +65,17 @@ class TestReduced:
         op_r = identification.identify_reduced_feedback(stats, 0.5,
                                                         b=np.array([[0.5]]))
         assert op_paths.A.tobytes() == op_r.A.tobytes()
+
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 1.5, 2.0])
+    def test_feedback_and_closed_loop_share_one_ratio(self, ensemble3, tau):
+        # -b r^{-1} under v = -2x, +b r^{-1} for the closed loop, and the
+        # explicit zero shift: the same bits up to the sign
+        b = 0.5 * np.eye(3)
+        fb = identification.identify_reduced_feedback(ensemble3, tau, b=b)
+        cl = identification.identify_closed_loop(ensemble3, tau, b=b)
+        zero = identification.identify_reduced(ensemble3, np.zeros(3), tau, b=b)
+        assert cl.A.tobytes() == (-fb.A).tobytes()
+        assert fb.A.tobytes() == zero.A.tobytes()
 
     def test_shifted_moment_against_the_paths(self):
         # v is nonrandom at tau, so E[(x+v)(x+v)^T] = r + m v^T + v m^T + v v^T

@@ -206,6 +206,12 @@ class TestOptimalSpectrum:
         with pytest.raises(InputError):
             invariants.optimal_spectrum(3, 0.0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_non_integer_n_refused(self, n):
+        # each used to escape as numpy's TypeError
+        with pytest.raises(InputError, match="n must be an integer"):
+            invariants.optimal_spectrum(n, 1.0)
+
     @pytest.mark.parametrize("alpha1", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha1_rejected(self, alpha1):
         # nan used to give a nan spectrum
@@ -219,6 +225,13 @@ class TestInvariantSet:
         assert inv.a == 0.252
         assert inv.provenance["a"] == "tabulated"
         assert abs(inv.delta_star - 0.089179639) <= 1e-4
+
+    def test_defect_is_the_balance_defect(self):
+        for gamma in np.linspace(0.0, 0.95, 20):
+            inv = invariants.invariant_set(float(gamma))
+            want = invariants.balance_defect(inv.ao_abs, inv.a)
+            assert inv.defect.hex() == want.hex()
+            assert inv.defect == inv.delta_star * inv.ao_abs * inv.ao_abs
 
     def test_formula_value_also_reported(self):
         inv = invariants.invariant_set(0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,20 @@ class TestTripletAccounting:
     def test_consumed_contributions(self, report):
         assert report.contributions["consumed1"] == pytest.approx(0.232, rel=0.02)
         assert report.contributions["consumed2"] == pytest.approx(0.1797, rel=0.02)
+
+    def test_ledger_bits_pinned(self, report):
+        # consumed through eigenchain.eigen_step's renovation map, and the
+        # defect as invariants.balance_defect forms it
+        c = report.contributions
+        assert c["consumed1"].hex() == "0x1.db0e58183592ep-3"
+        assert c["consumed2"].hex() == "0x1.6d13f62fda0a5p-3"
+        assert c["defect"].hex() == "0x1.6c6cb62484650p-5"
+
+    def test_missing_defect_refused(self):
+        inv = dataclasses.replace(invariants.invariant_set(0.5),
+                                  defect=math.nan)
+        with pytest.raises(InputError, match="defect"):
+            network.triplet_accounting(inv)
 
     def test_interval_ratios(self, report):
         assert report.gamma13 == pytest.approx(3.9, rel=0.10)
