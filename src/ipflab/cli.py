@@ -331,8 +331,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.config:
         # precedence: explicit flags > config file > built-in defaults
+        def refuse(name):
+            parser.error(f"config file {args.config} holds {name}, which is not JSON")
+
         try:
-            raw = json.loads(Path(args.config).read_text())
+            raw = json.loads(Path(args.config).read_text(), parse_constant=refuse)
         except (OSError, ValueError) as exc:
             parser.error(f"config file {args.config} cannot be read: {exc}")
         if not isinstance(raw, dict):

@@ -13,13 +13,19 @@ rotation that preserves the norm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._roots import bisect
-from .diffusion import EnsembleStats, Record, guarded_inv
-from .errors import DegenerateEnsembleError, InputError, UndefinedAngleError
+from .diffusion import EnsembleStats, Record, guarded_inv, require_finite
+from .errors import (DegenerateEnsembleError, InputError, NonFiniteOutputError,
+                     UndefinedAngleError)
+
+# the largest state magnitude taken: it keeps the control -2x, a needle's
+# jump and a rotated pair finite
+_X_MAX = sys.float_info.max / 4
 
 
 @dataclass(frozen=True)
@@ -80,28 +86,45 @@ def starting_control(stats: EnsembleStats, at: float) -> dict:
 
 def step_control(x_at_dp) -> np.ndarray:
     """Doubling feedback v = -2 x(tau), held fixed over the next segment."""
+    require_finite(x_at_dp, "x_at_dp", lo=-_X_MAX, hi=_X_MAX)
     return -2.0 * np.asarray(x_at_dp, dtype=float)
 
 
 def needle_control(x_minus, x_plus, tau: float = 0.0) -> NeedleEvent:
     """Needle action between tau-o and tau: jump of the held control."""
+    require_finite(tau, "tau")
     v_m = np.atleast_1d(step_control(x_minus))
     v_p = np.atleast_1d(step_control(x_plus))
+    if v_m.shape != v_p.shape:
+        raise InputError(f"x_minus {v_m.shape} and x_plus {v_p.shape} differ in shape")
     return NeedleEvent(tau=tau, v_minus=v_m, v_plus=v_p, delta_v=v_p - v_m)
 
 
 def segment_trajectory(x_at_dp: float, lam: float, t, tau: float = 0.0):
-    """Closed-form scalar segment under the doubling control."""
-    return x_at_dp * (2.0 - np.exp(lam * (np.asarray(t) - tau)))
+    """Closed-form scalar segment under the doubling control; refused where
+    it leaves the float range."""
+    for name, val in (("x_at_dp", x_at_dp), ("lam", lam), ("t", t), ("tau", tau)):
+        require_finite(val, name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x_at_dp * (2.0 - np.exp(lam * (np.asarray(t) - tau)))
+    require_finite(x, f"the segment of lam={lam} from tau={tau}",
+                   error=NonFiniteOutputError)
+    return x
 
 
 def relative_phase_speed(x: np.ndarray, xdot: np.ndarray) -> np.ndarray:
-    """|xdot / x| with zeros of x mapped to +inf (condition undefined there)."""
+    """|xdot / x| with zeros of x mapped to +inf (condition undefined there),
+    as is a ratio past the float range."""
+    require_finite(x, "x")
+    require_finite(xdot, "xdot")
     x = np.asarray(x, dtype=float)
     xdot = np.asarray(xdot, dtype=float)
+    if x.shape != xdot.shape:
+        raise InputError(f"x {x.shape} and xdot {xdot.shape} differ in shape")
     out = np.full_like(x, np.inf)
     nz = np.abs(x) > 1e-300
-    out[nz] = np.abs(xdot[nz] / x[nz])
+    with np.errstate(over="ignore"):
+        out[nz] = np.abs(xdot[nz] / x[nz])
     return out
 
 
@@ -115,51 +138,59 @@ def detect_dp(grid, modes, modes_dot=None) -> list:
     central differences.  One mask picks the cells with finite ends where
     the speed difference is 0 at the left end (a hit) or changes sign
     (bisected on the interpolated traces; noted if a mode crosses zero)."""
+    require_finite(grid, "grid")
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2:
-        raise InputError("grid must be one-dimensional with at least 2 points")
+    if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
+        raise InputError("grid must be one-dimensional and increasing, with at "
+                         "least 2 points")
     modes = _time_major(modes, grid, "modes")
-    if modes_dot is None:
-        modes_dot = np.gradient(modes, grid, axis=0)
-    else:
-        modes_dot = _time_major(modes_dot, grid, "modes_dot")
-    n = modes.shape[1]
     hits = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            si = relative_phase_speed(modes[:, i], modes_dot[:, i])
-            sj = relative_phase_speed(modes[:, j], modes_dot[:, j])
-            d = si - sj
-            if np.all(np.abs(d[np.isfinite(d)]) <= _DP_TOL):
-                hits.append({"pair": (i, j), "tau": float(grid[0]),
-                             "note": "identical speeds throughout"})
-                continue
-            with np.errstate(invalid="ignore", over="ignore"):
-                cells = (np.isfinite(d[:-1]) & np.isfinite(d[1:])
+    # a speed is +inf where its mode is zero or the ratio overflows, and a
+    # difference of two such is NaN: the mask keeps finite cells only
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if modes_dot is None:
+            modes_dot = np.gradient(modes, grid, axis=0)
+            require_finite(modes_dot, "the central differences of modes")
+        else:
+            modes_dot = _time_major(modes_dot, grid, "modes_dot")
+        n = modes.shape[1]
+        for i in range(n):
+            for j in range(i + 1, n):
+                si = relative_phase_speed(modes[:, i], modes_dot[:, i])
+                sj = relative_phase_speed(modes[:, j], modes_dot[:, j])
+                d = si - sj
+                finite = np.isfinite(d)
+                # speeds that are never both finite are not identical
+                if finite.any() and np.all(np.abs(d[finite]) <= _DP_TOL):
+                    hits.append({"pair": (i, j), "tau": float(grid[0]),
+                                 "note": "identical speeds throughout"})
+                    continue
+                cells = (finite[:-1] & finite[1:]
                          & ((d[:-1] == 0.0) | (d[:-1] * d[1:] < 0)))
-            for k in np.flatnonzero(cells):
-                if d[k] == 0.0:
-                    hits.append({"pair": (i, j), "tau": float(grid[k])})
-                    continue
-                if modes[k, i] * modes[k + 1, i] < 0 or modes[k, j] * modes[k + 1, j] < 0:
-                    hits.append({"pair": (i, j), "tau": None,
-                                 "note": f"mode zero inside [{grid[k]}, {grid[k+1]}]"})
-                    continue
-                def f(t, k=k, i=i, j=j):
-                    w = (t - grid[k]) / (grid[k + 1] - grid[k])
-                    xi = (1 - w) * modes[k, i] + w * modes[k + 1, i]
-                    xj = (1 - w) * modes[k, j] + w * modes[k + 1, j]
-                    vi = (1 - w) * modes_dot[k, i] + w * modes_dot[k + 1, i]
-                    vj = (1 - w) * modes_dot[k, j] + w * modes_dot[k + 1, j]
-                    return abs(vi / xi) - abs(vj / xj)
-                tau = bisect(f, grid[k], grid[k + 1],
-                             xtol=_DP_TOL * max(abs(grid[k]), 1.0))
-                hits.append({"pair": (i, j), "tau": float(tau)})
+                for k in np.flatnonzero(cells):
+                    if d[k] == 0.0:
+                        hits.append({"pair": (i, j), "tau": float(grid[k])})
+                        continue
+                    if modes[k, i] * modes[k + 1, i] < 0 or modes[k, j] * modes[k + 1, j] < 0:
+                        hits.append({"pair": (i, j), "tau": None,
+                                     "note": f"mode zero inside [{grid[k]}, {grid[k+1]}]"})
+                        continue
+                    def f(t, k=k, i=i, j=j):
+                        w = (t - grid[k]) / (grid[k + 1] - grid[k])
+                        xi = (1 - w) * modes[k, i] + w * modes[k + 1, i]
+                        xj = (1 - w) * modes[k, j] + w * modes[k + 1, j]
+                        vi = (1 - w) * modes_dot[k, i] + w * modes_dot[k + 1, i]
+                        vj = (1 - w) * modes_dot[k, j] + w * modes_dot[k + 1, j]
+                        return abs(vi / xi) - abs(vj / xj)
+                    tau = bisect(f, grid[k], grid[k + 1],
+                                 xtol=_DP_TOL * max(abs(grid[k]), 1.0))
+                    hits.append({"pair": (i, j), "tau": float(tau)})
     return hits
 
 
 def _time_major(arr, grid, name):
     """arr as (T, n) for the T-point grid, transposed if given as (n, T)."""
+    require_finite(arr, name)
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     arr = arr if arr.shape[0] == len(grid) else arr.T
     if arr.ndim != 2 or arr.shape[0] != len(grid):
@@ -169,6 +200,8 @@ def _time_major(arr, grid, name):
 
 def consolidate_rotation(z_i: float, z_j: float) -> dict:
     """Equalize a pair by rotating through -arctan((z_j - z_i)/(z_j + z_i))."""
+    require_finite(z_i, "z_i", lo=-_X_MAX, hi=_X_MAX)
+    require_finite(z_j, "z_j", lo=-_X_MAX, hi=_X_MAX)
     if z_i + z_j == 0.0:
         raise UndefinedAngleError("z_i + z_j = 0; rotation angle undefined")
     phi = math.atan2(z_j - z_i, z_j + z_i)
@@ -187,10 +220,14 @@ def schedule_from_invariants(inv, spectrum) -> SegmentSchedule:
     segment by construction.
     """
     spec = np.atleast_1d(np.asarray(spectrum, dtype=float))
-    if np.any(spec == 0) or not np.isfinite(spec).all():
-        raise InputError(f"spectrum entries must be finite and nonzero, "
-                         f"not {spec.tolist()}")
-    durations = inv.ao_abs / np.abs(spec)
+    if np.any(spec == 0) or not np.isfinite(spec).all() or spec.ndim != 1:
+        raise InputError(f"spectrum must be a vector of entries finite and "
+                         f"nonzero, not {spec.tolist()}")
+    require_finite(inv.ao_abs, "inv.ao_abs", positive=True)
+    with np.errstate(over="ignore"):
+        durations = inv.ao_abs / np.abs(spec)
+        ends = np.cumsum(durations)     # the switch moments, summed as below
+    require_finite(ends, "the switch moments, sums of a_o / |spectrum|,")
     t = 0.0
     dps = []
     segments = []

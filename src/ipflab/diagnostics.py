@@ -13,42 +13,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Record
-from .errors import InputError, UndefinedLogError
+from .diffusion import Record, require_finite
+from .errors import InputError, NonFiniteOutputError, UndefinedLogError
+
+
+def _trace(grid, x):
+    """grid and x as float arrays, refused unless finite, one-dimensional
+    and of one length."""
+    require_finite(grid, "grid")
+    require_finite(x, "x")
+    grid = np.asarray(grid, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if grid.ndim != 1 or grid.shape != x.shape:
+        raise InputError(f"grid {grid.shape} and x {x.shape} are not one "
+                         f"trace of one length")
+    return grid, x
 
 
 def lce_local(grid, x, window: float = None) -> float:
     """Least-squares slope of ln|x(t)| over the window starting at grid[0]."""
-    grid = np.asarray(grid, dtype=float)
-    x = np.asarray(x, dtype=float)
+    grid, x = _trace(grid, x)
     if window is not None:
-        mask = grid <= grid[0] + window
+        require_finite(window, "window")
+        with np.errstate(over="ignore"):
+            mask = grid <= grid[0] + window
         grid, x = grid[mask], x[mask]
     # min and max, not np.unique, whose first call adds 1.5 MB of peak RSS
     if len(grid) < 2 or grid.min() == grid.max():
         raise InputError("window too short: need samples at 2 distinct times")
     if x[0] == 0:
         raise InputError("reference state must be nonzero")
-    if np.any(x * x[0] <= 0):
+    if np.any(np.sign(x) != np.sign(x[0])):
         raise UndefinedLogError("state ratio non-positive inside window")
     # exactly zero for a constant trace regardless of fit roundoff
     if np.allclose(x, x[0]):
         return 0.0
-    return float(np.polyfit(grid, np.log(np.abs(x)), 1)[0])
+    # polyfit divides the column of times by its norm, and its columns t
+    # and 1 are of rank 1 where the times are too close for their size
+    with np.errstate(all="ignore"):
+        require_finite(np.sqrt(np.sum(grid * grid)), "the norm of the times",
+                       positive=True)
+        slope, _, rank, _, _ = np.polyfit(grid, np.log(np.abs(x)), 1, full=True)
+    if rank < 2:
+        raise InputError("the times are too close together to fit a slope")
+    return float(slope[0])
 
 
 def pfr(A) -> float:
     """Production rate Tr A of an identified operator."""
+    require_finite(A, "A")
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape[0] != A.shape[1]:
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("operator must be square")
-    return float(np.trace(A))
+    with np.errstate(over="ignore"):
+        tr = float(np.trace(A))
+    require_finite(tr, "Tr A", error=NonFiniteOutputError)
+    return tr
 
 
 _STEADY_TOL = 1e-12  # exponents within this of zero are steady
 
 
 def classify(sigma: float) -> str:
+    require_finite(sigma, "sigma")
     if sigma > _STEADY_TOL:
         return "instable"
     if sigma < -_STEADY_TOL:
@@ -70,8 +97,10 @@ def diagnose_segments(grid, x, dps) -> DiagnosticsReport:
     fitted over its interior and consecutive exponents with opposite sign
     are recorded as flips.
     """
-    grid = np.asarray(grid, dtype=float)
-    x = np.asarray(x, dtype=float)
+    grid, x = _trace(grid, x)
+    require_finite(dps, "dps")
+    if np.ndim(dps) != 1:
+        raise InputError("dps must be a sequence of switch moments")
     bounds = [grid[0]] + list(dps) + [grid[-1]]
     lces = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):

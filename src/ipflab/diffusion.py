@@ -39,17 +39,48 @@ _BLOCK = 2 ** 15
 
 def guarded_inv(mat, what: str, error) -> np.ndarray:
     """Inverse of the matrix mat; raises error (an IpfError subclass) naming
-    what when mat's condition number exceeds COND_MAX."""
+    what when mat is not finite or its condition number exceeds COND_MAX."""
     mat = np.atleast_2d(mat)
+    require_finite(mat, what, error=error)
     if np.linalg.cond(mat) > COND_MAX:
         raise error(f"{what} is numerically singular")
     return np.linalg.inv(mat)
 
 
-def require_int(val, name: str):
-    """Refuse val unless it is an integer; a bool is not one."""
+def require_int(val, name: str, lo=None, hi=None):
+    """Refuse val unless it is an integer in [lo, hi]; a bool is not one."""
     if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
         raise InputError(f"{name} must be an integer, not {val!r}")
+    require_finite(val, name, lo, hi)
+
+
+def require_finite(val, name: str, lo=None, hi=None, positive=False,
+                   error=InputError):
+    """Refuse val, a number or an array of numbers (not a bool), unless every
+    entry is finite, in [lo, hi] and, if positive, > 0; error is the IpfError
+    raised."""
+    try:
+        arr = np.asarray(val, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or isinstance(val, (bool, np.bool_)):
+        raise error(f"{name} must be a finite number, not {val!r}")
+    if not (np.isfinite(arr).all() if arr.ndim else math.isfinite(arr)):
+        raise error(f"{name} must be finite" + ("" if arr.ndim else f", not {val}"))
+    if lo is None and hi is None and not positive:
+        return
+    if arr.ndim:
+        low, high = arr.min(initial=math.inf), arr.max(initial=-math.inf)
+    else:
+        # a number compares as a Python one: quicker, and exact for an
+        # integer, as float(2**64 - 1) is 2**64
+        low = high = int(val) if isinstance(val, (int, np.integer)) else float(arr)
+    if lo is not None and low < lo:
+        raise error(f"{name} must be >= {lo}")
+    if positive and low <= 0:
+        raise error(f"{name} must be positive")
+    if hi is not None and high > hi:
+        raise error(f"{name} must be <= {hi}")
 
 
 def plain(obj):
@@ -154,25 +185,21 @@ class DiffusionModel:
     control_law: Optional[Callable] = None
 
     def __post_init__(self):
-        require_int(self.n, "n")
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, not {self.n}")
+        require_int(self.n, "n", lo=1)
         mean = np.atleast_1d(np.asarray(self.initial_mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.initial_cov, dtype=float))
         if mean.shape != (self.n,) or cov.shape != (self.n, self.n):
             raise InputError(f"initial law has wrong shape for n={self.n}")
-        for name, arr in (("initial_mean", mean), ("initial_cov", cov)):
-            if not np.isfinite(arr).all():
-                raise InputError(f"{name} must be finite")
+        require_finite(mean, "initial_mean")
+        require_finite(cov, "initial_cov")
         if not np.allclose(cov, cov.T):
             raise InputError("initial_cov must be symmetric")
         if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
             raise InputError("initial_cov must be positive semi-definite")
+        if np.shape(self.horizon) != (2,):
+            raise InputError(f"horizon must be a pair (s, T), not {self.horizon!r}")
         s, t_end = self.horizon
-        if not (math.isfinite(s) and math.isfinite(t_end)):
-            raise InputError(f"horizon {self.horizon} must be finite")
-        if not t_end > s:
-            raise InputError("horizon must satisfy T > s")
+        require_finite(float(t_end) - float(s), "horizon length T - s", positive=True)
         object.__setattr__(self, "initial_mean", mean)
         object.__setattr__(self, "initial_cov", cov)
 
@@ -217,12 +244,16 @@ class EnsembleStats(Record):
 
     def r_dot_at(self, t: float) -> np.ndarray:
         """Backward difference of r at t, symmetrized: the correct branch at a
-        control-switch moment.  Forward at grid[0], as r_dot[0] is."""
+        control-switch moment.  Forward at grid[0], as r_dot[0] is.  Refused
+        where it overflows, on a cell too short for the change of r."""
         if len(self.grid) < 2:
             raise InputError("r_dot needs at least 2 grid points")
         i = max(self.index_of(t), 1)
-        d = (self.r[i] - self.r[i - 1]) / (self.grid[i] - self.grid[i - 1])
-        return 0.5 * (d + d.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (self.r[i] - self.r[i - 1]) / (self.grid[i] - self.grid[i - 1])
+            d = 0.5 * (d + d.T)
+        require_finite(d, f"r_dot at t={t}")
+        return d
 
     def to_csv(self) -> str:
         n = self.n
@@ -254,22 +285,21 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     the kernel reuses: it stays valid until the point after next is
     requested, and consumers never write to it.  The generator raises
     SimulationDivergedError with the first bad time if any path leaves the
-    finite range.  The scheme is the simplified weak Euler scheme: its
+    finite range, and InputError naming t where sigma(t) is not a finite
+    n x n matrix.  The scheme is the simplified weak Euler scheme: its
     increments are two-point, +-sqrt(dt) (see :func:`_steps`).  Everything
     runs in the caller's thread; the kernel starts no other.
     """
-    require_int(n_paths, "n_paths")
-    if n_paths < 2:
-        raise InputError("n_paths must be >= 2")
-    require_int(seed, "seed")
-    if not 0 <= seed < 2 ** 64:
-        raise InputError(f"seed={seed} is outside [0, 2**64)")
+    require_int(n_paths, "n_paths", lo=2)
+    require_int(seed, "seed", lo=0, hi=2 ** 64 - 1)
     s, t_end = model.horizon
     if dt is None:
         dt = (t_end - s) * 1e-3
-    if not dt > 0:
-        raise InputError("dt must be positive")
-    n_steps = int(round((t_end - s) / dt))
+    require_finite(dt, "dt", positive=True)
+    steps = float(t_end - s) / float(dt)
+    # past 2**53 a step count is not exact in a float: no dt that small divides
+    require_finite(steps, f"the step count of dt={dt}", hi=2 ** 53)
+    n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * dt - (t_end - s)) > 1e-9 * (t_end - s):
         raise InputError(f"dt={dt} does not divide the horizon {model.horizon}")
     grid = s + dt * np.arange(n_steps + 1)
@@ -339,6 +369,7 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
         if sig.shape != (model.n, model.n):
             raise InputError(f"sigma({t}) has shape {sig.shape}, not "
                              f"({model.n}, {model.n})")
+        require_finite(sig, f"sigma({t})")
         yield t, x, a, sig
         if k == last:
             return
@@ -409,15 +440,20 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
 
     Deterministic for fixed (seed, n_paths, dt).  dt must divide the
     horizon.  Raises SimulationDivergedError with the first bad time if any
-    path leaves the finite range.
+    path leaves the finite range, and NonFiniteOutputError if a moment of
+    finite paths overflows.
     """
     grid, dt, steps = _euler_maruyama(model, n_paths, dt, seed)
     n = model.n
     means = np.empty((len(grid), n))
     rs = np.empty((len(grid), n, n))
     reduce = _moment_reducer(n_paths, n)
-    for k, (_, x, _, _) in enumerate(steps):
-        reduce(x, means[k], rs[k])
+    # a step past the float range is the kernel's SimulationDivergedError,
+    # not numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (_, x, _, _) in enumerate(steps):
+            reduce(x, means[k], rs[k])
+    require_finite(rs, "the second moments r", error=NonFiniteOutputError)
     for arr in (grid, means, rs):
         arr.setflags(write=False)
     return EnsembleStats(grid=grid, mean=means, r=rs, seed=int(seed),
@@ -449,14 +485,24 @@ def covariance_derivative(stats: EnsembleStats) -> EnsembleStats:
 def stats_from_covariance(grid, r, mean=None) -> EnsembleStats:
     """Wrap analytically known moments in the EnsembleStats container.
 
-    The record holds read-only copies; the caller's arrays are untouched.
+    grid is increasing; r is (T, n, n), or (T,) for n = 1, and mean (T, n),
+    zero by default.  The record holds read-only copies; the caller's
+    arrays are untouched.
     """
     grid = np.array(grid, dtype=float)
     r = np.array(r, dtype=float)
     if r.ndim == 1:
         r = r[:, None, None]
-    mean = (np.zeros((len(grid), r.shape[1])) if mean is None
+    n = r.shape[-1] if r.ndim == 3 else 0
+    mean = (np.zeros(r.shape[:1] + (n,)) if mean is None
             else np.array(mean, dtype=float))
-    for arr in (grid, mean, r):
+    if (grid.ndim != 1 or not grid.size or n < 1 or r.shape != (len(grid), n, n)
+            or mean.shape != (len(grid), n)):
+        raise InputError(f"grid {grid.shape}, r {r.shape} and mean {mean.shape} "
+                         f"are not (T,), (T, n, n) and (T, n)")
+    for name, arr in (("grid", grid), ("r", r), ("mean", mean)):
+        require_finite(arr, name)
         arr.setflags(write=False)
+    if not np.all(np.diff(grid) > 0):
+        raise InputError("grid must be increasing")
     return EnsembleStats(grid=grid, mean=mean, r=r)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import bisect, first_bracket
-from .diffusion import LN2, Record
+from .diffusion import LN2, Record, require_finite, require_int
 from .errors import (InputError, NeedsNeedleControlError, NoCooperationError,
-                     SimulationDivergedError, SingularRenovationError)
+                     NonFiniteOutputError, SimulationDivergedError,
+                     SingularRenovationError)
 
 _POLE_TOL = 1e-12
 _EXP_MAX = math.log(sys.float_info.max)     # math.exp overflows above it
@@ -30,7 +31,18 @@ _EXP_MAX = math.log(sys.float_info.max)     # math.exp overflows above it
 
 def eigen_step(lam: float, t: float) -> float:
     """Renovated eigenvalue after a segment of length t.  Past exp's range it
-    is its limit lam: from lam t ~ 37 on, 2 - e^{lam t} rounds to -e^{lam t}."""
+    is its limit lam: from lam t ~ 37 on, 2 - e^{lam t} rounds to -e^{lam t}.
+    Refused where lam e^{lam t} overflows before the division."""
+    require_finite(lam, "lam")
+    require_finite(t, "t")
+    out = _renovated(lam, t)
+    require_finite(out, f"the eigenvalue renovated from lam={lam} over t={t}",
+                   error=NonFiniteOutputError)
+    return out
+
+
+def _renovated(lam, t):
+    """eigen_step's map, unchecked, for the root scans."""
     x = lam * t
     if abs(x - LN2) < _POLE_TOL:
         raise SingularRenovationError(f"lam*t = ln 2 at lam={lam}, t={t}")
@@ -43,6 +55,8 @@ def eigen_step(lam: float, t: float) -> float:
 def state_step(z, lam: float, t: float):
     """State multiplier (2 - e^{lam t}) applied segment-wise; zero is legal.
     A state past the float range raises SimulationDivergedError at t."""
+    for name, val in (("z", z), ("lam", lam), ("t", t)):
+        require_finite(val, name)
     x = lam * t
     with np.errstate(over="ignore", invalid="ignore"):
         z = (2.0 - (math.exp(x) if x <= _EXP_MAX else math.inf)) * np.asarray(z)
@@ -53,16 +67,20 @@ def state_step(z, lam: float, t: float):
 
 def terminal_time(t_prev: float, lam: float) -> float:
     """Moment the final segment zeroes the state: t_prev + ln 2 / lam."""
+    require_finite(t_prev, "t_prev")
+    require_finite(lam, "lam")
     if lam <= 0:
         raise NeedsNeedleControlError(
             "terminal segment needs a positive eigenvalue; apply a needle control")
-    return t_prev + LN2 / abs(lam)
+    out = t_prev + LN2 / abs(lam)
+    require_finite(out, f"the terminal time of lam={lam}", error=NonFiniteOutputError)
+    return out
 
 
 def _abs_speed(lam: float, t: float) -> float:
     """|renovated eigenvalue| as a function of segment time, +inf at the pole."""
     try:
-        return abs(eigen_step(lam, t))
+        return abs(_renovated(lam, t))
     except SingularRenovationError:
         return math.inf
 
@@ -84,11 +102,18 @@ def _equalization_root(lam_joint: float, lam_next: float, offset: float,
     poles = [LN2 / lam - t0 for lam, t0 in ((lam_joint, 0.0), (lam_next, offset)) if lam > 0]
     sides = np.sort([p * s for p in poles for s in (1 - 1e-9, 1 + 1e-9)])
     sides = sides[(sides > grid[0]) & (sides < grid[-1])]
-    cell = first_bracket(f, np.insert(grid, np.searchsorted(grid, sides), sides))
+    # on the numpy grid, lam t past the float range is inf without a warning;
+    # _renovated maps it to its limit
+    with np.errstate(over="ignore"):
+        cell = first_bracket(f, np.insert(grid, np.searchsorted(grid, sides), sides))
     if cell is None:
         raise NoCooperationError(
             f"no equalization moment for ({lam_joint}, {lam_next}) within t <= {t_max}")
-    return bisect(f, *cell, xtol=1e-13)
+    try:
+        return bisect(f, *cell, xtol=1e-13)
+    except RuntimeError:    # a cell of the scan too wide for 100 halvings
+        raise NoCooperationError(f"the equalization moment for ({lam_joint}, "
+                                 f"{lam_next}) is not resolved in {cell}") from None
 
 
 @dataclass(frozen=True)
@@ -104,7 +129,10 @@ class EigenChain(Record):
 def interval_ratios(chain: EigenChain) -> list:
     """Consecutive cooperation-interval ratios t_{k+1}/t_k."""
     t = chain.intervals
-    return [t[k + 1] / t[k] for k in range(len(t) - 1)]
+    require_finite(t, "chain.intervals", positive=True)
+    ratios = [t[k + 1] / t[k] for k in range(len(t) - 1)]
+    require_finite(ratios, "the interval ratios", error=NonFiniteOutputError)
+    return ratios
 
 
 def build_equalization_chain(spectrum, n: int) -> EigenChain:
@@ -116,9 +144,11 @@ def build_equalization_chain(spectrum, n: int) -> EigenChain:
     on the renovated speeds.  The chain is well posed only with as many
     intervals as dimensions, so len(spectrum) must equal n.
     """
-    spec = [float(s) for s in np.atleast_1d(spectrum)]
-    if len(spec) != n:
-        raise InputError("chain needs exactly n spectrum entries (n = m)")
+    require_int(n, "n", lo=1)
+    require_finite(spectrum, "spectrum")
+    spec = [float(s) for s in np.ravel(spectrum)]
+    if np.ndim(spectrum) > 1 or len(spec) != n:
+        raise InputError("chain needs a vector of exactly n spectrum entries (n = m)")
     mags = [abs(s) for s in spec]
     if any(m == 0 for m in mags):
         raise InputError("spectrum entries must be nonzero")
@@ -128,6 +158,7 @@ def build_equalization_chain(spectrum, n: int) -> EigenChain:
         return EigenChain(lambdas=[[spec[0]]], intervals=[], n=1, m=1)
 
     t_max = 1e3 / min(mags)
+    require_finite(t_max, "the scan horizon 1e3 / min |spectrum|")
     lam_joint = spec[0]
     elapsed = 0.0
     stages = []
@@ -150,6 +181,7 @@ def chain_state_trace(chain: EigenChain, z0: float) -> dict:
     (exactly zero when the tail lands on lam*t = ln 2).  A state past the
     float range raises SimulationDivergedError at its stage's length.
     """
+    require_finite(z0, "z0")
     z = float(z0)
     states = [z]
     t = 0.0

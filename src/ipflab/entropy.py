@@ -19,9 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .diffusion import (STREAM_VERSION, DiffusionModel, EnsembleStats,
-                        Record, _euler_maruyama, guarded_inv, stamp_field)
+                        Record, _euler_maruyama, guarded_inv, require_finite,
+                        stamp_field)
 from .errors import (DegenerateFunctionalError, InputError,
-                     SingularDiffusionError)
+                     NonFiniteOutputError, SingularDiffusionError)
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,9 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     per-path spread of the time integral divided by sqrt(n_paths).  The
     paths are not Gaussian at finite dt, but the estimate is an
     expectation, which the kernel's scheme gets to weak order 1.  Raises
-    the kernel's InputError and SimulationDivergedError, and
-    SingularDiffusionError where 2b is singular.
+    the kernel's InputError and SimulationDivergedError,
+    SingularDiffusionError where 2b is singular, and NonFiniteOutputError
+    where the integral overflows.
     """
     grid, dt, steps = _euler_maruyama(model, n_paths, dt, seed, drift_at_end=True)
     last = len(grid) - 1
@@ -58,26 +60,30 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     # 2b, its check and its inverse are formed again only where sigma(t)
     # changes; a copy, as the callback may return one array it mutates
     prev_sig = None
-    for k, (t, _, a, sig) in enumerate(steps):
-        if prev_sig is None or not np.array_equal(sig, prev_sig):
-            inv = guarded_inv(sig @ sig.T, f"2b at t={t}",
-                              SingularDiffusionError)
-            prev_sig = sig.copy()
-        if inv.shape == (1, 1):
-            # plain multiplies give the bits of the 1x1 product and of
-            # einsum's one-term sum at an eighth of its time
-            np.multiply(a[:, 0], inv[0, 0], out=q)
-            q *= a[:, 0]
-        else:
-            np.einsum("pi,pi->p", a, a @ inv.T, out=q)
-        if k in (0, last):
-            q *= 0.5
-        integral += q
-    integral *= dt
-
-    half = 0.5 * integral
-    value = float(np.mean(half))
-    se = float(np.std(half, ddof=1) / math.sqrt(n_paths))
+    # a step past the float range is the kernel's SimulationDivergedError,
+    # and an integral past it is refused below, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (t, _, a, sig) in enumerate(steps):
+            if prev_sig is None or not np.array_equal(sig, prev_sig):
+                inv = guarded_inv(sig @ sig.T, f"2b at t={t}",
+                                  SingularDiffusionError)
+                prev_sig = sig.copy()
+            if inv.shape == (1, 1):
+                # plain multiplies give the bits of the 1x1 product and of
+                # einsum's one-term sum at an eighth of its time
+                np.multiply(a[:, 0], inv[0, 0], out=q)
+                q *= a[:, 0]
+            else:
+                np.einsum("pi,pi->p", a, a @ inv.T, out=q)
+            if k in (0, last):
+                q *= 0.5
+            integral += q
+        integral *= dt
+        half = 0.5 * integral
+        value = float(np.mean(half))
+        se = float(np.std(half, ddof=1) / math.sqrt(n_paths))
+    require_finite([value, se], "the entropy integral, which overflowed,",
+                   error=NonFiniteOutputError)
     return EntropyEstimate(value=value, method="monte-carlo",
                            horizon=model.horizon, std_error=se,
                            stream_version=STREAM_VERSION, seed=int(seed),
@@ -96,10 +102,16 @@ def entropy_covariance_form(u, stats: EnsembleStats, sigma) -> EntropyEstimate:
         raise InputError("covariance form implemented for scalar processes")
     uu = np.array([u(t) if callable(u) else u for t in grid], dtype=float)
     ss = np.array([sigma(t) if callable(sigma) else sigma for t in grid], dtype=float)
+    for name, arr in (("u", uu), ("sigma", ss)):
+        require_finite(arr, name)
+        if arr.shape != grid.shape:
+            raise InputError(f"{name} must be a scalar or a scalar function of t")
     if np.any(np.abs(ss) < 1e-14):
         raise DegenerateFunctionalError("sigma vanishes; functional degenerates")
     r = stats.r[:, 0, 0]
-    integrand = uu * uu * r / (ss * ss)
-    value = 0.5 * float(np.trapezoid(integrand, grid))
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = uu * uu * r / (ss * ss)
+        value = 0.5 * float(np.trapezoid(integrand, grid))
+    require_finite(value, "the covariance-form integral", error=NonFiniteOutputError)
     return EntropyEstimate(value=value, method="covariance-form",
                            horizon=(float(grid[0]), float(grid[-1])))

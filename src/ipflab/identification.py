@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import EnsembleStats, Record, guarded_inv
-from .errors import DegenerateEnsembleError, InputError
+from .diffusion import EnsembleStats, Record, guarded_inv, require_finite
+from .errors import DegenerateEnsembleError, InputError, NonFiniteOutputError
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,29 @@ class IdentifiedOperator(Record):
 
 def _make(tau, A, method, diagnostics=None) -> IdentifiedOperator:
     A = np.atleast_2d(A)
+    require_finite(A, f"A at tau={tau}", error=NonFiniteOutputError)
     return IdentifiedOperator(tau=float(tau), method=method, A=A,
                               eigenvalues=np.linalg.eigvals(A).astype(complex),
                               diagnostics=diagnostics or {})
 
 
+def _square(mat, n: int, name: str) -> np.ndarray:
+    """mat as an n x n float array; refused unless finite and of that shape."""
+    require_finite(mat, name)
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.shape != (n, n):
+        raise InputError(f"{name} has shape {mat.shape}, not ({n}, {n})")
+    return mat
+
+
 def _b_over_r(stats: EnsembleStats, tau: float, b) -> np.ndarray:
     """b r(tau)^{-1}: the closed loop's operator, and minus the reduced one
-    under the doubling feedback."""
-    return np.atleast_2d(b) @ guarded_inv(stats.r_at(tau), "r",
-                                          DegenerateEnsembleError)
+    under the doubling feedback; past the float range it is inf, which
+    _make refuses."""
+    b = _square(b, stats.n, "b")
+    r_inv = guarded_inv(stats.r_at(tau), "r", DegenerateEnsembleError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return b @ r_inv
 
 
 def identify_reduced(stats: EnsembleStats, v, tau: float,
@@ -54,13 +67,17 @@ def identify_reduced(stats: EnsembleStats, v, tau: float,
     collapse to noise near stationarity and repeat identify_covariance_ratio.
     """
     i, n = stats.index_of(tau), stats.n
-    vv = np.atleast_1d(np.asarray(v(tau) if callable(v) else v, dtype=float))
+    b = _square(b, n, "b")
+    vv = v(tau) if callable(v) else v
+    require_finite(vv, "v")
+    vv = np.atleast_1d(np.asarray(vv, dtype=float))
     if vv.shape != (n,):
         raise InputError(f"shift v has length {vv.size}, not the ensemble's n={n}")
-    mv = np.outer(stats.mean[i], vv)
-    # m v^T + v m^T is exactly symmetric, so r_v is
-    r_v = stats.r[i] + (mv + mv.T) + np.outer(vv, vv)
-    A = -np.atleast_2d(b) @ guarded_inv(r_v, "r_v", DegenerateEnsembleError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mv = np.outer(stats.mean[i], vv)
+        # m v^T + v m^T is exactly symmetric, so r_v is
+        r_v = stats.r[i] + (mv + mv.T) + np.outer(vv, vv)
+        A = -b @ guarded_inv(r_v, "r_v", DegenerateEnsembleError)
     return _make(tau, A, "reduced-control", {"r_v": r_v})
 
 
@@ -80,8 +97,9 @@ def identify_covariance_ratio(stats: EnsembleStats, tau: float) -> IdentifiedOpe
     r = stats.r_at(tau)
     rdot = stats.r_dot_at(tau)
     r_inv = guarded_inv(r, "r", DegenerateEnsembleError)
-    A = 0.5 * rdot @ r_inv
-    comm = 0.5 * rdot @ r_inv - 0.5 * r_inv @ rdot
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = 0.5 * rdot @ r_inv
+        comm = 0.5 * rdot @ r_inv - 0.5 * r_inv @ rdot
     return _make(tau, A, "covariance-ratio",
                  {"commutator_norm": float(np.linalg.norm(comm))})
 
@@ -91,8 +109,7 @@ def identify_dispersion_window(stats: EnsembleStats, tau: float,
     """A(tau) = b(tau) (2 int_{tau-w}^{tau} b dt)^{-1} with b = (1/2) rdot and
     2 int b dt = r(tau) - r(tau - w); a window shorter than a step, or that
     starts before the grid, is refused."""
-    if window <= 0:
-        raise InputError("window must be positive")
+    require_finite(window, "window", positive=True)
     grid = stats.grid
     lo_t = tau - window
     if lo_t < grid[0] - 1e-9 * (grid[-1] - grid[0]):
@@ -102,8 +119,9 @@ def identify_dispersion_window(stats: EnsembleStats, tau: float,
     if j == i or window < (1 - 1e-9) * (grid[i] - grid[i - 1]):
         raise InputError(f"window={window} is shorter than the grid step")
     b_tau = 0.5 * stats.r_dot_at(tau)
-    A = np.atleast_2d(b_tau) @ guarded_inv(
-        stats.r[i] - stats.r[j], "window integral", DegenerateEnsembleError)
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.atleast_2d(b_tau) @ guarded_inv(
+            stats.r[i] - stats.r[j], "window integral", DegenerateEnsembleError)
     return _make(tau, A, "dispersion-window", {"window": window})
 
 
@@ -123,5 +141,9 @@ def check_constraint(stats: EnsembleStats, tau: float,
     dt)^{-1}, which matches -(1/2) r^{-1} only at a genuine switch moment,
     so the residual separates switch moments from mid-segment times.
     """
+    grad = _square(grad, stats.n, "grad")
     exx = 0.5 * guarded_inv(stats.r_at(tau), "r", DegenerateEnsembleError)
-    return float(np.linalg.norm(exx + np.atleast_2d(grad)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(np.linalg.norm(exx + grad))
+    require_finite(res, "the constraint residual", error=NonFiniteOutputError)
+    return res

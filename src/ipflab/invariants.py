@@ -14,13 +14,14 @@ dimensionless defect d* and the irreversible lifetime d* * T_rev.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._roots import bisect, first_bracket
-from .diffusion import LN2, Record, require_int
-from .errors import InputError, NoRootError
+from .diffusion import LN2, Record, require_finite, require_int
+from .errors import InputError, NonFiniteOutputError, NoRootError
 
 # admissible ratio window; evaluation outside it is allowed for diagnostics
 GAMMA_DIAPASON = (0.00718, 0.8)
@@ -42,9 +43,9 @@ def solve_ao(gamma: float) -> float:
 
     Bisection to 1e-12 on [-3, -1e-6] if the residual changes sign across
     it, else on the first sign-change cell of 3001 points walking in from
-    -1e-6 (the root nearest zero).  gamma must be finite and >= 0."""
-    if not (math.isfinite(gamma) and gamma >= 0):
-        raise InputError(f"gamma must be finite and nonnegative, not {gamma}")
+    -1e-6 (the root nearest zero).  gamma >= 0, and at most max/4, where
+    the residual's terms are still floats."""
+    require_finite(gamma, "gamma", lo=0.0, hi=sys.float_info.max / 4)
     f = lambda ao: _ao_residual(ao, gamma)
     lo, hi = -3.0, -1e-6
     if f(lo) * f(hi) > 0:
@@ -57,8 +58,8 @@ def solve_ao(gamma: float) -> float:
 
 def invariant_a(gamma: float, ao_abs: float) -> float:
     """Companion invariant from the magnitude |ao|; zero at gamma = 1."""
-    if gamma < 0 or gamma > 1:
-        raise InputError("invariant_a requires 0 <= gamma <= 1")
+    require_finite(gamma, "gamma", lo=0.0, hi=1.0)
+    require_finite(ao_abs, "ao_abs")
     if gamma == 1.0:
         return 0.0
     ao = abs(ao_abs)
@@ -67,9 +68,11 @@ def invariant_a(gamma: float, ao_abs: float) -> float:
 
 
 def delta_star(ao_abs: float, a: float) -> float:
-    """Relative defect of the segment balance, |ao - a - ao^2| / ao^2."""
-    if ao_abs <= 0:
-        raise InputError("ao_abs must be positive")
+    """Relative defect of the segment balance, |ao - a - ao^2| / ao^2, for
+    ao_abs in [1e-6, 3], the bracket solve_ao searches, and |a| <= 3, which
+    keep it finite."""
+    require_finite(ao_abs, "ao_abs", lo=1e-6, hi=3.0)
+    require_finite(a, "a", lo=-3.0, hi=3.0)
     return abs(ao_abs - a - ao_abs * ao_abs) / (ao_abs * ao_abs)
 
 
@@ -80,8 +83,13 @@ def balance_defect(ao_abs: float, a: float) -> float:
 
 def lifetime_ratio(delta: float, t_intervals) -> dict:
     """Reversible segment time and the irreversible remainder it implies."""
-    t_rev = float(np.sum(np.asarray(t_intervals, dtype=float)))
-    return {"T_rev": t_rev, "T_irr": delta * t_rev}
+    require_finite(delta, "delta")
+    require_finite(t_intervals, "t_intervals")
+    with np.errstate(over="ignore"):
+        t_rev = float(np.sum(np.asarray(t_intervals, dtype=float)))
+    out = {"T_rev": t_rev, "T_irr": delta * t_rev}
+    require_finite(list(out.values()), "the lifetimes", error=NonFiniteOutputError)
+    return out
 
 
 def _gamma2_of_gamma1(gamma1: float, a: float) -> float:
@@ -130,10 +138,10 @@ def gamma_ratios(a: float) -> dict:
     ranged spectrum) so a failed fit is visible instead of forced.  At
     a = 3.896 / (2 * 2.896) the reference ratio sits on gamma2's pole,
     where the second relation is undefined; both reference residuals are
-    then None.  a must be finite and positive.
+    then None, and the first one is also None next to that pole, where the
+    equation's exponent is past exp's range.  0 < a <= ln(float max), where e^a is still a float.
     """
-    if not (math.isfinite(a) and a > 0):
-        raise InputError(f"a must be finite and positive, not {a}")
+    require_finite(a, "a", positive=True, hi=math.log(sys.float_info.max))
     f = lambda g: _ratio_residual(g, a)
     grid = np.linspace(1.02, 8.0, 1400)
     cells = (first_bracket(f, part)
@@ -146,28 +154,33 @@ def gamma_ratios(a: float) -> dict:
         g2_ref = _gamma2_of_gamma1(g1_ref, a)
     except InputError:      # g1_ref on gamma2's pole
         g2_ref = None
+    eq1_ref = None if g2_ref is None else _ratio_residual(g1_ref, a)
+    if eq1_ref is not None and not math.isfinite(eq1_ref):
+        eq1_ref = None      # past exp's range, next to gamma2's pole
     return {"gamma1": g1,
             "gamma2": None if g1 is None else _gamma2_of_gamma1(g1, a),
             "converged": g1 is not None,
             "residuals": {
                 "eq1_at_solution": None if g1 is None else _ratio_residual(g1, a),
                 "gamma2_from_gamma1_ref": g2_ref,
-                "eq1_at_reference": None if g2_ref is None else _ratio_residual(g1_ref, a)}}
+                "eq1_at_reference": eq1_ref}}
 
 
 def optimal_spectrum(n: int, alpha1: float) -> np.ndarray:
-    """Ranged eigenvalue spectrum alpha_{i+1} = 0.2567^i 0.4514^{1-i} alpha_1."""
-    require_int(n, "n")
-    if n < 1:
-        raise InputError("n must be >= 1")
-    if not (math.isfinite(alpha1) and alpha1 != 0):
-        raise InputError(f"alpha1 must be finite and nonzero, not {alpha1}")
+    """Ranged eigenvalue spectrum alpha_{i+1} = 0.2567^i 0.4514^{1-i} alpha_1.
+
+    Refused where an entry is 0: for alpha1 = 0, for a tiny alpha1, and for
+    n > 548, as 0.2567^548 underflows."""
+    require_int(n, "n", lo=1, hi=548)
+    require_finite(alpha1, "alpha1")
     i = np.arange(n, dtype=float)
     spec = np.empty(n)
     spec[0] = alpha1
     if n > 1:
         ii = i[1:]
         spec[1:] = (0.2567 ** ii) * (0.4514 ** (1.0 - ii)) * alpha1
+    if not np.all(spec != 0):
+        raise InputError(f"the spectrum of n={n}, alpha1={alpha1} has an entry of 0")
     return spec
 
 
@@ -194,9 +207,8 @@ class InvariantSet(Record):
 
 
 def invariant_set(gamma: float) -> InvariantSet:
-    """Solve and assemble every invariant at the given ratio, 0 <= gamma <= 1."""
-    if gamma > 1:
-        raise InputError("invariant_set requires 0 <= gamma <= 1")
+    """Solve and assemble every invariant at the given ratio, 0 <= gamma <= 1
+    (refused by solve_ao and invariant_a otherwise)."""
     ao_signed = solve_ao(gamma)
     ao = abs(ao_signed)
     a_formula = invariant_a(gamma, ao)

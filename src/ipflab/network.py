@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import SegmentSchedule
-from .diffusion import LN2, Record
+from .diffusion import LN2, Record, require_finite, require_int
 from .eigenchain import eigen_step
-from .errors import InputError
+from .errors import InputError, NonFiniteOutputError
 from .invariants import InvariantSet, _gamma2_of_gamma1, invariant_set, optimal_spectrum, solve_ao
 
 # bit mapping of the switch letters: A = regular step switch (0),
@@ -50,17 +50,18 @@ class TripletReport(Record):
 
 def triplet_accounting(inv: InvariantSet) -> TripletReport:
     """Information ledger of one triplet built from a complete invariant set."""
-    for name in ("ao_abs", "a", "delta_star", "defect"):
-        val = getattr(inv, name, None)
-        if val is None or not math.isfinite(val):
-            raise InputError(f"invariant set missing {name}")
+    for name in ("delta_star", "defect"):
+        require_finite(getattr(inv, name, None), name)
+    # the domain of delta_star, and a > 0
+    require_finite(getattr(inv, "ao_abs", None), "ao_abs", lo=1e-6, hi=3.0)
+    require_finite(getattr(inv, "a", None), "a", positive=True, hi=3.0)
     ao = inv.ao_abs
     a = inv.a
-    if a <= 0:
-        raise InputError("triplet accounting needs a > 0")
     ao_real = abs(solve_ao(0.0))
     gamma13 = 1.0 + ao_real / a
     gamma23 = _gamma2_of_gamma1(gamma13, a)
+    require_finite([gamma13, gamma23], f"the interval ratios at a={a}",
+                   error=NonFiniteOutputError)
     deliver1 = a * (gamma13 - 1.0)
     deliver2 = a * (gamma23 - 1.0)
     consumed1 = abs(eigen_step(-deliver1, 1.0))
@@ -109,8 +110,9 @@ def build_in(n: int, gamma: float, alpha1: float) -> InfoNetwork:
     node transfer.  An even n leaves one entry over; it is attached to
     the last node and flagged.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
+    require_int(n, "n", lo=1)
+    require_finite(gamma, "gamma", lo=0.0, hi=1.0)
+    require_finite(alpha1, "alpha1")
     flags = []
     if n < 3:
         warnings.warn("fewer than three eigenvalues: no cooperation possible")
@@ -119,10 +121,15 @@ def build_in(n: int, gamma: float, alpha1: float) -> InfoNetwork:
                                    "node_count": 0})
     inv = invariant_set(gamma)
     report = triplet_accounting(inv)
-    spectrum = optimal_spectrum(n, alpha1)
     # an alpha_r3 of at least this keeps t_r = |ao| / alpha_r3 finite:
     # |ao| / max is rounded, so the next float up bounds it from above
     min_alpha_r3 = math.nextafter(inv.ao_abs / sys.float_info.max, math.inf)
+    # node 1's alpha_r3 is below 3 (a/ao) |alpha1|: an alpha1 too small for
+    # that is refused here, before its spectrum underflows to 0
+    if not 3.0 * (inv.a / inv.ao_abs) * abs(alpha1) >= min_alpha_r3:
+        raise InputError(f"alpha1={alpha1} is too close to 0: the cooperation "
+                         f"time of node 1 overflows")
+    spectrum = optimal_spectrum(n, alpha1)
 
     nodes = []
     idx = 3
@@ -186,12 +193,15 @@ def emit_code(obj) -> str:
 
 
 def max_ratio_check(n: int) -> dict:
-    """Spread of the ranged spectrum against the quoted growth formula."""
+    """Spread of the ranged spectrum against the quoted growth formula;
+    the ratio and the gap are None for n < 1, which has no spectrum."""
+    require_int(n, "n")
+    # first, as it refuses the n past the float range
+    spec = optimal_spectrum(n, 1.0) if n >= 1 else None
     formula = 2.21 * 3.89 ** (n / 2.0)
-    if n < 1:
+    if spec is None:
         return {"spectrum_ratio": None, "formula_value": formula,
                 "relative_gap": None}
-    spec = optimal_spectrum(n, 1.0)
     ratio = abs(spec[0] / spec[-1])
     gap = abs(ratio - formula) / formula
     return {"spectrum_ratio": ratio, "formula_value": formula,

@@ -103,6 +103,20 @@ class TestScheduleCommand:
         assert len(doc["chain"]["intervals"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--seed", "1", "--n-paths", "100", "--sigma", "nan"],
+    ["simulate", "--seed", "1", "--n-paths", "100", "--sigma", "inf"]])
+def test_non_finite_sigma_refused(tmp_path, capsys, monkeypatch, argv):
+    # entropy used to end in numpy's "SVD did not converge" traceback
+    monkeypatch.setenv("IPFLAB_OUT", str(tmp_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error (InputError): sigma(0.0) must be finite\n"
+
+
 class TestStochasticCommands:
     def test_seed_mandatory(self):
         with pytest.raises(SystemExit):
@@ -286,6 +300,16 @@ class TestConfigPrecedence:
             cli.main(["--config", str(cfg), "invariants"])
         assert exc.value.code == 2
         assert f"config file {cfg}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_value_refused(self, tmp_path, capsys, name):
+        # used to be read, and the run then failed with exit code 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"gamma": {name}}}')
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfg), "invariants"])
+        assert exc.value.code == 2
+        assert f"config file {cfg} holds {name}, which is not JSON" in capsys.readouterr().err
 
     def test_values_that_fit_accepted(self, tmp_path):
         # an int for a float flag, a choice, and null for a flag whose

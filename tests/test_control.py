@@ -106,6 +106,13 @@ class TestDetectDp:
         hits = control.detect_dp(grid, x)
         assert hits and hits[0]["tau"] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("first", [np.zeros_like, np.exp])
+    def test_no_finite_speed_difference_no_dp(self, first):
+        # a mode at zero throughout has no finite speed: its pairs used to
+        # be reported as "identical speeds throughout" at grid[0]
+        grid = np.linspace(0, 1, 5)
+        assert control.detect_dp(grid, np.column_stack([first(grid), np.zeros(5)])) == []
+
     def test_disjoint_speeds_no_dp(self):
         grid = np.linspace(0, 1, 200)
         x = np.column_stack([np.exp(grid), np.exp(3 * grid)])

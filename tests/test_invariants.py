@@ -165,6 +165,13 @@ class TestGammaRatios:
         assert out["residuals"]["eq1_at_reference"] is None
         assert out["converged"] is False
 
+    def test_reference_residual_past_exp_range_reported_as_none(self):
+        # next to gamma2's pole at the reference ratio, e^{a g1 g2} overflows
+        # and the residual is +-inf, which the report used to carry
+        out = invariants.gamma_ratios(0.6708986929805602)
+        assert out["residuals"]["eq1_at_reference"] is None
+        assert math.isfinite(out["residuals"]["gamma2_from_gamma1_ref"])
+
     def test_overflowing_residual_is_signed_infinity(self):
         from ipflab.invariants import _ratio_residual
         # gamma2 -> +inf just below the pole 4/3 at a = 2, -inf just above
