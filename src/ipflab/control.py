@@ -69,8 +69,8 @@ def starting_control(stats: EnsembleStats, at: float) -> dict:
     Reduced form v = -2 E[x], external form u = b r^{-1} v, the nonrandom
     starting state |r^{1/2}|, and the starting operator b r^{-1}.
     """
-    r = np.atleast_2d(stats.r_at(at))
-    b = 0.5 * np.atleast_2d(stats.r_dot_at(at))
+    r = stats.r_at(at)
+    b = 0.5 * stats.r_dot_at(at)
     r_inv = guarded_inv(r, "r", DegenerateEnsembleError)
     mean = stats.mean[stats.index_of(at)]
     v = -2.0 * mean
@@ -86,13 +86,12 @@ def starting_control(stats: EnsembleStats, at: float) -> dict:
 
 def step_control(x_at_dp) -> np.ndarray:
     """Doubling feedback v = -2 x(tau), held fixed over the next segment."""
-    require_finite(x_at_dp, "x_at_dp", lo=-_X_MAX, hi=_X_MAX)
-    return -2.0 * np.asarray(x_at_dp, dtype=float)
+    return -2.0 * require_finite(x_at_dp, "x_at_dp", lo=-_X_MAX, hi=_X_MAX)
 
 
 def needle_control(x_minus, x_plus, tau: float = 0.0) -> NeedleEvent:
     """Needle action between tau-o and tau: jump of the held control."""
-    require_finite(tau, "tau")
+    require_finite(tau, "tau", shape=())
     v_m = np.atleast_1d(step_control(x_minus))
     v_p = np.atleast_1d(step_control(x_plus))
     if v_m.shape != v_p.shape:
@@ -103,10 +102,12 @@ def needle_control(x_minus, x_plus, tau: float = 0.0) -> NeedleEvent:
 def segment_trajectory(x_at_dp: float, lam: float, t, tau: float = 0.0):
     """Closed-form scalar segment under the doubling control; refused where
     it leaves the float range."""
-    for name, val in (("x_at_dp", x_at_dp), ("lam", lam), ("t", t), ("tau", tau)):
-        require_finite(val, name)
+    require_finite(x_at_dp, "x_at_dp", shape=())
+    require_finite(lam, "lam", shape=())
+    t = require_finite(t, "t")
+    require_finite(tau, "tau", shape=())
     with np.errstate(over="ignore", invalid="ignore"):
-        x = x_at_dp * (2.0 - np.exp(lam * (np.asarray(t) - tau)))
+        x = x_at_dp * (2.0 - np.exp(lam * (t - tau)))
     require_finite(x, f"the segment of lam={lam} from tau={tau}",
                    error=NonFiniteOutputError)
     return x
@@ -115,12 +116,8 @@ def segment_trajectory(x_at_dp: float, lam: float, t, tau: float = 0.0):
 def relative_phase_speed(x: np.ndarray, xdot: np.ndarray) -> np.ndarray:
     """|xdot / x| with zeros of x mapped to +inf (condition undefined there),
     as is a ratio past the float range."""
-    require_finite(x, "x")
-    require_finite(xdot, "xdot")
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    if x.shape != xdot.shape:
-        raise InputError(f"x {x.shape} and xdot {xdot.shape} differ in shape")
+    x = require_finite(x, "x")
+    xdot = require_finite(xdot, "xdot", shape=x.shape)
     out = np.full_like(x, np.inf)
     nz = np.abs(x) > 1e-300
     with np.errstate(over="ignore"):
@@ -138,11 +135,9 @@ def detect_dp(grid, modes, modes_dot=None) -> list:
     central differences.  One mask picks the cells with finite ends where
     the speed difference is 0 at the left end (a hit) or changes sign
     (bisected on the interpolated traces; noted if a mode crosses zero)."""
-    require_finite(grid, "grid")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
-        raise InputError("grid must be one-dimensional and increasing, with at "
-                         "least 2 points")
+    grid = require_finite(grid, "grid", shape=(None,))
+    if len(grid) < 2 or not np.all(np.diff(grid) > 0):
+        raise InputError("grid must be increasing, with at least 2 points")
     modes = _time_major(modes, grid, "modes")
     hits = []
     # a speed is +inf where its mode is zero or the ratio overflows, and a
@@ -190,18 +185,17 @@ def detect_dp(grid, modes, modes_dot=None) -> list:
 
 def _time_major(arr, grid, name):
     """arr as (T, n) for the T-point grid, transposed if given as (n, T)."""
-    require_finite(arr, name)
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    arr = require_finite(arr, name, shape=(None, None))
     arr = arr if arr.shape[0] == len(grid) else arr.T
-    if arr.ndim != 2 or arr.shape[0] != len(grid):
+    if arr.shape[0] != len(grid):
         raise InputError(f"{name} has no axis as long as the grid ({len(grid)} points)")
     return arr
 
 
 def consolidate_rotation(z_i: float, z_j: float) -> dict:
     """Equalize a pair by rotating through -arctan((z_j - z_i)/(z_j + z_i))."""
-    require_finite(z_i, "z_i", lo=-_X_MAX, hi=_X_MAX)
-    require_finite(z_j, "z_j", lo=-_X_MAX, hi=_X_MAX)
+    require_finite(z_i, "z_i", lo=-_X_MAX, hi=_X_MAX, shape=())
+    require_finite(z_j, "z_j", lo=-_X_MAX, hi=_X_MAX, shape=())
     if z_i + z_j == 0.0:
         raise UndefinedAngleError("z_i + z_j = 0; rotation angle undefined")
     phi = math.atan2(z_j - z_i, z_j + z_i)
@@ -219,11 +213,10 @@ def schedule_from_invariants(inv, spectrum) -> SegmentSchedule:
     from a unit start state; so eigenvalue * duration = a_o on every
     segment by construction.
     """
-    spec = np.atleast_1d(np.asarray(spectrum, dtype=float))
-    if np.any(spec == 0) or not np.isfinite(spec).all() or spec.ndim != 1:
-        raise InputError(f"spectrum must be a vector of entries finite and "
-                         f"nonzero, not {spec.tolist()}")
-    require_finite(inv.ao_abs, "inv.ao_abs", positive=True)
+    spec = require_finite(spectrum, "spectrum", shape=(None,))
+    if np.any(spec == 0):
+        raise InputError(f"spectrum entries must be nonzero, not {spec.tolist()}")
+    require_finite(inv.ao_abs, "inv.ao_abs", positive=True, shape=())
     with np.errstate(over="ignore"):
         durations = inv.ao_abs / np.abs(spec)
         ends = np.cumsum(durations)     # the switch moments, summed as below

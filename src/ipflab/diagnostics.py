@@ -20,21 +20,15 @@ from .errors import InputError, NonFiniteOutputError, UndefinedLogError
 def _trace(grid, x):
     """grid and x as float arrays, refused unless finite, one-dimensional
     and of one length."""
-    require_finite(grid, "grid")
-    require_finite(x, "x")
-    grid = np.asarray(grid, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if grid.ndim != 1 or grid.shape != x.shape:
-        raise InputError(f"grid {grid.shape} and x {x.shape} are not one "
-                         f"trace of one length")
-    return grid, x
+    grid = require_finite(grid, "grid", shape=(None,))
+    return grid, require_finite(x, "x", shape=grid.shape)
 
 
 def lce_local(grid, x, window: float = None) -> float:
     """Least-squares slope of ln|x(t)| over the window starting at grid[0]."""
     grid, x = _trace(grid, x)
     if window is not None:
-        require_finite(window, "window")
+        require_finite(window, "window", shape=())
         with np.errstate(over="ignore"):
             mask = grid <= grid[0] + window
         grid, x = grid[mask], x[mask]
@@ -61,10 +55,9 @@ def lce_local(grid, x, window: float = None) -> float:
 
 def pfr(A) -> float:
     """Production rate Tr A of an identified operator."""
-    require_finite(A, "A")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError("operator must be square")
+    A = require_finite(A, "A", shape=(None, None))
+    if A.shape[0] != A.shape[1]:
+        raise InputError(f"A has shape {A.shape}, not square")
     with np.errstate(over="ignore"):
         tr = float(np.trace(A))
     require_finite(tr, "Tr A", error=NonFiniteOutputError)
@@ -75,7 +68,7 @@ _STEADY_TOL = 1e-12  # exponents within this of zero are steady
 
 
 def classify(sigma: float) -> str:
-    require_finite(sigma, "sigma")
+    require_finite(sigma, "sigma", shape=())
     if sigma > _STEADY_TOL:
         return "instable"
     if sigma < -_STEADY_TOL:
@@ -98,9 +91,7 @@ def diagnose_segments(grid, x, dps) -> DiagnosticsReport:
     are recorded as flips.
     """
     grid, x = _trace(grid, x)
-    require_finite(dps, "dps")
-    if np.ndim(dps) != 1:
-        raise InputError("dps must be a sequence of switch moments")
+    dps = require_finite(dps, "dps", shape=(None,))
     bounds = [grid[0]] + list(dps) + [grid[-1]]
     lces = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -55,20 +55,30 @@ def require_int(val, name: str, lo=None, hi=None):
 
 
 def require_finite(val, name: str, lo=None, hi=None, positive=False,
-                   error=InputError):
-    """Refuse val, a number or an array of numbers (not a bool), unless every
-    entry is finite, in [lo, hi] and, if positive, > 0; error is the IpfError
-    raised."""
+                   error=InputError, shape=None) -> np.ndarray:
+    """val as a float array (0-d for a number), refused unless it is a
+    number or an array of numbers (not a bool or a string) whose every
+    entry is finite, in [lo, hi] and, if positive, > 0; error is the
+    IpfError raised.  Given a shape, missing leading axes are added first,
+    as np.atleast_2d adds them, and a value that still has another shape
+    is refused with InputError; None in shape stands for any length."""
     try:
         arr = np.asarray(val, dtype=float)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or isinstance(val, (bool, np.bool_)):
+    if arr is None or isinstance(val, (bool, np.bool_, str, bytes)):
         raise error(f"{name} must be a finite number, not {val!r}")
+    if shape is not None and arr.shape != shape:
+        fit = arr.reshape((1,) * (len(shape) - arr.ndim) + arr.shape)
+        if fit.ndim != len(shape) or any(
+                w not in (None, d) for w, d in zip(shape, fit.shape)):
+            raise InputError(f"{name} has shape {arr.shape}, not "
+                             + str(shape).replace("None", "any"))
+        arr = fit
     if not (np.isfinite(arr).all() if arr.ndim else math.isfinite(arr)):
         raise error(f"{name} must be finite" + ("" if arr.ndim else f", not {val}"))
     if lo is None and hi is None and not positive:
-        return
+        return arr
     if arr.ndim:
         low, high = arr.min(initial=math.inf), arr.max(initial=-math.inf)
     else:
@@ -81,6 +91,7 @@ def require_finite(val, name: str, lo=None, hi=None, positive=False,
         raise error(f"{name} must be positive")
     if hi is not None and high > hi:
         raise error(f"{name} must be <= {hi}")
+    return arr
 
 
 def plain(obj):
@@ -186,20 +197,17 @@ class DiffusionModel:
 
     def __post_init__(self):
         require_int(self.n, "n", lo=1)
-        mean = np.atleast_1d(np.asarray(self.initial_mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.initial_cov, dtype=float))
-        if mean.shape != (self.n,) or cov.shape != (self.n, self.n):
-            raise InputError(f"initial law has wrong shape for n={self.n}")
-        require_finite(mean, "initial_mean")
-        require_finite(cov, "initial_cov")
+        mean = require_finite(self.initial_mean, "initial_mean", shape=(self.n,))
+        cov = require_finite(self.initial_cov, "initial_cov",
+                             shape=(self.n, self.n))
         if not np.allclose(cov, cov.T):
             raise InputError("initial_cov must be symmetric")
         if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
             raise InputError("initial_cov must be positive semi-definite")
-        if np.shape(self.horizon) != (2,):
-            raise InputError(f"horizon must be a pair (s, T), not {self.horizon!r}")
-        s, t_end = self.horizon
-        require_finite(float(t_end) - float(s), "horizon length T - s", positive=True)
+        # the horizon itself is kept as given: EntropyEstimate writes it
+        s, t_end = require_finite(self.horizon, "horizon", shape=(2,))
+        require_finite(float(t_end) - float(s), "horizon length T - s",
+                       positive=True)
         object.__setattr__(self, "initial_mean", mean)
         object.__setattr__(self, "initial_cov", cov)
 
@@ -231,8 +239,9 @@ class EnsembleStats(Record):
         return self.mean.shape[1]
 
     def index_of(self, t: float) -> int:
-        """Index of the grid point nearest t; t must lie on the grid's span
-        up to a relative 1e-9."""
+        """Index of the grid point nearest t, a number on the grid's span up
+        to a relative 1e-9."""
+        require_finite(t, "t", shape=())
         lo, hi = self.grid[0], self.grid[-1]
         tol = 1e-9 * (hi - lo)
         if not lo - tol <= t <= hi + tol:
@@ -295,7 +304,7 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     s, t_end = model.horizon
     if dt is None:
         dt = (t_end - s) * 1e-3
-    require_finite(dt, "dt", positive=True)
+    require_finite(dt, "dt", positive=True, shape=())
     steps = float(t_end - s) / float(dt)
     # past 2**53 a step count is not exact in a float: no dt that small divides
     require_finite(steps, f"the step count of dt={dt}", hi=2 ** 53)
@@ -365,11 +374,8 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
             return
         u = model.control_law(t, x) if model.control_law is not None else None
         a = model.drift(t, x, u)
-        sig = np.atleast_2d(np.asarray(model.diffusion(t), dtype=float))
-        if sig.shape != (model.n, model.n):
-            raise InputError(f"sigma({t}) has shape {sig.shape}, not "
-                             f"({model.n}, {model.n})")
-        require_finite(sig, f"sigma({t})")
+        sig = require_finite(model.diffusion(t), f"sigma({t})",
+                             shape=(model.n, model.n))
         yield t, x, a, sig
         if k == last:
             return
@@ -489,20 +495,18 @@ def stats_from_covariance(grid, r, mean=None) -> EnsembleStats:
     zero by default.  The record holds read-only copies; the caller's
     arrays are untouched.
     """
-    grid = np.array(grid, dtype=float)
-    r = np.array(r, dtype=float)
+    grid = require_finite(grid, "grid", shape=(None,)).copy()
+    if not grid.size or not np.all(np.diff(grid) > 0):
+        raise InputError("grid must be non-empty and increasing")
+    r = require_finite(r, "r").copy()
     if r.ndim == 1:
         r = r[:, None, None]
     n = r.shape[-1] if r.ndim == 3 else 0
-    mean = (np.zeros(r.shape[:1] + (n,)) if mean is None
-            else np.array(mean, dtype=float))
-    if (grid.ndim != 1 or not grid.size or n < 1 or r.shape != (len(grid), n, n)
-            or mean.shape != (len(grid), n)):
-        raise InputError(f"grid {grid.shape}, r {r.shape} and mean {mean.shape} "
-                         f"are not (T,), (T, n, n) and (T, n)")
-    for name, arr in (("grid", grid), ("r", r), ("mean", mean)):
-        require_finite(arr, name)
+    if n < 1 or r.shape != (len(grid), n, n):
+        raise InputError(f"r has shape {r.shape}, not (T, n, n) with n >= 1 "
+                         f"for the grid's T = {len(grid)}")
+    mean = (np.zeros((len(grid), n)) if mean is None
+            else require_finite(mean, "mean", shape=(len(grid), n)).copy())
+    for arr in (grid, r, mean):
         arr.setflags(write=False)
-    if not np.all(np.diff(grid) > 0):
-        raise InputError("grid must be increasing")
     return EnsembleStats(grid=grid, mean=mean, r=r)

@@ -33,8 +33,8 @@ def eigen_step(lam: float, t: float) -> float:
     """Renovated eigenvalue after a segment of length t.  Past exp's range it
     is its limit lam: from lam t ~ 37 on, 2 - e^{lam t} rounds to -e^{lam t}.
     Refused where lam e^{lam t} overflows before the division."""
-    require_finite(lam, "lam")
-    require_finite(t, "t")
+    require_finite(lam, "lam", shape=())
+    require_finite(t, "t", shape=())
     out = _renovated(lam, t)
     require_finite(out, f"the eigenvalue renovated from lam={lam} over t={t}",
                    error=NonFiniteOutputError)
@@ -55,11 +55,12 @@ def _renovated(lam, t):
 def state_step(z, lam: float, t: float):
     """State multiplier (2 - e^{lam t}) applied segment-wise; zero is legal.
     A state past the float range raises SimulationDivergedError at t."""
-    for name, val in (("z", z), ("lam", lam), ("t", t)):
-        require_finite(val, name)
+    z = require_finite(z, "z")
+    require_finite(lam, "lam", shape=())
+    require_finite(t, "t", shape=())
     x = lam * t
     with np.errstate(over="ignore", invalid="ignore"):
-        z = (2.0 - (math.exp(x) if x <= _EXP_MAX else math.inf)) * np.asarray(z)
+        z = (2.0 - (math.exp(x) if x <= _EXP_MAX else math.inf)) * z
     if not np.isfinite(z).all():
         raise SimulationDivergedError(t)
     return z
@@ -67,8 +68,8 @@ def state_step(z, lam: float, t: float):
 
 def terminal_time(t_prev: float, lam: float) -> float:
     """Moment the final segment zeroes the state: t_prev + ln 2 / lam."""
-    require_finite(t_prev, "t_prev")
-    require_finite(lam, "lam")
+    require_finite(t_prev, "t_prev", shape=())
+    require_finite(lam, "lam", shape=())
     if lam <= 0:
         raise NeedsNeedleControlError(
             "terminal segment needs a positive eigenvalue; apply a needle control")
@@ -145,10 +146,7 @@ def build_equalization_chain(spectrum, n: int) -> EigenChain:
     intervals as dimensions, so len(spectrum) must equal n.
     """
     require_int(n, "n", lo=1)
-    require_finite(spectrum, "spectrum")
-    spec = [float(s) for s in np.ravel(spectrum)]
-    if np.ndim(spectrum) > 1 or len(spec) != n:
-        raise InputError("chain needs a vector of exactly n spectrum entries (n = m)")
+    spec = [float(s) for s in require_finite(spectrum, "spectrum", shape=(n,))]
     mags = [abs(s) for s in spec]
     if any(m == 0 for m in mags):
         raise InputError("spectrum entries must be nonzero")
@@ -181,7 +179,7 @@ def chain_state_trace(chain: EigenChain, z0: float) -> dict:
     (exactly zero when the tail lands on lam*t = ln 2).  A state past the
     float range raises SimulationDivergedError at its stage's length.
     """
-    require_finite(z0, "z0")
+    require_finite(z0, "z0", shape=())
     z = float(z0)
     states = [z]
     t = 0.0

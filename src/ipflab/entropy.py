@@ -100,12 +100,10 @@ def entropy_covariance_form(u, stats: EnsembleStats, sigma) -> EntropyEstimate:
     grid = stats.grid
     if stats.n != 1:
         raise InputError("covariance form implemented for scalar processes")
-    uu = np.array([u(t) if callable(u) else u for t in grid], dtype=float)
-    ss = np.array([sigma(t) if callable(sigma) else sigma for t in grid], dtype=float)
-    for name, arr in (("u", uu), ("sigma", ss)):
-        require_finite(arr, name)
-        if arr.shape != grid.shape:
-            raise InputError(f"{name} must be a scalar or a scalar function of t")
+    uu = require_finite([u(t) if callable(u) else u for t in grid], "u",
+                        shape=grid.shape)
+    ss = require_finite([sigma(t) if callable(sigma) else sigma for t in grid],
+                        "sigma", shape=grid.shape)
     if np.any(np.abs(ss) < 1e-14):
         raise DegenerateFunctionalError("sigma vanishes; functional degenerates")
     r = stats.r[:, 0, 0]

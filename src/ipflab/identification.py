@@ -30,27 +30,17 @@ class IdentifiedOperator(Record):
 
 
 def _make(tau, A, method, diagnostics=None) -> IdentifiedOperator:
-    A = np.atleast_2d(A)
     require_finite(A, f"A at tau={tau}", error=NonFiniteOutputError)
     return IdentifiedOperator(tau=float(tau), method=method, A=A,
                               eigenvalues=np.linalg.eigvals(A).astype(complex),
                               diagnostics=diagnostics or {})
 
 
-def _square(mat, n: int, name: str) -> np.ndarray:
-    """mat as an n x n float array; refused unless finite and of that shape."""
-    require_finite(mat, name)
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.shape != (n, n):
-        raise InputError(f"{name} has shape {mat.shape}, not ({n}, {n})")
-    return mat
-
-
 def _b_over_r(stats: EnsembleStats, tau: float, b) -> np.ndarray:
     """b r(tau)^{-1}: the closed loop's operator, and minus the reduced one
     under the doubling feedback; past the float range it is inf, which
     _make refuses."""
-    b = _square(b, stats.n, "b")
+    b = require_finite(b, "b", shape=(stats.n, stats.n))
     r_inv = guarded_inv(stats.r_at(tau), "r", DegenerateEnsembleError)
     with np.errstate(over="ignore", invalid="ignore"):
         return b @ r_inv
@@ -67,12 +57,8 @@ def identify_reduced(stats: EnsembleStats, v, tau: float,
     collapse to noise near stationarity and repeat identify_covariance_ratio.
     """
     i, n = stats.index_of(tau), stats.n
-    b = _square(b, n, "b")
-    vv = v(tau) if callable(v) else v
-    require_finite(vv, "v")
-    vv = np.atleast_1d(np.asarray(vv, dtype=float))
-    if vv.shape != (n,):
-        raise InputError(f"shift v has length {vv.size}, not the ensemble's n={n}")
+    b = require_finite(b, "b", shape=(n, n))
+    vv = require_finite(v(tau) if callable(v) else v, "v", shape=(n,))
     with np.errstate(over="ignore", invalid="ignore"):
         mv = np.outer(stats.mean[i], vv)
         # m v^T + v m^T is exactly symmetric, so r_v is
@@ -109,18 +95,19 @@ def identify_dispersion_window(stats: EnsembleStats, tau: float,
     """A(tau) = b(tau) (2 int_{tau-w}^{tau} b dt)^{-1} with b = (1/2) rdot and
     2 int b dt = r(tau) - r(tau - w); a window shorter than a step, or that
     starts before the grid, is refused."""
-    require_finite(window, "window", positive=True)
+    require_finite(window, "window", positive=True, shape=())
     grid = stats.grid
+    i = stats.index_of(tau)
     lo_t = tau - window
     if lo_t < grid[0] - 1e-9 * (grid[-1] - grid[0]):
         raise InputError(f"window={window} before tau={tau} starts at {lo_t}, "
                          f"before the grid start {grid[0]}")
-    i, j = stats.index_of(tau), stats.index_of(lo_t)
+    j = stats.index_of(lo_t)
     if j == i or window < (1 - 1e-9) * (grid[i] - grid[i - 1]):
         raise InputError(f"window={window} is shorter than the grid step")
     b_tau = 0.5 * stats.r_dot_at(tau)
     with np.errstate(over="ignore", invalid="ignore"):
-        A = np.atleast_2d(b_tau) @ guarded_inv(
+        A = b_tau @ guarded_inv(
             stats.r[i] - stats.r[j], "window integral", DegenerateEnsembleError)
     return _make(tau, A, "dispersion-window", {"window": window})
 
@@ -141,7 +128,7 @@ def check_constraint(stats: EnsembleStats, tau: float,
     dt)^{-1}, which matches -(1/2) r^{-1} only at a genuine switch moment,
     so the residual separates switch moments from mid-segment times.
     """
-    grad = _square(grad, stats.n, "grad")
+    grad = require_finite(grad, "grad", shape=(stats.n, stats.n))
     exx = 0.5 * guarded_inv(stats.r_at(tau), "r", DegenerateEnsembleError)
     with np.errstate(over="ignore", invalid="ignore"):
         res = float(np.linalg.norm(exx + grad))

@@ -45,7 +45,7 @@ def solve_ao(gamma: float) -> float:
     it, else on the first sign-change cell of 3001 points walking in from
     -1e-6 (the root nearest zero).  gamma >= 0, and at most max/4, where
     the residual's terms are still floats."""
-    require_finite(gamma, "gamma", lo=0.0, hi=sys.float_info.max / 4)
+    require_finite(gamma, "gamma", lo=0.0, hi=sys.float_info.max / 4, shape=())
     f = lambda ao: _ao_residual(ao, gamma)
     lo, hi = -3.0, -1e-6
     if f(lo) * f(hi) > 0:
@@ -58,8 +58,8 @@ def solve_ao(gamma: float) -> float:
 
 def invariant_a(gamma: float, ao_abs: float) -> float:
     """Companion invariant from the magnitude |ao|; zero at gamma = 1."""
-    require_finite(gamma, "gamma", lo=0.0, hi=1.0)
-    require_finite(ao_abs, "ao_abs")
+    require_finite(gamma, "gamma", lo=0.0, hi=1.0, shape=())
+    require_finite(ao_abs, "ao_abs", shape=())
     if gamma == 1.0:
         return 0.0
     ao = abs(ao_abs)
@@ -71,8 +71,8 @@ def delta_star(ao_abs: float, a: float) -> float:
     """Relative defect of the segment balance, |ao - a - ao^2| / ao^2, for
     ao_abs in [1e-6, 3], the bracket solve_ao searches, and |a| <= 3, which
     keep it finite."""
-    require_finite(ao_abs, "ao_abs", lo=1e-6, hi=3.0)
-    require_finite(a, "a", lo=-3.0, hi=3.0)
+    require_finite(ao_abs, "ao_abs", lo=1e-6, hi=3.0, shape=())
+    require_finite(a, "a", lo=-3.0, hi=3.0, shape=())
     return abs(ao_abs - a - ao_abs * ao_abs) / (ao_abs * ao_abs)
 
 
@@ -83,10 +83,10 @@ def balance_defect(ao_abs: float, a: float) -> float:
 
 def lifetime_ratio(delta: float, t_intervals) -> dict:
     """Reversible segment time and the irreversible remainder it implies."""
-    require_finite(delta, "delta")
-    require_finite(t_intervals, "t_intervals")
+    require_finite(delta, "delta", shape=())
+    t_intervals = require_finite(t_intervals, "t_intervals")
     with np.errstate(over="ignore"):
-        t_rev = float(np.sum(np.asarray(t_intervals, dtype=float)))
+        t_rev = float(np.sum(t_intervals))
     out = {"T_rev": t_rev, "T_irr": delta * t_rev}
     require_finite(list(out.values()), "the lifetimes", error=NonFiniteOutputError)
     return out
@@ -141,7 +141,8 @@ def gamma_ratios(a: float) -> dict:
     then None, and the first one is also None next to that pole, where the
     equation's exponent is past exp's range.  0 < a <= ln(float max), where e^a is still a float.
     """
-    require_finite(a, "a", positive=True, hi=math.log(sys.float_info.max))
+    require_finite(a, "a", positive=True, hi=math.log(sys.float_info.max),
+                   shape=())
     f = lambda g: _ratio_residual(g, a)
     grid = np.linspace(1.02, 8.0, 1400)
     cells = (first_bracket(f, part)
@@ -172,7 +173,7 @@ def optimal_spectrum(n: int, alpha1: float) -> np.ndarray:
     Refused where an entry is 0: for alpha1 = 0, for a tiny alpha1, and for
     n > 548, as 0.2567^548 underflows."""
     require_int(n, "n", lo=1, hi=548)
-    require_finite(alpha1, "alpha1")
+    require_finite(alpha1, "alpha1", shape=())
     i = np.arange(n, dtype=float)
     spec = np.empty(n)
     spec[0] = alpha1

@@ -51,10 +51,11 @@ class TripletReport(Record):
 def triplet_accounting(inv: InvariantSet) -> TripletReport:
     """Information ledger of one triplet built from a complete invariant set."""
     for name in ("delta_star", "defect"):
-        require_finite(getattr(inv, name, None), name)
+        require_finite(getattr(inv, name, None), name, shape=())
     # the domain of delta_star, and a > 0
-    require_finite(getattr(inv, "ao_abs", None), "ao_abs", lo=1e-6, hi=3.0)
-    require_finite(getattr(inv, "a", None), "a", positive=True, hi=3.0)
+    require_finite(getattr(inv, "ao_abs", None), "ao_abs", lo=1e-6, hi=3.0,
+                   shape=())
+    require_finite(getattr(inv, "a", None), "a", positive=True, hi=3.0, shape=())
     ao = inv.ao_abs
     a = inv.a
     ao_real = abs(solve_ao(0.0))
@@ -111,8 +112,8 @@ def build_in(n: int, gamma: float, alpha1: float) -> InfoNetwork:
     the last node and flagged.
     """
     require_int(n, "n", lo=1)
-    require_finite(gamma, "gamma", lo=0.0, hi=1.0)
-    require_finite(alpha1, "alpha1")
+    require_finite(gamma, "gamma", lo=0.0, hi=1.0, shape=())
+    require_finite(alpha1, "alpha1", shape=())
     flags = []
     if n < 3:
         warnings.warn("fewer than three eigenvalues: no cooperation possible")

@@ -10,6 +10,7 @@ a user's files.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -313,6 +314,29 @@ def test_pipeline_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes().decode() == text, name
+
+
+# SHA-256 of the n = 1 Monte Carlo documents at seed 1 and 1000 paths:
+# every stage's bits, from the draws to the writer.  They are the same
+# with numpy's AVX-512 targets disabled and OpenBLAS on its Haswell
+# kernels (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+# OPENBLAS_CORETYPE=Haswell)
+ENSEMBLE_SHA256 = "ab48185520e6aa26041b51366dd8fc0a1e9be14820b673f77a6b6bc18823e031"
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["pipeline"], {
+        "ensemble.json": ENSEMBLE_SHA256,
+        "operators.json": "14aac42661a3c5548b11156ed9c9c16e9aeb5d72f1842b7bc14f9fa8f6937655",
+        "manifest.json": "a8ab6f4304f8be5be835936954f26b67b6dbd0056f0ee5b23a73291ad6b1acfd"}),
+    (["simulate"], {"ensemble.json": ENSEMBLE_SHA256}),
+    (["simulate", "--format", "csv"], {
+        "ensemble.csv": "af06ea4ecde5ea5eac8aa9964e1d9193960b7a4fadcf494fe3d37346614713a5"}),
+], ids=["pipeline", "simulate-json", "simulate-csv"])
+def test_n1_monte_carlo_documents_pinned(tmp_path, argv, digests):
+    run_cli(argv + ["--seed", "1", "--n-paths", "1000", "--out", str(tmp_path)])
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 # -- every document's head ----------------------------------------------------

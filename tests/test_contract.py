@@ -3,7 +3,8 @@
 Each public callable of the eight modules ipflab exports (all but
 ``errors``) has one row in ROWS: a hypothesis strategy per parameter that
 mixes valid values with NaN, +-inf, 0, negatives, the smallest subnormal,
-1e308, bools, floats where integers are due and arrays of the wrong shape.
+1e308, bools, floats where integers are due, sequences, None and strings
+where numbers are due, and arrays of the wrong shape.
 Record arguments come from small pools of records, most of them built by
 ipflab itself; callbacks are well behaved, except sigma(t), which the
 kernel checks.  A call passes if it returns only finite floats (or None
@@ -32,11 +33,13 @@ from ipflab.errors import IpfError
 
 NAN, INF = math.nan, math.inf
 EDGES = [NAN, INF, -INF, 0.0, -1.0, 5e-324, 1e308, -1e308, True]
+# what a scalar parameter must refuse as well: sequences, None and text
+NOT_NUMBERS = [[0.5, 0.5], np.array([0.5, 0.5]), None, "0.5"]
 
 
 def reals(lo=-10.0, hi=10.0):
-    """A float in [lo, hi], or an edge value."""
-    return st.one_of(st.sampled_from(EDGES), st.floats(lo, hi))
+    """A float in [lo, hi], an edge value or one that is not a number."""
+    return st.one_of(st.sampled_from(EDGES + NOT_NUMBERS), st.floats(lo, hi))
 
 
 def ints(lo, hi):
@@ -327,6 +330,7 @@ _SIGMA_NAN_AT_HALF = _model(lambda t, x, u: -x,
                             horizon=(0.0, 1.0))
 _DRIFT_1E200 = _model(lambda t, x, u: np.full_like(x, 1e200), lambda t: [[1.0]],
                       horizon=(0.0, 1.0))
+_SIGMA_TEXT = _model(lambda t, x, u: -x, lambda t: "a")
 NAMED = [
     (diagnostics.lce_local, ([0.0, NAN, 1.0], [1.0, 2.0, 3.0]), "grid"),
     (diagnostics.lce_local, ([0.0, 0.5, 1.0], [1.0, INF, 3.0]), "x"),
@@ -390,9 +394,9 @@ NAMED = [
     (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], (-1e308, 1e308)),
      "horizon length"),
     (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], (0.0, 1.0, 2.0)),
-     "pair"),
+     "horizon has shape (3,), not (2,)"),
     (entropy.entropy_covariance_form, (lambda t: [1.0, 2.0], STATS[0], 1.0),
-     "u must be a scalar"),
+     "u has shape (11, 2), not (11,)"),
     (diagnostics.lce_local, ([1.0, 1.0000000000000002], [1.0, 2.0]), "too close"),
     (eigenchain.build_equalization_chain, ([-1.0, -0.1726, 1.113e-308], 3),
      "scan horizon"),
@@ -401,6 +405,45 @@ NAMED = [
     # used to escape as the bisection's RuntimeError
     (eigenchain.build_equalization_chain, ([-6.805, 5.085e-117, 6.788e-138], 3),
      "(-6.805, 5.085e-117) is not resolved"),
+    # a sequence given for a scalar used to escape as a TypeError or as
+    # numpy's "truth value is ambiguous" ValueError, or to be accepted
+    (eigenchain.eigen_step, ([0.5, 0.5], 1.0), "lam has shape (2,), not ()"),
+    (eigenchain.eigen_step, (np.array([0.5, 0.5]), 1.0), "lam has shape (2,)"),
+    (invariants.solve_ao, ([0.5, 0.5],), "gamma has shape (2,)"),
+    (invariants.delta_star, ([0.5, 0.5], 0.2), "ao_abs has shape (2,)"),
+    (invariants.invariant_a, ([0.5, 0.5], 0.7), "gamma has shape (2,)"),
+    (diagnostics.classify, ([0.5, 0.5],), "sigma has shape (2,)"),
+    (eigenchain.terminal_time, ([0.5, 0.5], 1.0), "t_prev has shape (2,)"),
+    (eigenchain.state_step, (1.0, [0.5, 0.5], 1.0), "lam has shape (2,)"),
+    (control.consolidate_rotation, ([0.5, 0.5], 1.0), "z_i has shape (2,)"),
+    (invariants.gamma_ratios, ([0.5, 0.5],), "a has shape (2,)"),
+    (network.build_in, (3, [0.5, 0.5], 1.0), "gamma has shape (2,)"),
+    (invariants.optimal_spectrum, (3, [0.5, 0.5]), "alpha1 has shape (2,)"),
+    (control.segment_trajectory, (1.0, [0.5, 0.5], [0.0, 1.0]),
+     "lam has shape (2,)"),
+    (diagnostics.lce_local, ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.5, 0.5]),
+     "window has shape (2,)"),
+    (invariants.lifetime_ratio, ([0.5, 0.5], [1.0]), "delta has shape (2,)"),
+    (diffusion.simulate_ensemble, (MODELS[0], 8, [0.25, 0.25], 1),
+     "dt has shape (2,)"),
+    (identification.identify_dispersion_window, (STATS[0], 0.5, [0.5, 0.5]),
+     "window has shape (2,)"),
+    # every time a record is read at goes through EnsembleStats.index_of(t)
+    (identification.identify_covariance_ratio, (STATS[0], [0.5, 0.6]),
+     "t has shape (2,), not ()"),
+    (STATS[0].r_at, ([0.5, 0.6],), "t has shape (2,), not ()"),
+    # used to return a NeedleEvent whose tau is a list
+    (control.needle_control, (1.0, 2.0, [0.0, 1.0]), "tau has shape (2,)"),
+    (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], ("a", 1.0)),
+     "horizon must be a finite number"),
+    (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], (None, 1.0)),
+     "horizon must be finite"),
+    (diffusion.DiffusionModel, (2, None, None, [[0.0], [0.0, 1.0]], np.eye(2),
+                                (0.0, 1.0)), "initial_mean must be a finite number"),
+    (diffusion.simulate_ensemble, (_SIGMA_TEXT, 8, 0.25, 1),
+     "sigma(0.0) must be a finite number"),
+    (control.schedule_from_invariants, (INVS[1], ["a"]),
+     "spectrum must be a finite number"),
 ]
 
 

@@ -132,15 +132,19 @@ class TestDetectDp:
         x = np.column_stack([grid - 1.0, np.exp(grid)])
         assert control.detect_dp(grid, x.T) == control.detect_dp(grid, x)
 
-    @pytest.mark.parametrize("modes_shape, dot_shape", [
-        ((99, 2), None), ((2, 101), None), ((100, 2), (99, 2)),
-        ((100, 2), (2, 3)), ((100, 2, 1), None)])
-    def test_no_axis_as_long_as_the_grid_refused(self, modes_shape, dot_shape):
+    @pytest.mark.parametrize("modes_shape, dot_shape, match", [
+        ((99, 2), None, "grid"), ((2, 101), None, "grid"),
+        ((100, 2), (99, 2), "grid"), ((100, 2), (2, 3), "grid"),
+        ((100, 2, 1), None, r"modes has shape \(100, 2, 1\), not \(any, any\)")],
+        ids=["modes_shape0-None", "modes_shape1-None", "modes_shape2-dot_shape2",
+             "modes_shape3-dot_shape3", "modes_shape4-None"])
+    def test_no_axis_as_long_as_the_grid_refused(self, modes_shape, dot_shape,
+                                                 match):
         # used to escape as a ValueError from np.gradient or an IndexError
         grid = np.linspace(0, 1, 100)
         modes = np.ones(modes_shape)
         modes_dot = None if dot_shape is None else np.ones(dot_shape)
-        with pytest.raises(InputError, match="grid"):
+        with pytest.raises(InputError, match=match):
             control.detect_dp(grid, modes, modes_dot)
 
     @pytest.mark.parametrize("grid", [[0.5], np.zeros((3, 3))])
@@ -196,16 +200,19 @@ class TestSchedule:
         doc = json.loads(sched.to_json())
         assert len(doc["segments"]) == 3 and len(doc["needle_events"]) == 3
 
-    @pytest.mark.parametrize("spec", [[1.0, math.nan], [math.inf],
-                                      [1.0, -math.inf], [0.0]],
-                             ids=["nan", "inf", "minus-inf", "zero"])
-    def test_zero_or_non_finite_spectrum_refused(self, spec):
+    @pytest.mark.parametrize("spec, match", [
+        ([1.0, math.nan], "spectrum must be finite"),
+        ([math.inf], "spectrum must be finite"),
+        ([1.0, -math.inf], "spectrum must be finite"),
+        ([0.0], "spectrum entries must be nonzero")],
+        ids=["nan", "inf", "minus-inf", "zero"])
+    def test_zero_or_non_finite_spectrum_refused(self, spec, match):
         # [1.0, nan] used to give a NaN switch moment, and [inf] a
         # zero-length segment after a RuntimeWarning
         inv = invariants.invariant_set(0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InputError, match="finite and nonzero"):
+            with pytest.raises(InputError, match=match):
                 control.schedule_from_invariants(inv, spec)
 
     def test_unsorted_dps_rejected(self):

@@ -32,11 +32,13 @@ class TestModelValidation:
                                      initial_mean=[0], initial_cov=[[-1.0]],
                                      horizon=(0, 1))
 
-    @pytest.mark.parametrize("mean,cov", [([0.0], np.eye(2)),
-                                          ([0.0, 0.0, 0.0], np.eye(2)),
-                                          ([0.0, 0.0], np.eye(3))])
-    def test_initial_law_of_wrong_shape_rejected(self, mean, cov):
-        with pytest.raises(InputError, match="wrong shape for n=2"):
+    @pytest.mark.parametrize("mean,cov,match", [
+        ([0.0], np.eye(2), r"initial_mean has shape \(1,\), not \(2,\)"),
+        ([0.0, 0.0, 0.0], np.eye(2), r"initial_mean has shape \(3,\), not \(2,\)"),
+        ([0.0, 0.0], np.eye(3), r"initial_cov has shape \(3, 3\), not \(2, 2\)")],
+        ids=["mean0-cov0", "mean1-cov1", "mean2-cov2"])
+    def test_initial_law_of_wrong_shape_rejected(self, mean, cov, match):
+        with pytest.raises(InputError, match=match):
             diffusion.DiffusionModel(n=2, drift=lambda t, x, u: -x,
                                      diffusion=lambda t: np.eye(2),
                                      initial_mean=mean, initial_cov=cov,
@@ -267,9 +269,11 @@ class TestStatsRecord:
     def test_time_outside_grid_rejected(self):
         stats = diffusion.stats_from_covariance(np.linspace(0, 1, 11),
                                                 np.ones(11))
-        for t in (-0.5, 1.5, 50.0, math.nan):
+        for t in (-0.5, 1.5, 50.0):
             with pytest.raises(InputError, match="outside the grid"):
                 stats.index_of(t)
+        with pytest.raises(InputError, match="t must be finite, not nan"):
+            stats.index_of(math.nan)
         # the same relative 1e-9 as the dt check
         assert stats.index_of(1.0 + 1e-12) == 10
         assert stats.index_of(-1e-12) == 0

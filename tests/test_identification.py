@@ -109,7 +109,7 @@ class TestReduced:
             n=3, drift=lambda t, x, u: -x, diffusion=lambda t: np.eye(3),
             initial_mean=np.zeros(3), initial_cov=np.eye(3), horizon=(0.0, 0.1))
         stats = diffusion.simulate_ensemble(model, 50, dt=0.01, seed=2)
-        with pytest.raises(InputError, match=f"length {len(v)}.*n=3"):
+        with pytest.raises(InputError, match=rf"v has shape \({len(v)},\), not \(3,\)"):
             identification.identify_reduced(stats, v, 0.1, b=0.5 * np.eye(3))
 
 
