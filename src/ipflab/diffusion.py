@@ -35,6 +35,8 @@ COND_MAX = 1e12
 # the moment sums run over blocks of this many paths, so their order
 # depends on n_paths alone
 _BLOCK = 2 ** 15
+# array kinds that require_finite refuses, though floats can be read from them
+_NOT_NUMBERS = {"b": "bools", "U": "strings", "S": "bytes", "O": "objects"}
 
 
 def guarded_inv(mat, what: str, error) -> np.ndarray:
@@ -57,17 +59,23 @@ def require_int(val, name: str, lo=None, hi=None):
 def require_finite(val, name: str, lo=None, hi=None, positive=False,
                    error=InputError, shape=None) -> np.ndarray:
     """val as a float array (0-d for a number), refused unless it is a
-    number or an array of numbers (not a bool or a string) whose every
-    entry is finite, in [lo, hi] and, if positive, > 0; error is the
-    IpfError raised.  Given a shape, missing leading axes are added first,
-    as np.atleast_2d adds them, and a value that still has another shape
-    is refused with InputError; None in shape stands for any length."""
+    number or an array of numbers (no bool, string, bytes or other
+    object, also inside a sequence) whose every entry is finite, in
+    [lo, hi] and, if positive, > 0; error is the IpfError raised.  Given
+    a shape, missing leading axes are added first, as np.atleast_2d adds
+    them, and a value that still has another shape is refused with
+    InputError; None in shape stands for any length."""
     try:
         arr = np.asarray(val, dtype=float)
     except (TypeError, ValueError, OverflowError):
         arr = None
     if arr is None or isinstance(val, (bool, np.bool_, str, bytes)):
         raise error(f"{name} must be a finite number, not {val!r}")
+    # floats are read from bools and strings inside a sequence too
+    if arr.ndim or isinstance(val, np.ndarray):
+        kind = np.asarray(val).dtype.kind
+        if kind in _NOT_NUMBERS:
+            raise error(f"{name} must be finite numbers, not {_NOT_NUMBERS[kind]}")
     if shape is not None and arr.shape != shape:
         fit = arr.reshape((1,) * (len(shape) - arr.ndim) + arr.shape)
         if fit.ndim != len(shape) or any(
@@ -183,8 +191,9 @@ class DiffusionModel:
     at finite dt, and ipflab reads only expectations of them.  It runs in
     one thread and calls every callback in it, once per grid point, on the
     whole ensemble, so a callback may read the whole ensemble and needs no
-    locking.  It reuses the array it passes as x, so a callback that keeps
-    the state beyond the call must copy it.
+    locking.  x is a column-major view, x.T being C-contiguous, of a
+    buffer the simulator reuses, so a callback that keeps the state beyond
+    the call must copy it.
     """
 
     n: int
@@ -292,12 +301,14 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     evaluated there, which the next step uses.  At the last point a and
     sig are None unless drift_at_end.  x lives in one of two buffers that
     the kernel reuses: it stays valid until the point after next is
-    requested, and consumers never write to it.  The generator raises
-    SimulationDivergedError with the first bad time if any path leaves the
-    finite range, and InputError naming t where sigma(t) is not a finite
-    n x n matrix.  The scheme is the simplified weak Euler scheme: its
-    increments are two-point, +-sqrt(dt) (see :func:`_steps`).  Everything
-    runs in the caller's thread; the kernel starts no other.
+    requested, and consumers never write to it.  x is the (paths, n) view
+    of a component-major (n, paths) buffer, so x.T is C-contiguous.  The
+    generator raises SimulationDivergedError with the first bad time if
+    any path leaves the finite range, and InputError naming t where
+    drift(t) is not (paths, n) or sigma(t) is not a finite n x n matrix.
+    The scheme is the simplified weak Euler scheme: its increments are
+    two-point, +-sqrt(dt) (see :func:`_steps`).  Everything runs in the
+    caller's thread; the kernel starts no other.
     """
     require_int(n_paths, "n_paths", lo=2)
     require_int(seed, "seed", lo=0, hi=2 ** 64 - 1)
@@ -341,6 +352,13 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     formed the same way from +-(s sig), the exact products (+-s) sig.  So
     the bits depend on (seed, n_paths, dt) alone.
 
+    The ensemble and the step buffers are held component-major, as
+    C-contiguous (n, paths) arrays; callbacks and the consumer get the
+    (paths, n) view x.T.  At n >= 2 the noise is mixed as sig z, one
+    matmul of the n x n sig by the (n, paths) z, and the drift is read
+    through its transpose.  The layout moves no bit: tests/test_kernel.py
+    holds both entry points to a row-major x + a dt + z sig^T loop.
+
     Drift, sigma and control callbacks, the noise draw, the Euler update
     and the consumer all run in the caller's thread, once per grid point
     on the whole ensemble; the kernel starts no thread.
@@ -357,40 +375,45 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
             s, u = np.linalg.eigh(model.initial_cov)
             factor = u * np.sqrt(np.where(s > 0, s, 0.0))
             x = model.initial_mean + rng0.standard_normal((n_paths, model.n)) @ factor.T
+    x = np.ascontiguousarray(x.T)
+    shape = (n_paths, model.n)
     signs = np.random.SFC64(noise_seq)
     size = x.size
     words = -(-size // 64)
     scale = math.sqrt(dt)
     nxt = np.empty_like(x)
     z = np.empty_like(x)
-    # at n = 1 the noise needs no second (paths, n) buffer: 0.8 MB of peak
+    # at n = 1 the noise needs no second (n, paths) buffer: 0.8 MB of peak
     # RSS at 1e5 paths
     dw = np.empty_like(x) if model.n > 1 else None
     finite = np.empty(x.shape, dtype=bool)
     last = len(grid) - 1
     for k, t in enumerate(grid):
+        xt = x.T
         if k == last and not drift_at_end:
-            yield t, x, None, None
+            yield t, xt, None, None
             return
-        u = model.control_law(t, x) if model.control_law is not None else None
-        a = model.drift(t, x, u)
+        u = model.control_law(t, xt) if model.control_law is not None else None
+        a = model.drift(t, xt, u)
+        if np.shape(a) != shape:
+            raise InputError(f"drift({t}) has shape {np.shape(a)}, not {shape}")
         sig = require_finite(model.diffusion(t), f"sigma({t})",
                              shape=(model.n, model.n))
-        yield t, x, a, sig
+        yield t, xt, a, sig
         if k == last:
             return
-        # same operations, in the same order, as x + a * dt + z @ sig.T;
-        # nxt is never x, so a drift that returns x itself stays intact
-        np.multiply(a, dt, out=nxt)
+        # same operations, in the same order, as x + a * dt + z @ sig.T on
+        # rows; nxt is never x, so a drift that returns x itself stays intact
+        np.multiply(np.transpose(a), dt, out=nxt)
         nxt += x
         raw = signs.random_raw(words).astype("<u8", copy=False)
         bits = np.unpackbits(raw.view(np.uint8), count=size, bitorder="little")
         # v - 2 v bit is +-v exactly; at n = 1, z sig = +-(s sig) exactly, so
         # the signs pick from +-(s sig) directly, one pass fewer
         v = scale * sig[0, 0] if dw is None else scale
-        np.multiply(bits.reshape(x.shape), -2.0 * v, out=z)
+        np.multiply(bits.reshape(shape).T, -2.0 * v, out=z)
         z += v
-        nxt += z if dw is None else np.matmul(z, sig.T, out=dw)
+        nxt += z if dw is None else np.matmul(sig, z, out=dw)
         if not np.isfinite(nxt, out=finite).all():
             raise SimulationDivergedError(grid[k + 1])
         x, nxt = nxt, x
@@ -401,22 +424,22 @@ def _moment_reducer(n_paths: int, n: int):
     written into mean and r.
 
     Built once per run, with its buffers; the one reducer for every n and
-    every path count.  The paths are taken in blocks of _BLOCK, the
-    last one shorter.  Each block is copied component-major into one reused
-    (n, block) buffer.  Each component row, and each product row x_i x_j
-    for i <= j, formed in one reused (block,) buffer, is summed by a
-    contiguous np.add.reduce: numpy's pairwise sum, whose error grows like
-    eps log N, not eps N as a sum in path order does.  The block sums are
-    then added in block order, and r is filled symmetrically from the sums
-    for i <= j.  The bits depend on (n_paths, n) only, also across numpy's
-    SIMD dispatch levels, and the extra memory is at most (n + 1) blocks
-    of doubles.  Silent when a product or a sum overflows: that moment is
-    then inf or NaN.
+    every path count.  It reads the components as the rows of x.T, which
+    is the kernel's own buffer and costs no copy; any other x is copied
+    component-major once.  The paths are taken in blocks of _BLOCK, the
+    last one shorter.  Each component row of a block, and each product
+    row x_i x_j for i <= j, formed in one reused (block,) buffer, is
+    summed by a contiguous np.add.reduce: numpy's pairwise sum, whose
+    error grows like eps log N, not eps N as a sum in path order does.
+    The block sums are then added in block order, and r is filled
+    symmetrically from the sums for i <= j.  The bits depend on
+    (n_paths, n) only, also across numpy's SIMD dispatch levels and the
+    layout of x, and the extra memory is one block of doubles.  Silent
+    when a product or a sum overflows: that moment is then inf or NaN.
     """
     size = min(n_paths, _BLOCK)
     starts = range(0, n_paths, _BLOCK)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    cols = np.empty((n, size))
     prod = np.empty(size)
     sums = np.empty((len(starts), n + len(pairs)))
     # r[i, j] = r[j, i] is the sum of x_i x_j for i <= j
@@ -424,10 +447,10 @@ def _moment_reducer(n_paths: int, n: int):
                        for j in range(n)] for i in range(n)])
 
     def reduce(x, mean, r):
+        rows = np.ascontiguousarray(x.T)
         with np.errstate(over="ignore", invalid="ignore"):
             for s, lo in zip(sums, starts):
-                c = cols[:, :min(size, n_paths - lo)]
-                np.copyto(c, x[lo:lo + size].T)
+                c = rows[:, lo:lo + size]
                 np.add.reduce(c, axis=1, out=s[:n])
                 p = prod[:c.shape[1]]
                 for k, (i, j) in enumerate(pairs):

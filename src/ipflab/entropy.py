@@ -74,6 +74,9 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
                 np.multiply(a[:, 0], inv[0, 0], out=q)
                 q *= a[:, 0]
             else:
+                # einsum's order of terms follows the layout of a, and the
+                # drift may return either layout; row-major fixes the bits
+                a = np.ascontiguousarray(a)
                 np.einsum("pi,pi->p", a, a @ inv.T, out=q)
             if k in (0, last):
                 q *= 0.5

@@ -33,8 +33,10 @@ from ipflab.errors import IpfError
 
 NAN, INF = math.nan, math.inf
 EDGES = [NAN, INF, -INF, 0.0, -1.0, 5e-324, 1e308, -1e308, True]
-# what a scalar parameter must refuse as well: sequences, None and text
-NOT_NUMBERS = [[0.5, 0.5], np.array([0.5, 0.5]), None, "0.5"]
+# what a scalar parameter must refuse as well: sequences, None and text,
+# also text and bools inside a sequence
+NOT_NUMBERS = [[0.5, 0.5], np.array([0.5, 0.5]), None, "0.5", ["0.5"],
+               ("0.5", "1"), np.array(["0.5"], dtype=object), [True, False]]
 
 
 def reals(lo=-10.0, hi=10.0):
@@ -331,6 +333,17 @@ _SIGMA_NAN_AT_HALF = _model(lambda t, x, u: -x,
 _DRIFT_1E200 = _model(lambda t, x, u: np.full_like(x, 1e200), lambda t: [[1.0]],
                       horizon=(0.0, 1.0))
 _SIGMA_TEXT = _model(lambda t, x, u: -x, lambda t: "a")
+_START2 = dict(mean=(0.0, 1.0), cov=((0.0, 0.0), (0.0, 0.0)))
+# drifts whose results are not (paths, n): numpy used to broadcast them
+_BAD_DRIFTS = [
+    (_model(lambda t, x, u: -x[0], lambda t: [[1.0]]), "(1,), not (8, 1)"),
+    (_model(lambda t, x, u: -x[0], lambda t: np.eye(2), **_START2),
+     "(2,), not (8, 2)"),
+    (_model(lambda t, x, u: -x[0, 0], lambda t: np.eye(2), **_START2),
+     "(), not (8, 2)"),
+    (_model(lambda t, x, u: -x[:1], lambda t: np.eye(2), **_START2),
+     "(1, 2), not (8, 2)"),
+]
 NAMED = [
     (diagnostics.lce_local, ([0.0, NAN, 1.0], [1.0, 2.0, 3.0]), "grid"),
     (diagnostics.lce_local, ([0.0, 0.5, 1.0], [1.0, INF, 3.0]), "x"),
@@ -444,6 +457,18 @@ NAMED = [
      "sigma(0.0) must be a finite number"),
     (control.schedule_from_invariants, (INVS[1], ["a"]),
      "spectrum must be a finite number"),
+    # the kernel reads the drift through its transpose; a result of another
+    # shape used to be broadcast, or to escape as an IndexError or ValueError
+    *[(run, (model, 8, 0.25, 1), f"drift(0.0) has shape {shapes}")
+      for model, shapes in _BAD_DRIFTS
+      for run in (diffusion.simulate_ensemble, entropy.entropy_mc)],
+    # strings and bools inside a sequence used to be read as numbers
+    (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], ("0", "1")),
+     "horizon must be finite numbers, not strings"),
+    (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], (False, True)),
+     "horizon must be finite numbers, not bools"),
+    (entropy.entropy_covariance_form, ("0.5", STATS[0], 1.0),
+     "u must be finite numbers, not strings"),
 ]
 
 

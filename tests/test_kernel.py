@@ -372,22 +372,37 @@ class TestDrawCount:
 A3_SIGMA = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.1, 0.8]])
 
 
+# the dispersions the reference loop is run with: A3_SIGMA's block, a
+# multiple of the identity and a diagonal, each times the drawn scale
+SIGMAS = {"A3": lambda n: A3_SIGMA[:n, :n], "identity": np.eye,
+          "diagonal": lambda n: np.diag([1.0, 0.7, 1.3][:n])}
+# drifts whose results are row-major (a BLAS product) or, as the kernel's x
+# is, column-major
+DRIFTS = {"blas": lambda a: lambda t, x, u: x @ a.T,
+          "negate": lambda a: lambda t, x, u: -x}
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.sampled_from([1, 2, 3]), steps=st.integers(1, 6),
        seed=st.integers(0, 2 ** 32 - 1),
        n_paths=st.integers(2, 300) | st.sampled_from([32767, 32768, 32769]),
-       initial_law=st.booleans(), scale=st.floats(0.5, 2.0))
+       initial_law=st.booleans(), scale=st.floats(0.5, 2.0),
+       sigma_form=st.sampled_from(sorted(SIGMAS)),
+       drift_form=st.sampled_from(sorted(DRIFTS)))
 # two paths whose integrals cancel in the standard error
-@example(n=3, steps=1, seed=600914, n_paths=2, initial_law=False, scale=1.9)
+@example(n=3, steps=1, seed=600914, n_paths=2, initial_law=False, scale=1.9,
+         sigma_form="A3", drift_form="blas")
 def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
-                                           initial_law, scale):
+                                           initial_law, scale, sigma_form,
+                                           drift_form):
     """Horizons of one to six steps, ensembles across a noise word's and
-    the moment reduction's block boundary, give the reference loop's
-    bits."""
+    the moment reduction's block boundary, dispersions with and without
+    cross terms, and drifts of either memory layout give the reference
+    loop's bits."""
     a = A3[:n, :n]
-    sigma = scale * A3_SIGMA[:n, :n]
+    sigma = scale * SIGMAS[sigma_form](n)
     model = diffusion.DiffusionModel(
-        n=n, drift=lambda t, x, u: x @ a.T, diffusion=lambda t: sigma,
+        n=n, drift=DRIFTS[drift_form](a), diffusion=lambda t: sigma,
         initial_mean=[0.1, 0.0, -0.2][:n],
         initial_cov=-np.linalg.inv(a) / 2 if initial_law else np.zeros((n, n)),
         horizon=(0.0, 0.1 * steps))
@@ -399,6 +414,47 @@ def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
     est = entropy.entropy_mc(model, n_paths, dt=0.1, seed=seed)
     est = [est.value, est.std_error]
     assert np.array_equal(est, reference_entropy(model, n_paths, 0.1, seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("drift_at_end", [False, True])
+def test_kernel_yields_column_major_views(n, drift_at_end):
+    """Every x the kernel yields, and passes to the callbacks, is the
+    (paths, n) view of a C-contiguous (n, paths) buffer."""
+    seen = []
+
+    def drift(t, x, u):
+        seen.append(x.T.flags.c_contiguous and u.T.flags.c_contiguous)
+        return x @ A3[:n, :n].T + u
+
+    def control_law(t, x):
+        seen.append(x.T.flags.c_contiguous)
+        return -0.1 * x
+
+    model = diffusion.DiffusionModel(
+        n=n, drift=drift, diffusion=lambda t: A3_SIGMA[:n, :n],
+        control_law=control_law, initial_mean=[0.1, 0.0, -0.2][:n],
+        initial_cov=P3[:n, :n], horizon=(0.0, 0.5))
+    steps = diffusion._euler_maruyama(model, BLOCK + 5, 0.1, 7, drift_at_end)[2]
+    for _, x, _, _ in steps:
+        assert x.shape == (BLOCK + 5, n)
+        seen.append(x.T.flags.c_contiguous)
+    assert len(seen) == 6 + 2 * (5 + drift_at_end) and all(seen)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_moment_reduction_ignores_layout(n):
+    """Row-major and column-major copies of one ensemble give the same
+    bytes, on each side of the block bound and across it."""
+    rng = np.random.default_rng(n)
+    for n_paths in (2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+        x = rng.standard_normal((n_paths, n))
+        got = []
+        for copy in (np.ascontiguousarray(x), np.asfortranarray(x)):
+            mean, r = np.empty(n), np.empty((n, n))
+            diffusion._moment_reducer(n_paths, n)(copy, mean, r)
+            got.append(mean.tobytes() + r.tobytes())
+        assert got[0] == got[1], (n, n_paths)
 
 
 @pytest.mark.parametrize("special", ["none", "zeros", "signed zeros", "tiny",
