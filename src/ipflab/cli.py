@@ -70,7 +70,8 @@ def cmd_entropy(args) -> int:
     s2 = args.sigma ** 2
     th = args.theta
     if abs(th) > 1e-14:
-        r = (r0 + s2 / (2 * th)) * np.exp(2 * th * grid) - s2 / (2 * th)
+        # expm1 keeps what (r0 + s2/2th) e^{2th t} - s2/2th cancels at small th
+        r = r0 * np.exp(2 * th * grid) + s2 * np.expm1(2 * th * grid) / (2 * th)
     else:
         r = r0 + s2 * grid
     stats = diffusion.stats_from_covariance(grid, r)

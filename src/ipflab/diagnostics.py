@@ -86,12 +86,14 @@ class DiagnosticsReport(Record):
 def diagnose_segments(grid, x, dps) -> DiagnosticsReport:
     """Per-segment exponents and flip records for a scalar trace.
 
-    dps splits the grid into segments; the exponent of each segment is
-    fitted over its interior and consecutive exponents with opposite sign
-    are recorded as flips.
+    dps, strictly increasing moments in [grid[0], grid[-1]], split the grid
+    into segments; each segment's exponent is fitted over its interior, and
+    consecutive exponents of opposite sign are recorded as flips.
     """
     grid, x = _trace(grid, x)
     dps = require_finite(dps, "dps", shape=(None,))
+    if np.any(np.diff(dps) <= 0) or np.any((dps < grid[0]) | (dps > grid[-1])):
+        raise InputError(f"dps must increase strictly within [{grid[0]}, {grid[-1]}]")
     bounds = [grid[0]] + list(dps) + [grid[-1]]
     lces = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):

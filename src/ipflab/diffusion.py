@@ -189,11 +189,11 @@ class DiffusionModel:
     two-point increments +-sqrt(dt) (Kloeden & Platen 1992, sec. 14.1): its
     expectations converge at weak order 1, but its paths are not Gaussian
     at finite dt, and ipflab reads only expectations of them.  It runs in
-    one thread and calls every callback in it, once per grid point, on the
-    whole ensemble, so a callback may read the whole ensemble and needs no
-    locking.  x is a column-major view, x.T being C-contiguous, of a
-    buffer the simulator reuses, so a callback that keeps the state beyond
-    the call must copy it.
+    one thread and calls every callback in it, once per grid point, the
+    last included, on the whole ensemble: a callback may read all of it
+    and needs no locking.  x is a column-major view, x.T being
+    C-contiguous, of a buffer the simulator reuses, so a callback that
+    keeps the state beyond the call must copy it.
     """
 
     n: int
@@ -291,24 +291,23 @@ class EnsembleStats(Record):
         return out.getvalue()
 
 
-def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
-                    drift_at_end: bool = False):
-    """The one Euler kernel: returns (grid, dt, steps).
+def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int):
+    """The one Euler kernel: returns (grid, stamp, steps).
 
     Checks the arguments at once.  dt defaults to a thousandth of the
-    horizon and must divide it.  steps is a generator of (t, x, a, sig) at
-    every grid point: the ensemble x, and the drift a and dispersion sig
-    evaluated there, which the next step uses.  At the last point a and
-    sig are None unless drift_at_end.  x lives in one of two buffers that
-    the kernel reuses: it stays valid until the point after next is
-    requested, and consumers never write to it.  x is the (paths, n) view
-    of a component-major (n, paths) buffer, so x.T is C-contiguous.  The
-    generator raises SimulationDivergedError with the first bad time if
-    any path leaves the finite range, and InputError naming t where
-    drift(t) is not (paths, n) or sigma(t) is not a finite n x n matrix.
-    The scheme is the simplified weak Euler scheme: its increments are
-    two-point, +-sqrt(dt) (see :func:`_steps`).  Everything runs in the
-    caller's thread; the kernel starts no other.
+    horizon and must divide it.  stamp holds the record's stream stamp
+    fields.  steps is a generator of (t, x, a, sig) at every grid point,
+    the last included: the ensemble x, and the drift a and dispersion sig
+    evaluated there, which the next step uses.  x lives in one of two
+    buffers that the kernel reuses: it stays valid until the point after
+    next is requested, and consumers never write to it.  x is the (paths,
+    n) view of a component-major (n, paths) buffer, so x.T is
+    C-contiguous.  The generator raises SimulationDivergedError with the
+    first bad time if any path leaves the finite range, and InputError
+    naming t where drift(t) is not (paths, n) or sigma(t) is not a finite
+    n x n matrix.  The scheme is the simplified weak Euler scheme: its
+    increments are two-point, +-sqrt(dt) (see :func:`_steps`).  Everything
+    runs in the caller's thread; the kernel starts no other.
     """
     require_int(n_paths, "n_paths", lo=2)
     require_int(seed, "seed", lo=0, hi=2 ** 64 - 1)
@@ -323,10 +322,11 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int,
     if n_steps < 1 or abs(n_steps * dt - (t_end - s)) > 1e-9 * (t_end - s):
         raise InputError(f"dt={dt} does not divide the horizon {model.horizon}")
     grid = s + dt * np.arange(n_steps + 1)
-    return grid, dt, _steps(model, grid, dt, n_paths, seed, drift_at_end)
+    stamp = dict(stream_version=STREAM_VERSION, seed=int(seed), n_paths=int(n_paths), dt=dt)
+    return grid, stamp, _steps(model, grid, dt, n_paths, seed)
 
 
-def _steps(model, grid, dt, n_paths, seed, drift_at_end):
+def _steps(model, grid, dt, n_paths, seed):
     """Generator behind :func:`_euler_maruyama`.
 
     The step is x' = x + a dt + sig z, where z has independent components
@@ -339,18 +339,19 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     (moments and the entropy functional's mean).
 
     Stream STREAM_VERSION: SeedSequence(seed) spawns two children.  The
-    first drives an SFC64 generator that samples the initial law, by
-    Cholesky when its covariance is positive definite and by eigh
-    otherwise, as numpy's multivariate_normal does, except that the
-    eigenvalues in [-1e-12, 0) the model admits are sampled as zero
-    (numpy scales by sqrt(|s|)).  The second drives one SFC64 bit
-    generator.  Each step takes ceil(n_paths * n / 64) fresh words from it,
-    read as little-endian bytes on every host; bit i of the step (bit i %
-    64 of word i // 64) is the sign of z's i-th entry in row-major (path,
-    component) order, 0 for +sqrt(dt) and 1 for -sqrt(dt).  z is formed
-    as s - 2 s bit with s = sqrt(dt), which is exact; at n = 1, z sig is
-    formed the same way from +-(s sig), the exact products (+-s) sig.  So
-    the bits depend on (seed, n_paths, dt) alone.
+    first drives an SFC64 generator: the initial law is mean + z F^T, z
+    standard normal (paths, n), F the Cholesky factor if eigvalsh finds the
+    covariance positive definite, else eigh's vectors times sqrt(s), with
+    the eigenvalues in [-1e-12, 0) the model admits as zero (numpy's
+    multivariate_normal, whose bits these are otherwise, takes sqrt(|s|)).
+    The second drives one SFC64 bit generator.  Each step takes
+    ceil(n_paths * n / 64) fresh words from it, read as little-endian bytes
+    on every host; bit i of the step (bit i % 64 of word i // 64) is the
+    sign of z's i-th entry in row-major (path, component) order, 0 for
+    +sqrt(dt) and 1 for -sqrt(dt).  z is formed as s - 2 s bit with s =
+    sqrt(dt), which is exact; at n = 1, z sig is formed the same way from
+    +-(s sig), the exact products (+-s) sig.  So the bits depend on (seed,
+    n_paths, dt) alone.
 
     The ensemble and the step buffers are held component-major, as
     C-contiguous (n, paths) arrays; callbacks and the consumer get the
@@ -361,20 +362,21 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
 
     Drift, sigma and control callbacks, the noise draw, the Euler update
     and the consumer all run in the caller's thread, once per grid point
-    on the whole ensemble; the kernel starts no thread.
+    (the last included) on the whole ensemble; the kernel starts no thread.
     """
     init_seq, noise_seq = np.random.SeedSequence(int(seed)).spawn(2)
-    if not model.initial_cov.any():
+    cov = model.initial_cov
+    if not cov.any():
         x = np.tile(model.initial_mean, (n_paths, 1))
     else:
-        rng0 = np.random.Generator(np.random.SFC64(init_seq))
-        if np.min(np.linalg.eigvalsh(model.initial_cov)) > 0:
-            x = rng0.multivariate_normal(model.initial_mean, model.initial_cov,
-                                         size=n_paths, method="cholesky")
+        # eigvalsh decides: eigh's eigenvalues can differ in sign on a singular cov
+        if np.linalg.eigvalsh(cov).min() > 0:
+            factor = np.linalg.cholesky(cov)
         else:
-            s, u = np.linalg.eigh(model.initial_cov)
+            s, u = np.linalg.eigh(cov)
             factor = u * np.sqrt(np.where(s > 0, s, 0.0))
-            x = model.initial_mean + rng0.standard_normal((n_paths, model.n)) @ factor.T
+        rng0 = np.random.Generator(np.random.SFC64(init_seq))
+        x = model.initial_mean + rng0.standard_normal((n_paths, model.n)) @ factor.T
     x = np.ascontiguousarray(x.T)
     shape = (n_paths, model.n)
     signs = np.random.SFC64(noise_seq)
@@ -390,9 +392,6 @@ def _steps(model, grid, dt, n_paths, seed, drift_at_end):
     last = len(grid) - 1
     for k, t in enumerate(grid):
         xt = x.T
-        if k == last and not drift_at_end:
-            yield t, xt, None, None
-            return
         u = model.control_law(t, xt) if model.control_law is not None else None
         a = model.drift(t, xt, u)
         if np.shape(a) != shape:
@@ -468,11 +467,11 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
     """Weak Euler ensemble of the controlled diffusion (see :func:`_steps`).
 
     Deterministic for fixed (seed, n_paths, dt).  dt must divide the
-    horizon.  Raises SimulationDivergedError with the first bad time if any
-    path leaves the finite range, and NonFiniteOutputError if a moment of
-    finite paths overflows.
+    horizon.  Raises the kernel's InputError for a bad drift(t) or sigma(t),
+    SimulationDivergedError with the first bad time if any path leaves the
+    finite range, and NonFiniteOutputError if a moment overflows.
     """
-    grid, dt, steps = _euler_maruyama(model, n_paths, dt, seed)
+    grid, stamp, steps = _euler_maruyama(model, n_paths, dt, seed)
     n = model.n
     means = np.empty((len(grid), n))
     rs = np.empty((len(grid), n, n))
@@ -485,9 +484,7 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
     require_finite(rs, "the second moments r", error=NonFiniteOutputError)
     for arr in (grid, means, rs):
         arr.setflags(write=False)
-    return EnsembleStats(grid=grid, mean=means, r=rs, seed=int(seed),
-                         n_paths=int(n_paths), dt=dt,
-                         stream_version=STREAM_VERSION)
+    return EnsembleStats(grid=grid, mean=means, r=rs, **stamp)
 
 
 def covariance_derivative(stats: EnsembleStats) -> EnsembleStats:

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import (STREAM_VERSION, DiffusionModel, EnsembleStats,
-                        Record, _euler_maruyama, guarded_inv, require_finite,
+from .diffusion import (DiffusionModel, EnsembleStats, Record,
+                        _euler_maruyama, guarded_inv, require_finite,
                         stamp_field)
 from .errors import (DegenerateFunctionalError, InputError,
                      NonFiniteOutputError, SingularDiffusionError)
@@ -53,7 +53,7 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     SingularDiffusionError where 2b is singular, and NonFiniteOutputError
     where the integral overflows.
     """
-    grid, dt, steps = _euler_maruyama(model, n_paths, dt, seed, drift_at_end=True)
+    grid, stamp, steps = _euler_maruyama(model, n_paths, dt, seed)
     last = len(grid) - 1
     integral = np.zeros(n_paths)
     q = np.empty(n_paths)
@@ -81,16 +81,14 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
             if k in (0, last):
                 q *= 0.5
             integral += q
-        integral *= dt
+        integral *= stamp["dt"]
         half = 0.5 * integral
         value = float(np.mean(half))
         se = float(np.std(half, ddof=1) / math.sqrt(n_paths))
     require_finite([value, se], "the entropy integral, which overflowed,",
                    error=NonFiniteOutputError)
     return EntropyEstimate(value=value, method="monte-carlo",
-                           horizon=model.horizon, std_error=se,
-                           stream_version=STREAM_VERSION, seed=int(seed),
-                           n_paths=int(n_paths), dt=dt)
+                           horizon=model.horizon, std_error=se, **stamp)
 
 
 def entropy_covariance_form(u, stats: EnsembleStats, sigma) -> EntropyEstimate:

@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ipflab
@@ -167,6 +168,19 @@ class TestStochasticCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["monte_carlo"]["value"] == 0.0
         assert doc["covariance_form"]["value"] == 0.0
+
+    @pytest.mark.parametrize("theta", ["2e-14", "-2e-14"])
+    def test_entropy_closed_form_at_tiny_theta(self, capsys, theta):
+        # (r0 + s2/2th) e^{2th t} - s2/2th used to cancel, leaving r off by
+        # a relative 4e-3 at |theta| = 2e-14
+        assert cli.main(["entropy", "--seed", "3", "--n-paths", "200",
+                         f"--theta={theta}", "--dt", "0.01"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        th, grid = float(theta), np.linspace(0.0, 1.0, 2001)
+        # x0 = sigma = 1: the two-term series of r, whose next term is O(th^2)
+        r = 1.0 + grid + th * (2 * grid + grid ** 2)
+        want = 0.5 * np.trapezoid(th * th * r, grid)
+        assert doc["covariance_form"]["value"] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_identify_reports_four_methods(self, capsys):
         assert cli.main(["identify", "--seed", "5", "--n-paths", "2000",

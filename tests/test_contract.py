@@ -469,6 +469,9 @@ NAMED = [
      "horizon must be finite numbers, not bools"),
     (entropy.entropy_covariance_form, ("0.5", STATS[0], 1.0),
      "u must be finite numbers, not strings"),
+    # switch moments out of order used to be fitted over overlapping windows
+    (diagnostics.diagnose_segments, (np.linspace(0.0, 2.0, 5), np.ones(5),
+                                     [1.5, 0.5]), "dps must increase strictly"),
 ]
 
 

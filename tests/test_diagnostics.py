@@ -96,6 +96,17 @@ class TestDiagnoseSegments:
         assert len(rep.sign_flips) == 1
         assert rep.classification == ["instable", "asymptotically-stable"]
 
+    @pytest.mark.parametrize("dps", [[1.5, 0.5], [5.0], [1.0, 1.0], [-1.0, 1.0]])
+    def test_unordered_or_outside_moments_refused(self, dps):
+        # growth at 0.5 up to t = 1, decay at -1 after it; these moments
+        # used to be fitted over overlapping windows or past the trace
+        grid = np.linspace(0.0, 2.0, 401)
+        x = np.exp(np.where(grid <= 1.0, 0.5 * grid, 0.5 - (grid - 1.0)))
+        rep = diagnostics.diagnose_segments(grid, x, [1.0])
+        assert rep.lce_per_segment == pytest.approx([0.5, -1.0])
+        with pytest.raises(InputError, match="dps must increase strictly"):
+            diagnostics.diagnose_segments(grid, x, dps)
+
     def test_json(self):
         import json
         t = np.linspace(0, 1, 100)

@@ -8,6 +8,11 @@ from ipflab import diffusion, entropy
 from ipflab.errors import InputError, SimulationDivergedError
 from kernel_states import kernel_states
 
+# the ensemble3 benchmark's initial law: the stationary covariance -A^{-1}/2
+# of its drift matrix A, symmetrized as the workload does
+_COV3 = -0.5 * np.linalg.inv([[-1.0, 0.3, 0.0], [0.3, -2.0, 0.2], [0.0, 0.2, -0.5]])
+ENSEMBLE3_COV = 0.5 * (_COV3 + _COV3.T)
+
 
 def ou_model(theta=1.0, sigma=1.0, x0=0.0, horizon=(0.0, 5.0)):
     return diffusion.DiffusionModel(
@@ -130,18 +135,19 @@ class TestSimulateEnsemble:
             assert np.std(x0[:, 0]) == pytest.approx(1.0, rel=0.1)
 
     @pytest.mark.parametrize("cov", [[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 0.0]],
-                                     [[1.0, 0.3], [0.3, 2.0]]])
+                                     [[1.0, 0.3], [0.3, 2.0]], ENSEMBLE3_COV, [[0.3]]])
     def test_initial_law_bits_of_numpys_sampler(self, cov):
         # a covariance with no negative eigenvalue, singular (eigh) or
         # definite (Cholesky), keeps the bits of numpy's multivariate_normal
+        n = len(cov)
         model = diffusion.DiffusionModel(
-            n=2, drift=lambda t, x, u: -x, diffusion=lambda t: np.eye(2),
-            initial_mean=[0.5, -1.0], initial_cov=cov, horizon=(0.0, 0.1))
+            n=n, drift=lambda t, x, u: -x, diffusion=lambda t: np.eye(n),
+            initial_mean=[0.5, -1.0, 0.25][:n], initial_cov=cov, horizon=(0.0, 0.1))
         assert np.min(np.linalg.eigh(model.initial_cov)[0]) >= 0
-        x0 = kernel_states(model, 300, 0.05, 4)[0]
+        x0 = kernel_states(model, 20000, 0.05, 4)[0]
         rng0 = np.random.Generator(np.random.SFC64(np.random.SeedSequence(4).spawn(2)[0]))
         definite = np.min(np.linalg.eigvalsh(model.initial_cov)) > 0
-        want = rng0.multivariate_normal(model.initial_mean, model.initial_cov, size=300,
+        want = rng0.multivariate_normal(model.initial_mean, model.initial_cov, size=20000,
                                         method="cholesky" if definite else "eigh")
         assert x0.tobytes() == want.tobytes()
 

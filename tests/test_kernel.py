@@ -11,6 +11,7 @@ within a tolerance.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -183,12 +184,12 @@ class TestKernel:
         model = diffusion.DiffusionModel(
             n=1, drift=drift, diffusion=sigma, initial_mean=[0.0],
             initial_cov=[[0.0]], horizon=(0.0, 1.0))
-        diffusion.simulate_ensemble(model, 10, dt=0.01, seed=0)
-        # the simulator never evaluates the drift at the last grid point
-        assert calls == {"drift": 100, "sigma": 100}
-        calls.update(drift=0, sigma=0)
-        entropy.entropy_mc(model, 10, dt=0.01, seed=0)
-        assert calls == {"drift": 101, "sigma": 101}
+        # both entry points evaluate every callback at all 101 grid points,
+        # the last one included
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            calls.update(drift=0, sigma=0)
+            run(model, 10, dt=0.01, seed=0)
+            assert calls == {"drift": 101, "sigma": 101}
 
     @pytest.mark.parametrize("n,sigma", [(1, [[1.0, 0.0]]), (2, [[1.0]])])
     def test_sigma_of_wrong_shape_refused(self, n, sigma):
@@ -199,6 +200,25 @@ class TestKernel:
         for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
             with pytest.raises(InputError, match="shape"):
                 run(model, 10, dt=0.01, seed=0)
+
+    @pytest.mark.parametrize("bad, name", [
+        ("sigma", "sigma(1.0) must be finite"),
+        ("drift", "drift(1.0) has shape (10, 2), not (10, 1)")],
+        ids=["sigma", "drift"])
+    def test_bad_callback_at_the_last_point_refused(self, bad, name):
+        # sigma(T) and drift(T) are checked as at every other grid point
+        def drift(t, x, u):
+            return np.hstack([x, x]) if bad == "drift" and t == 1.0 else -x
+
+        def sigma(t):
+            return [[np.nan if bad == "sigma" and t == 1.0 else 1.0]]
+
+        model = diffusion.DiffusionModel(
+            n=1, drift=drift, diffusion=sigma, initial_mean=[0.0],
+            initial_cov=[[0.0]], horizon=(0.0, 1.0))
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            with pytest.raises(InputError, match=re.escape(name)):
+                run(model, 10, dt=0.1, seed=0)
 
     def test_same_initial_ensemble_in_both_entry_points(self):
         seen = []
@@ -236,7 +256,7 @@ class TestOneThread:
 
         diffusion.simulate_ensemble(scalar_model(drift), 100, dt=0.01, seed=1)
         entropy.entropy_mc(scalar_model(drift), 100, dt=0.01, seed=1)
-        assert len(seen) == 100 + 101
+        assert len(seen) == 101 + 101
         assert all(threads == before for threads in seen)
 
     def test_raising_drift_propagates(self):
@@ -417,8 +437,7 @@ def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("drift_at_end", [False, True])
-def test_kernel_yields_column_major_views(n, drift_at_end):
+def test_kernel_yields_column_major_views(n):
     """Every x the kernel yields, and passes to the callbacks, is the
     (paths, n) view of a C-contiguous (n, paths) buffer."""
     seen = []
@@ -435,11 +454,12 @@ def test_kernel_yields_column_major_views(n, drift_at_end):
         n=n, drift=drift, diffusion=lambda t: A3_SIGMA[:n, :n],
         control_law=control_law, initial_mean=[0.1, 0.0, -0.2][:n],
         initial_cov=P3[:n, :n], horizon=(0.0, 0.5))
-    steps = diffusion._euler_maruyama(model, BLOCK + 5, 0.1, 7, drift_at_end)[2]
+    steps = diffusion._euler_maruyama(model, BLOCK + 5, 0.1, 7)[2]
     for _, x, _, _ in steps:
         assert x.shape == (BLOCK + 5, n)
         seen.append(x.T.flags.c_contiguous)
-    assert len(seen) == 6 + 2 * (5 + drift_at_end) and all(seen)
+    # six grid points, each seen by the consumer and both callbacks
+    assert len(seen) == 3 * 6 and all(seen)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
