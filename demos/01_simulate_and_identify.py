@@ -13,16 +13,15 @@ from ipflab import diffusion, identification
 THETA = 1.0
 N_PATHS = 20000
 
-model = diffusion.DiffusionModel(
-    n=1,
-    drift=lambda t, x, u: -THETA * x,
-    diffusion=lambda t: [[1.0]],
-    initial_mean=[0.0],
-    initial_cov=[[1.0 / (2 * THETA)]],   # stationary variance sigma^2/(2 theta)
-    horizon=(0.0, 2.0),
+# dx = -theta x dt + dW, held as its matrices: stepped at weak order 2 on
+# the default grid of horizon/100
+model = diffusion.linear_model(
+    -THETA, 1.0,
+    0.0, 1.0 / (2 * THETA),   # stationary variance sigma^2/(2 theta)
+    (0.0, 2.0),
 )
 
-stats = diffusion.simulate_ensemble(model, N_PATHS, dt=5e-3, seed=42)
+stats = diffusion.simulate_ensemble(model, N_PATHS, seed=42)
 stats = diffusion.covariance_derivative(stats)
 print(f"r(2) = {stats.r[-1, 0, 0]:.4f}  (stationary value 0.5)")
 

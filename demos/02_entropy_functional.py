@@ -8,11 +8,11 @@ import numpy as np
 
 from ipflab import diffusion, entropy
 
-model = diffusion.DiffusionModel(
-    n=1, drift=lambda t, x, u: x, diffusion=lambda t: [[1.0]],
-    initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 1.0))
+# A = 1, sigma = 1, from x(0) = 1: stepped at weak order 2 from the
+# matrices, on the default grid of horizon/100
+model = diffusion.linear_model(1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
 
-mc = entropy.entropy_mc(model, 50000, dt=1e-3, seed=7)
+mc = entropy.entropy_mc(model, 50000, seed=7)
 
 # the second moment obeys rdot = 2 r + 1 from r(0) = 1
 grid = np.linspace(0.0, 1.0, 10001)

@@ -24,15 +24,6 @@ from .diffusion import LN2, SCHEMA_VERSION, document, stream_stamp
 from .errors import IpfError
 
 
-def _scalar_model(theta: float, sigma: float, x0: float,
-                  horizon) -> diffusion.DiffusionModel:
-    """Scalar linear model dx = theta x dt + sigma dW.  Under the doubling
-    feedback v = -2x, theta (x + v) is (-theta) x: pass -theta for it."""
-    return diffusion.DiffusionModel(
-        n=1, drift=lambda t, x, u: theta * x, diffusion=lambda t: [[sigma]],
-        initial_mean=[x0], initial_cov=[[0.0]], horizon=tuple(horizon))
-
-
 def _outdir(args) -> Path:
     out = args.out or os.environ.get("IPFLAB_OUT", ".")
     p = Path(out)
@@ -46,7 +37,8 @@ def _write(path: Path, text: str):
 
 
 def cmd_simulate(args) -> int:
-    model = _scalar_model(args.theta, args.sigma, args.x0, (0.0, args.horizon))
+    model = diffusion.linear_model(args.theta, args.sigma, args.x0, 0.0,
+                                   (0.0, args.horizon))
     stats = diffusion.simulate_ensemble(model, args.n_paths, dt=args.dt,
                                         seed=args.seed)
     stats = diffusion.covariance_derivative(stats)
@@ -62,7 +54,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    model = _scalar_model(args.theta, args.sigma, args.x0, (0.0, args.horizon))
+    model = diffusion.linear_model(args.theta, args.sigma, args.x0, 0.0,
+                                   (0.0, args.horizon))
     mc = entropy.entropy_mc(model, args.n_paths, dt=args.dt, seed=args.seed)
     grid = np.linspace(0.0, args.horizon, 2001)
     # closed-form covariance of the linear model from its moment equation
@@ -85,7 +78,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    model = _scalar_model(args.theta, args.sigma, args.x0, (0.0, args.horizon))
+    model = diffusion.linear_model(args.theta, args.sigma, args.x0, 0.0,
+                                   (0.0, args.horizon))
     stats = diffusion.simulate_ensemble(model, args.n_paths, dt=args.dt,
                                         seed=args.seed)
     tau = args.horizon
@@ -231,7 +225,7 @@ def cmd_reproduce(args) -> int:
 def cmd_pipeline(args) -> int:
     """Six documents, written once every stage has run: a stage that fails
     leaves no partial set of artifacts behind."""
-    model = _scalar_model(-1.0, 1.0, 1.0, (0.0, args.horizon))
+    model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, args.horizon))
     stats = diffusion.simulate_ensemble(model, args.n_paths, dt=args.dt,
                                         seed=args.seed)
     stats = diffusion.covariance_derivative(stats)

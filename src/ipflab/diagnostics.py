@@ -19,8 +19,16 @@ from .errors import InputError, NonFiniteOutputError, UndefinedLogError
 
 def _trace(grid, x):
     """grid and x as float arrays, refused unless finite, one-dimensional
-    and of one length."""
+    and of one length, with a grid that is not empty and never decreases.
+    A time may repeat: the CLI's segment traces meet at shared moments."""
     grid = require_finite(grid, "grid", shape=(None,))
+    if not grid.size:
+        raise InputError("grid must not be empty")
+    drops = np.flatnonzero(np.diff(grid) < 0)
+    if drops.size:
+        k = drops[0]
+        raise InputError(f"grid must not decrease, as it does from "
+                         f"{grid[k]} to {grid[k + 1]}")
     return grid, require_finite(x, "x", shape=grid.shape)
 
 

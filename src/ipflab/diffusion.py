@@ -1,12 +1,14 @@
-"""Microlevel controlled diffusion: weak Euler ensembles and their moments.
+"""Microlevel controlled diffusion: weak-scheme ensembles and their moments.
 
 The model is the Ito equation
 
     dx = a(t, x, u) dt + sigma(t) dW,      u = control_law(t, x),
 
-simulated over an ensemble of paths.  The ensemble is reduced to the time
-grid of second-moment matrices r(t) = E[x x^T] and means, which is all the
-identification and entropy machinery downstream needs.
+simulated over an ensemble of paths, by the weak Euler scheme or, for a
+linear model held as matrices, by a weak order-2 step.  The ensemble is
+reduced to the time grid of second-moment matrices r(t) = E[x x^T] and
+means, which is all the identification and entropy machinery downstream
+needs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .errors import InputError, NonFiniteOutputError, SimulationDivergedError
 SCHEMA_VERSION = "2"
 # the definition of the simulated numbers: a fixed (seed, n_paths, dt) gives
 # the same bits only under the same stream version, which covers both the
-# noise draws (see _steps) and the moment reduction (see _moment_reducer)
-STREAM_VERSION = "5"
+# noise draws and the step map of each route (see _steps) and the moment
+# reduction (see _moment_reducer)
+STREAM_VERSION = "6"
 LN2 = math.log(2.0)
 # condition number above which a matrix that must be inverted is refused
 COND_MAX = 1e12
@@ -184,11 +187,19 @@ class DiffusionModel:
     drift(t, x, u) must accept x of shape (paths, n) and u of the same shape
     (or None when no control is installed) and return (paths, n).
     diffusion(t) returns the n x n matrix sigma(t).  control_law(t, x) maps
-    the ensemble state to the control; None means zero control.  The
-    simulator steps the model by the simplified weak Euler scheme, with
-    two-point increments +-sqrt(dt) (Kloeden & Platen 1992, sec. 14.1): its
-    expectations converge at weak order 1, but its paths are not Gaussian
-    at finite dt, and ipflab reads only expectations of them.  It runs in
+    the ensemble state to the control; None means zero control.  A and
+    sigma, set together or not at all, are the constant n x n matrices of
+    a linear model dx = A x dt + sigma dW, held as read-only copies; drift
+    and diffusion must then give the same model (see :func:`linear_model`).
+
+    The simulator has two routes (see :func:`_steps`).  A model with A and
+    no control_law takes the matrix route: a weak order-2 step formed from
+    A and sigma alone, on a grid of horizon/100 by default, that calls no
+    callback.  Every other model takes the callback route: the simplified
+    weak Euler scheme, weak order 1, on a grid of horizon/1000 by default.
+    Both use two-point increments +-sqrt(dt) (Kloeden & Platen 1992,
+    secs. 14.1 and 15.1), so the paths are not Gaussian at finite dt, and
+    ipflab reads only expectations of them.  The callback route runs in
     one thread and calls every callback in it, once per grid point, the
     last included, on the whole ensemble: a callback may read all of it
     and needs no locking.  x is a column-major view, x.T being
@@ -203,6 +214,8 @@ class DiffusionModel:
     initial_cov: np.ndarray
     horizon: tuple
     control_law: Optional[Callable] = None
+    A: Optional[np.ndarray] = None
+    sigma: Optional[np.ndarray] = None
 
     def __post_init__(self):
         require_int(self.n, "n", lo=1)
@@ -219,6 +232,46 @@ class DiffusionModel:
                        positive=True)
         object.__setattr__(self, "initial_mean", mean)
         object.__setattr__(self, "initial_cov", cov)
+        if self.A is not None or self.sigma is not None:
+            for name in ("A", "sigma"):
+                mat = require_finite(getattr(self, name), name,
+                                     shape=(self.n, self.n)).copy()
+                mat.setflags(write=False)
+                object.__setattr__(self, name, mat)
+
+
+def linear_model(A, sigma, mean0, cov0, horizon) -> DiffusionModel:
+    """The linear model dx = A x dt + sigma dW from N(mean0, cov0) on the
+    horizon (s, T), with constant n x n matrices A and sigma (numbers at
+    n = 1).
+
+    The record carries A and sigma, so the simulator steps it at weak
+    order 2 from them (see :func:`_steps`).  Its drift and diffusion
+    callbacks give the same model to any other reader: a plain multiply
+    at n = 1, with no 1 x 1 BLAS product, and x @ A.T at n >= 2; the
+    drift takes no control, so a controlled model needs its own.  Under
+    the doubling feedback v = -2x, A (x + v) is (-A) x: pass -A for it.
+    Refuses a non-square A, a non-finite A or sigma, and an n that
+    differs between A, sigma and the initial law.
+    """
+    A = require_finite(A, "A", shape=(None, None))
+    if A.shape[0] != A.shape[1]:
+        raise InputError(f"A has shape {A.shape}, not square")
+    n = A.shape[0]
+    sigma = require_finite(sigma, "sigma", shape=(n, n)).copy()
+    if n == 1:
+        a = float(A[0, 0])
+
+        def drift(t, x, u):
+            return a * x
+    else:
+        A = A.copy()
+
+        def drift(t, x, u):
+            return x @ A.T
+    return DiffusionModel(n=n, drift=drift, diffusion=lambda t: sigma,
+                          initial_mean=mean0, initial_cov=cov0,
+                          horizon=horizon, A=A, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -292,28 +345,32 @@ class EnsembleStats(Record):
 
 
 def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int):
-    """The one Euler kernel: returns (grid, stamp, steps).
+    """The one kernel: returns (grid, stamp, steps).
 
-    Checks the arguments at once.  dt defaults to a thousandth of the
-    horizon and must divide it.  stamp holds the record's stream stamp
-    fields.  steps is a generator of (t, x, a, sig) at every grid point,
-    the last included: the ensemble x, and the drift a and dispersion sig
-    evaluated there, which the next step uses.  x lives in one of two
-    buffers that the kernel reuses: it stays valid until the point after
-    next is requested, and consumers never write to it.  x is the (paths,
-    n) view of a component-major (n, paths) buffer, so x.T is
-    C-contiguous.  The generator raises SimulationDivergedError with the
-    first bad time if any path leaves the finite range, and InputError
-    naming t where drift(t) is not (paths, n) or sigma(t) is not a finite
-    n x n matrix.  The scheme is the simplified weak Euler scheme: its
-    increments are two-point, +-sqrt(dt) (see :func:`_steps`).  Everything
-    runs in the caller's thread; the kernel starts no other.
+    Checks the arguments at once.  The route is chosen from the model (see
+    :func:`_steps`): dt defaults to a hundredth of the horizon on the
+    matrix route and to a thousandth on the callback route, and must
+    divide it.  stamp holds the record's stream stamp fields.  steps is a
+    generator of (t, x, a, sig) at every grid point, the last included:
+    the ensemble x, and the drift a and dispersion sig there.  x lives in
+    one of two buffers that the kernel reuses: it stays valid until the
+    point after next is requested, and consumers never write to it.  On
+    the matrix route a = A x lives in a third buffer, valid until the next
+    point is requested.  x is the (paths, n) view of a component-major
+    (n, paths) buffer, so x.T is C-contiguous.  The generator raises
+    SimulationDivergedError with the first bad time if any path leaves
+    the finite range, and InputError naming t where drift(t) is not
+    (paths, n) or sigma(t) is not a finite n x n matrix.  Everything runs
+    in the caller's thread; the kernel starts no other.
     """
     require_int(n_paths, "n_paths", lo=2)
     require_int(seed, "seed", lo=0, hi=2 ** 64 - 1)
     s, t_end = model.horizon
+    matrices = model.A is not None and model.control_law is None
     if dt is None:
-        dt = (t_end - s) * 1e-3
+        # an order-2 step reaches a smaller bias with a tenth of the steps,
+        # and horizon/100 keeps the quarter points on the grid
+        dt = (t_end - s) * (1e-2 if matrices else 1e-3)
     require_finite(dt, "dt", positive=True, shape=())
     steps = float(t_end - s) / float(dt)
     # past 2**53 a step count is not exact in a float: no dt that small divides
@@ -323,20 +380,32 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int):
         raise InputError(f"dt={dt} does not divide the horizon {model.horizon}")
     grid = s + dt * np.arange(n_steps + 1)
     stamp = dict(stream_version=STREAM_VERSION, seed=int(seed), n_paths=int(n_paths), dt=dt)
-    return grid, stamp, _steps(model, grid, dt, n_paths, seed)
+    return grid, stamp, _steps(model, grid, dt, n_paths, seed, matrices)
 
 
-def _steps(model, grid, dt, n_paths, seed):
-    """Generator behind :func:`_euler_maruyama`.
+def _steps(model, grid, dt, n_paths, seed, matrices):
+    """Generator behind :func:`_euler_maruyama`; z below has independent
+    components +-sqrt(dt), each sign with probability 1/2.
 
-    The step is x' = x + a dt + sig z, where z has independent components
-    +-sqrt(dt), each sign with probability 1/2: the simplified weak Euler
-    scheme (Kloeden & Platen, Numerical Solution of SDEs, 1992, sec. 14.1).
-    Its increments match the first three moments of N(0, dt I), which is
-    all weak order 1 needs, so every expectation of the paths converges
-    at order dt as with Gaussian increments; the paths themselves are not
-    Gaussian at finite dt, and ipflab reads only expectations of them
-    (moments and the entropy functional's mean).
+    Two routes, chosen from the model alone.  The matrix route, for a
+    model that carries A and sigma and has no control_law, steps
+    x' = M x + (G sigma) z with M = I + A dt + (A dt)^2 / 2 and
+    G = I + A dt / 2, both formed once per run, and calls no callback; at
+    each grid point it forms a = A x into a reused buffer, and sig is the
+    model's sigma.  For additive noise this is Platen's explicit weak
+    order-2.0 scheme evaluated exactly on a linear drift (Kloeden &
+    Platen, Numerical Solution of SDEs, 1992, sec. 15.1).  Its mean and
+    E[x x^T] follow m' = M m, R' = M R M^T + G sigma sigma^T G^T dt, which
+    use only E z = 0 and E z z^T = dt I, and each step matches the exact
+    law to O(dt^3); so the two-point increments keep weak order 2 here.
+    A nonlinear drift would need three-point increments for order 2
+    (+-sqrt(3 dt) with probability 1/6 each, 0 with 2/3; sec. 14.2).
+    Every other model takes the callback route, x' = x + a dt + sig z
+    with a and sig from the callbacks at every grid point: the simplified
+    weak Euler scheme (sec. 14.1), whose increments match the first three
+    moments of N(0, dt I), which is all weak order 1 needs.  On both
+    routes the paths are not Gaussian at finite dt, and ipflab reads only
+    expectations of them (moments and the entropy functional's mean).
 
     Stream STREAM_VERSION: SeedSequence(seed) spawns two children.  The
     first drives an SFC64 generator: the initial law is mean + z F^T, z
@@ -349,22 +418,28 @@ def _steps(model, grid, dt, n_paths, seed):
     on every host; bit i of the step (bit i % 64 of word i // 64) is the
     sign of z's i-th entry in row-major (path, component) order, 0 for
     +sqrt(dt) and 1 for -sqrt(dt).  z is formed as s - 2 s bit with s =
-    sqrt(dt), which is exact; at n = 1, z sig is formed the same way from
-    +-(s sig), the exact products (+-s) sig.  So the bits depend on (seed,
-    n_paths, dt) alone.
+    sqrt(dt), which is exact.  At n = 1 the noise term g z, with g = sig
+    on the callback route and g = G sigma on the matrix route, is formed
+    the same way from +-(s g), the exact products (+-s) g, and the matrix
+    route's M x and A x are plain multiplies by the numbers M and A, with
+    no BLAS.  So the bits depend on (seed, n_paths, dt) and the route
+    alone, and at n = 1 not on the host's SIMD or BLAS either.
 
     The ensemble and the step buffers are held component-major, as
     C-contiguous (n, paths) arrays; callbacks and the consumer get the
-    (paths, n) view x.T.  At n >= 2 the noise is mixed as sig z, one
-    matmul of the n x n sig by the (n, paths) z, and the drift is read
-    through its transpose.  The layout moves no bit: tests/test_kernel.py
-    holds both entry points to a row-major x + a dt + z sig^T loop.
+    (paths, n) view x.T.  At n >= 2 the noise is mixed as g z, one matmul
+    of the n x n g by the (n, paths) z; the matrix route forms M x and
+    A x as matmuls too, and the callback route reads the drift through
+    its transpose.  The layout moves no bit: tests/test_kernel.py holds
+    both entry points on the callback route to a row-major x + a dt +
+    z sig^T loop.
 
-    Drift, sigma and control callbacks, the noise draw, the Euler update
-    and the consumer all run in the caller's thread, once per grid point
-    (the last included) on the whole ensemble; the kernel starts no thread.
+    The callbacks (on the callback route), the noise draw, the update and
+    the consumer all run in the caller's thread, once per grid point (the
+    last included) on the whole ensemble; the kernel starts no thread.
     """
     init_seq, noise_seq = np.random.SeedSequence(int(seed)).spawn(2)
+    n = model.n
     cov = model.initial_cov
     if not cov.any():
         x = np.tile(model.initial_mean, (n_paths, 1))
@@ -376,9 +451,9 @@ def _steps(model, grid, dt, n_paths, seed):
             s, u = np.linalg.eigh(cov)
             factor = u * np.sqrt(np.where(s > 0, s, 0.0))
         rng0 = np.random.Generator(np.random.SFC64(init_seq))
-        x = model.initial_mean + rng0.standard_normal((n_paths, model.n)) @ factor.T
+        x = model.initial_mean + rng0.standard_normal((n_paths, n)) @ factor.T
     x = np.ascontiguousarray(x.T)
-    shape = (n_paths, model.n)
+    shape = (n_paths, n)
     signs = np.random.SFC64(noise_seq)
     size = x.size
     words = -(-size // 64)
@@ -387,32 +462,49 @@ def _steps(model, grid, dt, n_paths, seed):
     z = np.empty_like(x)
     # at n = 1 the noise needs no second (n, paths) buffer: 0.8 MB of peak
     # RSS at 1e5 paths
-    dw = np.empty_like(x) if model.n > 1 else None
+    dw = np.empty_like(x) if n > 1 else None
     finite = np.empty(x.shape, dtype=bool)
+    if matrices:
+        # overflow here is caught by the finiteness check of the first step
+        ad = model.A * dt
+        step = np.eye(n) + ad + (ad @ ad) / 2
+        g = (np.eye(n) + ad / 2) @ model.sigma
+        sig = model.sigma
+        drift = np.empty_like(x)
+        # at n = 1 a product by a 1 x 1 matrix is a plain multiply, no BLAS
+        times = np.matmul if n > 1 else (
+            lambda mat, v, out: np.multiply(v, mat[0, 0], out=out))
     last = len(grid) - 1
     for k, t in enumerate(grid):
         xt = x.T
-        u = model.control_law(t, xt) if model.control_law is not None else None
-        a = model.drift(t, xt, u)
-        if np.shape(a) != shape:
-            raise InputError(f"drift({t}) has shape {np.shape(a)}, not {shape}")
-        sig = require_finite(model.diffusion(t), f"sigma({t})",
-                             shape=(model.n, model.n))
+        if not matrices:
+            u = model.control_law(t, xt) if model.control_law is not None else None
+            a = model.drift(t, xt, u)
+            if np.shape(a) != shape:
+                raise InputError(f"drift({t}) has shape {np.shape(a)}, not {shape}")
+            g = sig = require_finite(model.diffusion(t), f"sigma({t})",
+                                     shape=(n, n))
+        else:
+            a = times(model.A, x, drift).T
         yield t, xt, a, sig
         if k == last:
             return
-        # same operations, in the same order, as x + a * dt + z @ sig.T on
-        # rows; nxt is never x, so a drift that returns x itself stays intact
-        np.multiply(np.transpose(a), dt, out=nxt)
-        nxt += x
+        if not matrices:
+            # same operations, in the same order, as x + a * dt + z @ sig.T
+            # on rows; nxt is never x, so a drift that returns x itself
+            # stays intact
+            np.multiply(np.transpose(a), dt, out=nxt)
+            nxt += x
+        else:
+            times(step, x, nxt)
         raw = signs.random_raw(words).astype("<u8", copy=False)
         bits = np.unpackbits(raw.view(np.uint8), count=size, bitorder="little")
-        # v - 2 v bit is +-v exactly; at n = 1, z sig = +-(s sig) exactly, so
-        # the signs pick from +-(s sig) directly, one pass fewer
-        v = scale * sig[0, 0] if dw is None else scale
+        # v - 2 v bit is +-v exactly; at n = 1, z g = +-(s g) exactly, so
+        # the signs pick from +-(s g) directly, one pass fewer
+        v = scale * g[0, 0] if dw is None else scale
         np.multiply(bits.reshape(shape).T, -2.0 * v, out=z)
         z += v
-        nxt += z if dw is None else np.matmul(sig, z, out=dw)
+        nxt += z if dw is None else np.matmul(g, z, out=dw)
         if not np.isfinite(nxt, out=finite).all():
             raise SimulationDivergedError(grid[k + 1])
         x, nxt = nxt, x
@@ -464,10 +556,14 @@ def _moment_reducer(n_paths: int, n: int):
 
 def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
                       seed: int = 0) -> EnsembleStats:
-    """Weak Euler ensemble of the controlled diffusion (see :func:`_steps`).
+    """Moments of a weak-scheme ensemble of the controlled diffusion.
 
-    Deterministic for fixed (seed, n_paths, dt).  dt must divide the
-    horizon.  Raises the kernel's InputError for a bad drift(t) or sigma(t),
+    A linear model held as matrices without a control law takes the
+    matrix route, weak order 2, with dt = horizon/100 by default; every
+    other model the callback route, the weak Euler scheme of order 1,
+    with dt = horizon/1000 (see :func:`_steps`).  Deterministic for fixed
+    (seed, n_paths, dt) and route.  dt must divide the horizon.  Raises
+    the kernel's InputError for a bad drift(t) or sigma(t),
     SimulationDivergedError with the first bad time if any path leaves the
     finite range, and NonFiniteOutputError if a moment overflows.
     """

@@ -25,7 +25,7 @@ from ipflab import (cli, control, diagnostics, diffusion, eigenchain, entropy,
 from ipflab.errors import NonFiniteOutputError
 
 SCHEMA = "2"
-STREAM = "5"
+STREAM = "6"
 
 
 # -- reference renderers ------------------------------------------------------
@@ -167,7 +167,7 @@ def test_every_record_matches_its_reference():
 def test_numpy_integer_seed_stamped_as_int():
     # a numpy seed used to end in "Object of type uint64 is not JSON
     # serializable" when the ensemble was written
-    model = cli._scalar_model(-1.0, 1.0, 1.0, (0.0, 0.1))
+    model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 0.1))
     for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
         want = run(model, 20, dt=0.05, seed=2 ** 64 - 1).to_json()
         assert run(model, 20, dt=0.05, seed=np.uint64(2 ** 64 - 1)).to_json() == want
@@ -176,7 +176,7 @@ def test_numpy_integer_seed_stamped_as_int():
 def test_numpy_integer_n_paths_stamped_as_int():
     # a numpy n_paths used to end in "Object of type int64 is not JSON
     # serializable" when the record was written
-    model = cli._scalar_model(-1.0, 1.0, 1.0, (0.0, 0.1))
+    model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 0.1))
     for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
         want = run(model, 20, dt=0.05, seed=1).to_json()
         assert run(model, np.int64(20), dt=0.05, seed=1).to_json() == want
@@ -189,7 +189,7 @@ SIM = ["--seed", "1", "--n-paths", "200", "--dt", "0.02", "--horizon", "0.2"]
 
 def sim_stats(theta=-1.0, sigma=1.0, x0=1.0, horizon=0.2, n_paths=200,
               dt=0.02, seed=1):
-    model = cli._scalar_model(theta, sigma, x0, (0.0, horizon))
+    model = diffusion.linear_model(theta, sigma, x0, 0.0, (0.0, horizon))
     stats = diffusion.simulate_ensemble(model, n_paths, dt=dt, seed=seed)
     return diffusion.covariance_derivative(stats)
 
@@ -201,13 +201,13 @@ def test_simulate_json_and_csv(tmp_path):
     assert (tmp_path / "ensemble.json").read_bytes().decode() == ref_ensemble(stats, 0.02)
     run_cli(["simulate"] + SIM + ["--format", "csv", "--out", str(tmp_path)])
     assert ((tmp_path / "ensemble.csv").read_bytes().decode()
-            == "# schema_version=2 stream_version=5 seed=1 n_paths=200 dt=0.02\n"
+            == "# schema_version=2 stream_version=6 seed=1 n_paths=200 dt=0.02\n"
             + stats.to_csv())
 
 
 def test_entropy_document():
     argv = ["--seed", "3", "--n-paths", "500", "--theta", "1.0", "--dt", "0.01"]
-    model = cli._scalar_model(1.0, 1.0, 1.0, (0.0, 1.0))
+    model = diffusion.linear_model(1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
     mc = entropy.entropy_mc(model, 500, dt=0.01, seed=3)
     grid = np.linspace(0.0, 1.0, 2001)
     r = 1.5 * np.exp(2 * grid) - 0.5
@@ -316,22 +316,23 @@ def test_pipeline_files(tmp_path):
         assert (tmp_path / name).read_bytes().decode() == text, name
 
 
-# SHA-256 of the n = 1 Monte Carlo documents at seed 1 and 1000 paths:
-# every stage's bits, from the draws to the writer.  They are the same
-# with numpy's AVX-512 targets disabled and OpenBLAS on its Haswell
-# kernels (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
-# OPENBLAS_CORETYPE=Haswell)
-ENSEMBLE_SHA256 = "ab48185520e6aa26041b51366dd8fc0a1e9be14820b673f77a6b6bc18823e031"
+# SHA-256 of the n = 1 Monte Carlo documents at seed 1 and 1000 paths, on
+# stream 6's matrix route: every stage's bits, from the draws to the
+# writer.  They are the same with numpy's AVX-512 targets disabled and
+# OpenBLAS on its Haswell kernels (NPY_DISABLE_CPU_FEATURES="X86_V4
+# AVX512_ICL AVX512_SPR", OPENBLAS_CORETYPE=Haswell), and with every SIMD
+# target disabled and OpenBLAS on its Nehalem kernels
+ENSEMBLE_SHA256 = "730ccd554b50a50e07631546f739b4348855704e3fcfacc85687d24c6c19443b"
 
 
 @pytest.mark.parametrize("argv, digests", [
     (["pipeline"], {
         "ensemble.json": ENSEMBLE_SHA256,
-        "operators.json": "14aac42661a3c5548b11156ed9c9c16e9aeb5d72f1842b7bc14f9fa8f6937655",
-        "manifest.json": "a8ab6f4304f8be5be835936954f26b67b6dbd0056f0ee5b23a73291ad6b1acfd"}),
+        "operators.json": "30bf5047c132a9e5824211cc4fff17f46d73f3f48fcc3d33fef9cef5416ba6e6",
+        "manifest.json": "cf2bc0d9b97a1de666372118afb90307d61b1f291aa714e1fa12a306ee06c211"}),
     (["simulate"], {"ensemble.json": ENSEMBLE_SHA256}),
     (["simulate", "--format", "csv"], {
-        "ensemble.csv": "af06ea4ecde5ea5eac8aa9964e1d9193960b7a4fadcf494fe3d37346614713a5"}),
+        "ensemble.csv": "3fda85392427b9ce6d764f121f427ce6b2da178e4e924726d6d6bf4e6f059056"}),
 ], ids=["pipeline", "simulate-json", "simulate-csv"])
 def test_n1_monte_carlo_documents_pinned(tmp_path, argv, digests):
     run_cli(argv + ["--seed", "1", "--n-paths", "1000", "--out", str(tmp_path)])
@@ -342,9 +343,9 @@ def test_n1_monte_carlo_documents_pinned(tmp_path, argv, digests):
 # -- every document's head ----------------------------------------------------
 
 # no --dt: every Monte Carlo document must stamp the step the kernel took,
-# a thousandth of the horizon
+# a hundredth of the horizon on the matrix route of the linear models here
 MC = ["--seed", "4", "--n-paths", "50", "--horizon", "0.2"]
-MC_STAMP = stream_stamp(4, 50, 0.2 * 1e-3)
+MC_STAMP = stream_stamp(4, 50, 0.2 * 1e-2)
 SHAPE = ["--n", "3", "--gamma", "0.5", "--alpha1", "1.0"]
 
 
@@ -364,7 +365,7 @@ def from_record(build):
 
 
 def mc_model():
-    return cli._scalar_model(-1.0, 1.0, 1.0, (0.0, 0.2))
+    return diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 0.2))
 
 
 def analytic_stats():

@@ -115,7 +115,7 @@ def test_non_finite_sigma_refused(tmp_path, capsys, monkeypatch, argv):
         assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error (InputError): sigma(0.0) must be finite\n"
+    assert captured.err == "error (InputError): sigma must be finite\n"
 
 
 class TestStochasticCommands:

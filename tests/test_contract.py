@@ -108,6 +108,13 @@ MODELS = [
     # sigma(t) is NaN from t = 0.25 on
     _model(lambda t, x, u: -x, lambda t: [[NAN if t >= 0.25 else 1.0]]),
     _model(lambda t, x, u: -x, lambda t: [[0.0]]),
+    # linear models, stepped from their matrices
+    diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 0.5)),
+    diffusion.linear_model(_A2, [[1.0, 0.3], [0.0, 0.5]], [0.0, 1.0],
+                           [[1.0, 0.0], [0.0, 0.5]], (0.0, 0.5)),
+    # diverges: M = I + A dt + (A dt)^2 / 2 overflows at dt = 1e298
+    diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 1e300)),
+    diffusion.linear_model(-1.0, 0.0, 1.0, 0.0, (0.0, 0.5)),
 ]
 
 
@@ -166,6 +173,14 @@ ROWS = {
             [[[1.0]], np.eye(2), [[-1.0]], [[1.0, 2.0], [3.0, 4.0]]])),
         horizon=st.one_of(st.tuples(reals(), reals()), st.sampled_from(
             [(0.0, 1.0), (-1e308, 1e308), (0.0,), (0.0, 1.0, 2.0), 1.0, True]))),
+    "diffusion.linear_model": dict(
+        A=st.one_of(squares(1, 2), reals(), st.just(np.ones((2, 3)))),
+        sigma=st.one_of(squares(1, 2), reals()),
+        mean0=st.one_of(arrays((1,)), arrays((2,)), reals()),
+        cov0=st.one_of(squares(1, 2), st.sampled_from(
+            [0.0, [[1.0]], np.eye(2), [[-1.0]], [[1.0, 2.0], [3.0, 4.0]]])),
+        horizon=st.one_of(st.tuples(reals(), reals()), st.sampled_from(
+            [(0.0, 1.0), (0.0,), 1.0]))),
     "diffusion.simulate_ensemble": dict(model=models, n_paths=n_paths,
                                         dt=steps, seed=seeds),
     "diffusion.covariance_derivative": dict(stats=stats),
@@ -402,7 +417,7 @@ NAMED = [
     (diagnostics.lce_local, ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], NAN), "window"),
     # a window past the float range takes the whole trace, without a warning,
     # whose times are too large for the fit
-    (diagnostics.lce_local, ([1e308, 2.0, 3.0], [1.0, 2.0, 3.0], 1e308),
+    (diagnostics.lce_local, ([1e308, 1.5e308, 1.7e308], [1.0, 2.0, 3.0], 1e308),
      "the norm of the times"),
     (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], (-1e308, 1e308)),
      "horizon length"),
@@ -472,6 +487,27 @@ NAMED = [
     # switch moments out of order used to be fitted over overlapping windows
     (diagnostics.diagnose_segments, (np.linspace(0.0, 2.0, 5), np.ones(5),
                                      [1.5, 0.5]), "dps must increase strictly"),
+    # an empty grid used to escape as numpy's IndexError, and a decreasing
+    # one to give an empty report without a word
+    (diagnostics.diagnose_segments, ([], [], []), "grid must not be empty"),
+    (diagnostics.diagnose_segments, ([1.0, 0.5, 0.0], [1, 2, 3], []),
+     "grid must not decrease, as it does from 1.0 to 0.5"),
+    (diagnostics.lce_local, ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]),
+     "grid must not decrease"),
+    # a linear model's matrices, and its n across A, sigma and the initial law
+    (diffusion.linear_model, (np.ones((2, 3)), 1.0, 0.0, 0.0, (0.0, 1.0)),
+     "A has shape (2, 3), not square"),
+    (diffusion.linear_model, ([[NAN]], 1.0, 0.0, 0.0, (0.0, 1.0)), "A must be finite"),
+    (diffusion.linear_model, (-1.0, INF, 0.0, 0.0, (0.0, 1.0)),
+     "sigma must be finite"),
+    (diffusion.linear_model, (-np.eye(2), [[1.0]], [0.0, 0.0], np.zeros((2, 2)),
+                              (0.0, 1.0)), "sigma has shape (1, 1), not (2, 2)"),
+    (diffusion.linear_model, (-np.eye(2), np.eye(2), [0.0], np.zeros((2, 2)),
+                              (0.0, 1.0)), "initial_mean has shape (1,), not (2,)"),
+    (diffusion.linear_model, (-np.eye(2), np.eye(2), [0.0, 0.0], [[0.0]],
+                              (0.0, 1.0)), "initial_cov has shape (1, 1), not (2, 2)"),
+    (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], (0.0, 1.0), None,
+                                [[-1.0]]), "sigma must be finite"),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -431,3 +432,153 @@ class TestWeakScheme:
         exact = 0.5 * dt * (q.sum() - 0.5 * (q[0] + q[-1]))
         est = entropy.entropy_mc(ENSEMBLE3, n_paths, dt=dt, seed=1)
         assert abs(est.value - exact) <= 5 * est.std_error
+
+
+def order2_moments(a, sigma, mean0, cov0, dt, n_steps):
+    """Mean and E[x x^T] of the matrix route's recursion x' = M x + G sigma
+    dW, M = I + a dt + (a dt)^2 / 2, G = I + a dt / 2, at every grid point:
+    m <- M m, R <- M R M^T + G sigma sigma^T G^T dt.  Exact for any
+    increments with E dW = 0 and E dW dW^T = dt I."""
+    ad = np.asarray(a, dtype=float) * dt
+    eye = np.eye(len(ad))
+    M = eye + ad + ad @ ad / 2
+    gs = (eye + ad / 2) @ sigma
+    m = np.array(mean0, dtype=float)
+    R = np.array(cov0, dtype=float) + np.outer(m, m)
+    means, rs = [m], [R]
+    for _ in range(n_steps):
+        m = M @ m
+        R = M @ R @ M.T + gs @ gs.T * dt
+        means.append(m)
+        rs.append(R)
+    return np.array(means), np.array(rs)
+
+
+LINEAR3 = diffusion.linear_model(A3, np.eye(3), np.zeros(3), P3, (0.0, 2.0))
+# A3 with the noise of the CI's bits step: cross terms in sigma, a mean
+SIGMA3 = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.1, 0.8]])
+
+
+class TestMatrixRoute:
+    """A linear model without a control law, stepped at weak order 2 from
+    its matrices, against the exact moments of that step's recursion."""
+
+    def test_ou_moments(self):
+        # the pipeline model at its default dt, a hundredth of the horizon
+        n_paths = 20000
+        model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+        stats = diffusion.simulate_ensemble(model, n_paths, seed=1)
+        assert stats.dt == 0.01 and len(stats.grid) == 101
+        means, rs = order2_moments(-np.eye(1), np.eye(1), [1.0], [[0.0]], 0.01, 100)
+        assert_moments_within(stats, means, rs, n_paths)
+
+    def test_three_dim_moments(self):
+        n_paths, dt = 20000, 0.02
+        model = diffusion.linear_model(A3, SIGMA3, [0.1, 0.0, -0.2], P3, (0.0, 2.0))
+        stats = diffusion.simulate_ensemble(model, n_paths, dt=dt, seed=1)
+        means, rs = order2_moments(A3, SIGMA3, [0.1, 0.0, -0.2], P3, dt, 100)
+        assert_moments_within(stats, means, rs, n_paths)
+
+    def test_growth_entropy(self):
+        # dx = x dt + dW from x0 = 1: q = x^2, so E of the trapezoid of q is
+        # the trapezoid of the recursion's r
+        n_paths, dt = 20000, 0.01
+        model = diffusion.linear_model(1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+        r = order2_moments(np.eye(1), np.eye(1), [1.0], [[0.0]], dt, 100)[1][:, 0, 0]
+        exact = 0.5 * dt * (r.sum() - 0.5 * (r[0] + r[-1]))
+        est = entropy.entropy_mc(model, n_paths, seed=1)
+        assert est.dt == dt
+        assert abs(est.value - exact) <= 5 * est.std_error
+
+    def test_three_dim_entropy(self):
+        # 2b = I, so q = |A x|^2, whose mean is tr(A R A^T)
+        n_paths, dt = 20000, 0.02
+        rs = order2_moments(A3, np.eye(3), np.zeros(3), P3, dt, 100)[1]
+        q = np.einsum("ij,tjk,ik->t", A3, rs, A3)
+        exact = 0.5 * dt * (q.sum() - 0.5 * (q[0] + q[-1]))
+        est = entropy.entropy_mc(LINEAR3, n_paths, seed=1)
+        assert abs(est.value - exact) <= 5 * est.std_error
+
+    def test_recursion_bias_falls_fourfold_per_halving(self):
+        # no sampling: the recursion's r against the OU law's, dx = -x dt +
+        # dW from x0 = 1, r(t) = e^{-2t} + (1 - e^{-2t}) / 2
+        biases = []
+        for dt in (2e-2, 1e-2, 5e-3):
+            n_steps = int(round(1.0 / dt))
+            t = dt * np.arange(n_steps + 1)
+            r = order2_moments(-np.eye(1), np.eye(1), [1.0], [[0.0]], dt,
+                               n_steps)[1][:, 0, 0]
+            exact = np.exp(-2 * t) + 0.5 * (1 - np.exp(-2 * t))
+            biases.append(np.max(np.abs(r - exact) / exact))
+        ratios = [biases[0] / biases[1], biases[1] / biases[2]]
+        assert all(3.5 <= q <= 4.5 for q in ratios), ratios
+        # the Euler recursion at ten times the steps is further off
+        euler = euler_moments(-np.eye(1), np.eye(1), [1.0], [[0.0]], 1e-3, 1000)
+        t = 1e-3 * np.arange(1001)
+        exact = np.exp(-2 * t) + 0.5 * (1 - np.exp(-2 * t))
+        assert biases[1] < np.max(np.abs(euler[1][:, 0, 0] - exact) / exact) / 10
+
+
+class TestLinearModel:
+    def test_default_dt_per_route(self):
+        model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 0.2))
+        assert diffusion.simulate_ensemble(model, 10, seed=0).dt == 0.2 * 1e-2
+        # a control law, or a model without matrices, takes the callback route
+        for other in (dataclasses.replace(model, control_law=lambda t, x: x),
+                      dataclasses.replace(model, A=None, sigma=None)):
+            assert diffusion.simulate_ensemble(other, 10, seed=0).dt == 0.2 * 1e-3
+
+    @pytest.mark.parametrize("model", [
+        diffusion.linear_model(-0.7, 1.3, 0.5, 0.2, (0.0, 1.0)), LINEAR3],
+        ids=["n1", "n3"])
+    def test_matrices_survive_replace(self, model):
+        # a reader that rebuilds the callbacks, as a tracer does, keeps the
+        # route: the new callbacks are not called, and the bits stay
+        calls = []
+
+        def wrap(fn):
+            return lambda *args: calls.append(1) or fn(*args)
+
+        traced = dataclasses.replace(model, drift=wrap(model.drift),
+                                     diffusion=wrap(model.diffusion))
+        assert np.array_equal(traced.A, model.A)
+        assert np.array_equal(traced.sigma, model.sigma)
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            want = run(model, 500, seed=3).to_json()
+            assert run(traced, 500, seed=3).to_json() == want
+        assert calls == []
+
+    def test_drift_at_n1_has_the_callbacks_bits(self):
+        # the kernel's a = A x is the callback's plain multiply, bit for bit
+        model = diffusion.linear_model(-0.7, 1.3, 0.5, 0.2, (0.0, 1.0))
+        steps = diffusion._euler_maruyama(model, 1000, None, 3)[2]
+        for t, x, a, sig in steps:
+            assert a.tobytes() == model.drift(t, x, None).tobytes()
+            assert sig.tobytes() == np.asarray(model.diffusion(t)).tobytes()
+
+    def test_callbacks_give_the_same_model(self):
+        # the callback route on the model's own callbacks has the same
+        # exact moments to first order: the Euler recursion
+        n_paths, dt = 20000, 0.02
+        model = diffusion.linear_model(A3, SIGMA3, [0.1, 0.0, -0.2], P3, (0.0, 2.0))
+        model = dataclasses.replace(model, A=None, sigma=None)
+        stats = diffusion.simulate_ensemble(model, n_paths, dt=dt, seed=2)
+        means, rs = euler_moments(A3, SIGMA3, [0.1, 0.0, -0.2], P3, dt, 100)
+        assert_moments_within(stats, means, rs, n_paths)
+
+    def test_matrices_read_only_copies(self):
+        a = np.array([[-1.0, 0.2], [0.0, -0.5]])
+        model = diffusion.linear_model(a, np.eye(2), [0.0, 0.0], np.eye(2), (0.0, 1.0))
+        a[0, 0] = 5.0
+        assert model.A[0, 0] == -1.0 and not model.A.flags.writeable
+        assert not model.sigma.flags.writeable
+
+    def test_divergence_on_the_matrix_route(self):
+        # M overflows at dt = 1e298; the first step is refused by its time
+        model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 1e300))
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            with pytest.raises(SimulationDivergedError) as exc, \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run(model, 10, seed=1)
+            assert exc.value.t_bad == 1e300 * 1e-2

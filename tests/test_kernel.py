@@ -257,6 +257,14 @@ class TestOneThread:
         diffusion.simulate_ensemble(scalar_model(drift), 100, dt=0.01, seed=1)
         entropy.entropy_mc(scalar_model(drift), 100, dt=0.01, seed=1)
         assert len(seen) == 101 + 101
+        # the matrix route calls no callback: look at every grid point it
+        # yields, at n = 1 and at n = 3, where it multiplies by BLAS
+        for model in (diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 1.0)),
+                      diffusion.linear_model(A3, A3_SIGMA, [0.1, 0.0, -0.2], P3,
+                                             (0.0, 1.0))):
+            for _ in diffusion._euler_maruyama(model, 100, None, 1)[2]:
+                seen.append(threading.enumerate())
+        assert len(seen) == 2 * 101 + 2 * 101
         assert all(threads == before for threads in seen)
 
     def test_raising_drift_propagates(self):
@@ -564,7 +572,8 @@ def test_moments_pinned(n):
 
 # run in a fresh process: the SIMD targets numpy dispatches to there, and
 # SHA-256 digests of the reducer's output on ensembles across the block
-# bound and of a small n = 1 simulation's moments and entropy estimate
+# bound and of small n = 1 simulations' moments and entropy estimates, on
+# the callback route and on a linear model's matrix route
 DISPATCH_PROBE = """
 import hashlib, json
 import numpy as np
@@ -588,6 +597,11 @@ stats = diffusion.simulate_ensemble(model, 3000, dt=0.02, seed=4)
 digests["simulate"] = digest(stats.mean, stats.r)
 est = entropy.entropy_mc(model, 3000, dt=0.02, seed=4)
 digests["entropy"] = digest(np.array([est.value, est.std_error]))
+linear = diffusion.linear_model(-1.0, 0.7, 0.5, 0.2, (0.0, 1.0))
+stats = diffusion.simulate_ensemble(linear, 3000, seed=4)
+digests["simulate linear"] = digest(stats.mean, stats.r)
+est = entropy.entropy_mc(linear, 3000, seed=4)
+digests["entropy linear"] = digest(np.array([est.value, est.std_error]))
 print(json.dumps({"dispatch": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
                   "digests": digests}))
 """
@@ -607,8 +621,8 @@ def dispatch_probe(disabled):
 
 
 def test_bits_do_not_depend_on_simd_dispatch():
-    """The moment reducer, and simulate_ensemble and entropy_mc at n = 1,
-    whose increments are exact, give the same bytes when numpy
+    """The moment reducer, and simulate_ensemble and entropy_mc at n = 1
+    on both routes, whose increments are exact, give the same bytes when numpy
     dispatches to fewer SIMD targets, as on an older host: each
     process disables one more of the targets this host has, from the top,
     down to numpy's baseline."""

@@ -3,9 +3,10 @@
 The kernel's stream is part of every stochastic output: a fixed (seed,
 n_paths, dt) gives the same bits only under the same STREAM_VERSION.  The
 golden values below fail on any change to the draws, and such a change
-must bump the version.  Stream 5 takes each step's increments +-sqrt(dt)
-from the bits of fresh SFC64 words, bit 0 of each word first; the initial
-law is still drawn as in streams 2 to 4.  The moment checks read the
+must bump the version.  Streams 5 and 6 take each step's increments
++-sqrt(dt) from the bits of fresh SFC64 words, bit 0 of each word first
+(stream 6 added the matrix route's step map); the initial law is still
+drawn as in streams 2 to 4.  The moment checks read the
 increments back from a driftless model with sigma = I through the states
 the kernel steps through; at dt = 2^-6 the increments are +-1/8, whose
 sums are exact, so they are read back exactly.
@@ -43,7 +44,7 @@ GOLDEN = {
 
 
 def test_stream_version():
-    assert diffusion.STREAM_VERSION == "5"
+    assert diffusion.STREAM_VERSION == "6"
 
 
 def word_bits(words, count):
