@@ -38,6 +38,9 @@ COND_MAX = 1e12
 # the moment sums run over blocks of this many paths, so their order
 # depends on n_paths alone
 _BLOCK = 2 ** 15
+# how the matrix route's refusal of other callbacks ends
+_OTHER = ("a model with A and sigma is stepped from them: set both to None "
+          "to simulate other dynamics")
 # array kinds that require_finite refuses, though floats can be read from them
 _NOT_NUMBERS = {"b": "bools", "U": "strings", "S": "bytes", "O": "objects"}
 
@@ -158,9 +161,10 @@ def _non_finite(val, path=""):
 
 def stamp_field():
     """A keyword-only record field for what fixes the bits of a Monte Carlo
-    result (stream version, seed, paths, dt): None, and left out of the
-    JSON, in records of analytic results.  Records declare these fields
-    first, in that order, so their JSON carries the stamp at its head."""
+    result (stream version, scheme, seed, paths, dt): None, and left out
+    of the JSON, in records of analytic results.  Records declare these
+    fields first, in that order, so their JSON carries the stamp at its
+    head."""
     return field(default=None, kw_only=True,
                  metadata={"json": "unless None", "stamp": True})
 
@@ -189,22 +193,27 @@ class DiffusionModel:
     diffusion(t) returns the n x n matrix sigma(t).  control_law(t, x) maps
     the ensemble state to the control; None means zero control.  A and
     sigma, set together or not at all, are the constant n x n matrices of
-    a linear model dx = A x dt + sigma dW, held as read-only copies; drift
-    and diffusion must then give the same model (see :func:`linear_model`).
+    a linear model dx = A x dt + sigma dW, held as read-only copies; such
+    a model takes no control_law (see :func:`linear_model`, which builds
+    it).
 
     The simulator has two routes (see :func:`_steps`).  A model with A and
-    no control_law takes the matrix route: a weak order-2 step formed from
-    A and sigma alone, on a grid of horizon/100 by default, that calls no
-    callback.  Every other model takes the callback route: the simplified
-    weak Euler scheme, weak order 1, on a grid of horizon/1000 by default.
-    Both use two-point increments +-sqrt(dt) (Kloeden & Platen 1992,
-    secs. 14.1 and 15.1), so the paths are not Gaussian at finite dt, and
-    ipflab reads only expectations of them.  The callback route runs in
-    one thread and calls every callback in it, once per grid point, the
-    last included, on the whole ensemble: a callback may read all of it
-    and needs no locking.  x is a column-major view, x.T being
-    C-contiguous, of a buffer the simulator reuses, so a callback that
-    keeps the state beyond the call must copy it.
+    sigma takes the matrix route: a weak order-2 step formed from them, on
+    a grid of horizon/100 by default, finer for a stiff A.  Every other
+    model takes the callback route: the simplified weak Euler scheme, weak
+    order 1, on a grid of horizon/1000 by default.  Both use two-point
+    increments +-sqrt(dt) (Kloeden & Platen 1992, secs. 14.1 and 15.1),
+    so the paths are not Gaussian at finite dt, and ipflab reads only
+    expectations of them.  On both routes the simulator runs in one thread
+    and calls every callback in it, once per grid point, the last
+    included, on the whole ensemble: a callback may read all of it and
+    needs no locking.  On the matrix route drift and diffusion must give
+    A x and sigma there bit for bit, as linear_model's callbacks and
+    wrappers of them do; the simulator refuses a model whose callbacks
+    give other dynamics, rather than step the matrices they contradict.
+    x is a column-major view, x.T being C-contiguous, of a buffer the
+    simulator reuses, so a callback that keeps the state beyond the call
+    must copy it.
     """
 
     n: int
@@ -232,12 +241,18 @@ class DiffusionModel:
                        positive=True)
         object.__setattr__(self, "initial_mean", mean)
         object.__setattr__(self, "initial_cov", cov)
-        if self.A is not None or self.sigma is not None:
-            for name in ("A", "sigma"):
-                mat = require_finite(getattr(self, name), name,
-                                     shape=(self.n, self.n)).copy()
-                mat.setflags(write=False)
-                object.__setattr__(self, name, mat)
+        if self.A is None and self.sigma is None:
+            return
+        if self.A is None or self.sigma is None:
+            raise InputError("A and sigma must be given together")
+        if self.control_law is not None:
+            raise InputError("a model with A and sigma takes no control_law: "
+                             "give the controlled model its own drift")
+        for name in ("A", "sigma"):
+            mat = require_finite(getattr(self, name), name,
+                                 shape=(self.n, self.n)).copy()
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
 
 
 def linear_model(A, sigma, mean0, cov0, horizon) -> DiffusionModel:
@@ -247,31 +262,38 @@ def linear_model(A, sigma, mean0, cov0, horizon) -> DiffusionModel:
 
     The record carries A and sigma, so the simulator steps it at weak
     order 2 from them (see :func:`_steps`).  Its drift and diffusion
-    callbacks give the same model to any other reader: a plain multiply
-    at n = 1, with no 1 x 1 BLAS product, and x @ A.T at n >= 2; the
-    drift takes no control, so a controlled model needs its own.  Under
-    the doubling feedback v = -2x, A (x + v) is (-A) x: pass -A for it.
-    Refuses a non-square A, a non-finite A or sigma, and an n that
-    differs between A, sigma and the initial law.
+    callbacks give the same model to any other reader, the drift by the
+    simulator's own product (see :func:`_times`), so it has the bits of
+    the simulator's A x.  The model takes no control law: a controlled
+    model needs its own drift.  Under the doubling feedback v = -2x,
+    A (x + v) is (-A) x: pass -A for it.  Refuses a non-square A, a
+    non-finite A or sigma, and an n that differs between A, sigma and the
+    initial law.
     """
     A = require_finite(A, "A", shape=(None, None))
     if A.shape[0] != A.shape[1]:
         raise InputError(f"A has shape {A.shape}, not square")
     n = A.shape[0]
+    A = A.copy()
     sigma = require_finite(sigma, "sigma", shape=(n, n)).copy()
-    if n == 1:
-        a = float(A[0, 0])
+    for mat in (A, sigma):
+        mat.setflags(write=False)
 
-        def drift(t, x, u):
-            return a * x
-    else:
-        A = A.copy()
+    def drift(t, x, u):
+        return _times(A, x.T).T
 
-        def drift(t, x, u):
-            return x @ A.T
     return DiffusionModel(n=n, drift=drift, diffusion=lambda t: sigma,
                           initial_mean=mean0, initial_cov=cov0,
                           horizon=horizon, A=A, sigma=sigma)
+
+
+def _times(mat, v, out=None):
+    """mat v, for an n x n mat and an (n, paths) v: one matmul, but at
+    n = 1 a plain multiply by the number mat[0, 0], with no 1 x 1 BLAS
+    product, whose bits could depend on the host."""
+    if len(mat) == 1:
+        return np.multiply(v, mat[0, 0], out=out)
+    return np.matmul(mat, v, out=out)
 
 
 @dataclass(frozen=True)
@@ -286,6 +308,7 @@ class EnsembleStats(Record):
     """
 
     stream_version: Optional[str] = stamp_field()
+    scheme: Optional[str] = stamp_field()
     seed: Optional[int] = stamp_field()
     n_paths: Optional[int] = stamp_field()
     dt: Optional[float] = stamp_field()
@@ -348,29 +371,42 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int):
     """The one kernel: returns (grid, stamp, steps).
 
     Checks the arguments at once.  The route is chosen from the model (see
-    :func:`_steps`): dt defaults to a hundredth of the horizon on the
-    matrix route and to a thousandth on the callback route, and must
-    divide it.  stamp holds the record's stream stamp fields.  steps is a
-    generator of (t, x, a, sig) at every grid point, the last included:
-    the ensemble x, and the drift a and dispersion sig there.  x lives in
-    one of two buffers that the kernel reuses: it stays valid until the
-    point after next is requested, and consumers never write to it.  On
-    the matrix route a = A x lives in a third buffer, valid until the next
-    point is requested.  x is the (paths, n) view of a component-major
-    (n, paths) buffer, so x.T is C-contiguous.  The generator raises
-    SimulationDivergedError with the first bad time if any path leaves
-    the finite range, and InputError naming t where drift(t) is not
-    (paths, n) or sigma(t) is not a finite n x n matrix.  Everything runs
-    in the caller's thread; the kernel starts no other.
+    :func:`_steps`).  dt defaults to a thousandth of the horizon on the
+    callback route, and on the matrix route to horizon/(100 m) for the
+    smallest m with rho(A) dt <= 0.1, m at most 10: a stiff A takes at
+    most the callback route's thousand steps, and the quarter points of
+    the horizon stay on the grid.  dt must divide the horizon, and on the
+    matrix route a dt under which the step grows a decaying mode of A
+    more than twofold over the horizon is refused.  stamp holds the
+    record's stream stamp fields, the route's scheme ("weak2-linear" or
+    "euler") among them.  steps is a generator of (t, x, a, sig) at every
+    grid point, the last included: the ensemble x, and the drift a and
+    dispersion sig there, as the callbacks give them.  x lives in one of
+    two buffers that the kernel reuses: it stays valid until the point
+    after next is requested, and consumers never write to it.  x is the
+    (paths, n) view of a component-major (n, paths) buffer, so x.T is
+    C-contiguous.  The generator raises SimulationDivergedError with the
+    first bad time if any path leaves the finite range, and InputError
+    naming t where drift(t) is not (paths, n), sigma(t) is not a finite
+    n x n matrix, or, on the matrix route, either differs from A x or
+    sigma.  Everything runs in the caller's thread; the kernel starts no
+    other.
     """
     require_int(n_paths, "n_paths", lo=2)
     require_int(seed, "seed", lo=0, hi=2 ** 64 - 1)
     s, t_end = model.horizon
-    matrices = model.A is not None and model.control_law is None
-    if dt is None:
-        # an order-2 step reaches a smaller bias with a tenth of the steps,
-        # and horizon/100 keeps the quarter points on the grid
-        dt = (t_end - s) * (1e-2 if matrices else 1e-3)
+    matrices = model.A is not None
+    if matrices:
+        lam = np.linalg.eigvals(model.A)
+    if dt is None and matrices:
+        # an order-2 step reaches a smaller bias with a tenth of the
+        # steps, while |A dt| stays small
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = np.abs(lam).max() * (t_end - s)
+        refine = max(1, math.ceil(span / 10)) if span <= 100 else 10
+        dt = (t_end - s) * 1e-2 / refine
+    elif dt is None:
+        dt = (t_end - s) * 1e-3
     require_finite(dt, "dt", positive=True, shape=())
     steps = float(t_end - s) / float(dt)
     # past 2**53 a step count is not exact in a float: no dt that small divides
@@ -378,8 +414,23 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int):
     n_steps = int(round(steps))
     if n_steps < 1 or abs(n_steps * dt - (t_end - s)) > 1e-9 * (t_end - s):
         raise InputError(f"dt={dt} does not divide the horizon {model.horizon}")
+    if matrices:
+        # the step multiplies a mode of A with eigenvalue lam by
+        # 1 + w + w^2/2, w = lam dt, which for a real w is below 1 in
+        # modulus on (-2, 0) only; near the imaginary axis it is just
+        # above 1, so a lightly damped mode may grow a little
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w = lam * dt
+            growth = n_steps * np.log(np.abs(1 + w + w * w / 2))
+        bad = (lam.real < 0) & ~(growth <= LN2)
+        if bad.any():
+            raise InputError(f"dt={dt} is too coarse for A: the order-2 step "
+                             "would grow a decaying mode of A more than "
+                             "twofold over the horizon; take a smaller dt")
     grid = s + dt * np.arange(n_steps + 1)
-    stamp = dict(stream_version=STREAM_VERSION, seed=int(seed), n_paths=int(n_paths), dt=dt)
+    stamp = dict(stream_version=STREAM_VERSION,
+                 scheme="weak2-linear" if matrices else "euler",
+                 seed=int(seed), n_paths=int(n_paths), dt=dt)
     return grid, stamp, _steps(model, grid, dt, n_paths, seed, matrices)
 
 
@@ -388,24 +439,26 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     components +-sqrt(dt), each sign with probability 1/2.
 
     Two routes, chosen from the model alone.  The matrix route, for a
-    model that carries A and sigma and has no control_law, steps
-    x' = M x + (G sigma) z with M = I + A dt + (A dt)^2 / 2 and
-    G = I + A dt / 2, both formed once per run, and calls no callback; at
-    each grid point it forms a = A x into a reused buffer, and sig is the
-    model's sigma.  For additive noise this is Platen's explicit weak
-    order-2.0 scheme evaluated exactly on a linear drift (Kloeden &
-    Platen, Numerical Solution of SDEs, 1992, sec. 15.1).  Its mean and
-    E[x x^T] follow m' = M m, R' = M R M^T + G sigma sigma^T G^T dt, which
-    use only E z = 0 and E z z^T = dt I, and each step matches the exact
-    law to O(dt^3); so the two-point increments keep weak order 2 here.
-    A nonlinear drift would need three-point increments for order 2
+    model that carries A and sigma, steps x' = M x + (G sigma) z with
+    M = I + A dt + (A dt)^2 / 2 and G = I + A dt / 2, both formed once
+    per run.  For additive noise this is Platen's explicit weak order-2.0
+    scheme evaluated exactly on a linear drift (Kloeden & Platen,
+    Numerical Solution of SDEs, 1992, sec. 15.1).  Its mean and E[x x^T]
+    follow m' = M m, R' = M R M^T + G sigma sigma^T G^T dt, which use
+    only E z = 0 and E z z^T = dt I, and each step matches the exact law
+    to O(dt^3); so the two-point increments keep weak order 2 here.  A
+    nonlinear drift would need three-point increments for order 2
     (+-sqrt(3 dt) with probability 1/6 each, 0 with 2/3; sec. 14.2).
-    Every other model takes the callback route, x' = x + a dt + sig z
-    with a and sig from the callbacks at every grid point: the simplified
-    weak Euler scheme (sec. 14.1), whose increments match the first three
-    moments of N(0, dt I), which is all weak order 1 needs.  On both
-    routes the paths are not Gaussian at finite dt, and ipflab reads only
-    expectations of them (moments and the entropy functional's mean).
+    Every other model takes the callback route, x' = x + a dt + sig z:
+    the simplified weak Euler scheme (sec. 14.1), whose increments match
+    the first three moments of N(0, dt I), which is all weak order 1
+    needs.  On both routes the paths are not Gaussian at finite dt, and
+    ipflab reads only expectations of them (moments and the entropy
+    functional's mean).  Both call the callbacks at every grid point for
+    the a and sig they yield; the matrix route refuses them where they
+    differ, bit for bit, from A x, formed by :func:`_times` into the noise
+    buffer before the noise is drawn, and from sigma, so the matrices it
+    steps are the model the callbacks give.
 
     Stream STREAM_VERSION: SeedSequence(seed) spawns two children.  The
     first drives an SFC64 generator: the initial law is mean + z F^T, z
@@ -422,8 +475,8 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     on the callback route and g = G sigma on the matrix route, is formed
     the same way from +-(s g), the exact products (+-s) g, and the matrix
     route's M x and A x are plain multiplies by the numbers M and A, with
-    no BLAS.  So the bits depend on (seed, n_paths, dt) and the route
-    alone, and at n = 1 not on the host's SIMD or BLAS either.
+    no BLAS.  So the bits depend on (seed, n_paths, dt) and the scheme,
+    all in the stamp, and at n = 1 not on the host's SIMD or BLAS either.
 
     The ensemble and the step buffers are held component-major, as
     C-contiguous (n, paths) arrays; callbacks and the consumer get the
@@ -434,9 +487,9 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     both entry points on the callback route to a row-major x + a dt +
     z sig^T loop.
 
-    The callbacks (on the callback route), the noise draw, the update and
-    the consumer all run in the caller's thread, once per grid point (the
-    last included) on the whole ensemble; the kernel starts no thread.
+    The callbacks, the noise draw, the update and the consumer all run in
+    the caller's thread, once per grid point (the last included) on the
+    whole ensemble; the kernel starts no thread.
     """
     init_seq, noise_seq = np.random.SeedSequence(int(seed)).spawn(2)
     n = model.n
@@ -469,34 +522,35 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
         ad = model.A * dt
         step = np.eye(n) + ad + (ad @ ad) / 2
         g = (np.eye(n) + ad / 2) @ model.sigma
-        sig = model.sigma
-        drift = np.empty_like(x)
-        # at n = 1 a product by a 1 x 1 matrix is a plain multiply, no BLAS
-        times = np.matmul if n > 1 else (
-            lambda mat, v, out: np.multiply(v, mat[0, 0], out=out))
     last = len(grid) - 1
     for k, t in enumerate(grid):
         xt = x.T
+        u = model.control_law(t, xt) if model.control_law is not None else None
+        a = model.drift(t, xt, u)
+        if np.shape(a) != shape:
+            raise InputError(f"drift({t}) has shape {np.shape(a)}, not {shape}")
+        sig = require_finite(model.diffusion(t), f"sigma({t})", shape=(n, n))
         if not matrices:
-            u = model.control_law(t, xt) if model.control_law is not None else None
-            a = model.drift(t, xt, u)
-            if np.shape(a) != shape:
-                raise InputError(f"drift({t}) has shape {np.shape(a)}, not {shape}")
-            g = sig = require_finite(model.diffusion(t), f"sigma({t})",
-                                     shape=(n, n))
-        else:
-            a = times(model.A, x, drift).T
+            g = sig
+        elif not np.array_equal(sig, model.sigma):
+            raise InputError(f"sigma({t}) is not the model's sigma; {_OTHER}")
+        # z and finite are free until the step: A x and the compare go there
+        elif not _same(a, _times(model.A, x, out=z).T, finite.T):
+            raise InputError(f"drift({t}) is not the model's A x; {_OTHER}")
         yield t, xt, a, sig
         if k == last:
             return
-        if not matrices:
+        if matrices:
+            _times(step, x, out=nxt)
+        else:
             # same operations, in the same order, as x + a * dt + z @ sig.T
             # on rows; nxt is never x, so a drift that returns x itself
             # stays intact
             np.multiply(np.transpose(a), dt, out=nxt)
             nxt += x
-        else:
-            times(step, x, nxt)
+        # no step reads the drift again: the next drift call may take its
+        # memory, which keeps the peak RSS down
+        del a
         raw = signs.random_raw(words).astype("<u8", copy=False)
         bits = np.unpackbits(raw.view(np.uint8), count=size, bitorder="little")
         # v - 2 v bit is +-v exactly; at n = 1, z g = +-(s g) exactly, so
@@ -508,6 +562,15 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
         if not np.isfinite(nxt, out=finite).all():
             raise SimulationDivergedError(grid[k + 1])
         x, nxt = nxt, x
+
+
+def _same(a, b, out) -> bool:
+    """a and b, of one shape, hold the same numbers, a NaN matching a NaN:
+    BLAS kernels that add two overflowing products of opposite sign make
+    one.  The compare writes into the bool buffer out; equal_nan's pass
+    runs only on a mismatch, as it costs thirty times a plain compare."""
+    return (np.equal(a, b, out=out).all()
+            or np.array_equal(a, b, equal_nan=True))
 
 
 def _moment_reducer(n_paths: int, n: int):
@@ -558,12 +621,13 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
                       seed: int = 0) -> EnsembleStats:
     """Moments of a weak-scheme ensemble of the controlled diffusion.
 
-    A linear model held as matrices without a control law takes the
-    matrix route, weak order 2, with dt = horizon/100 by default; every
-    other model the callback route, the weak Euler scheme of order 1,
-    with dt = horizon/1000 (see :func:`_steps`).  Deterministic for fixed
-    (seed, n_paths, dt) and route.  dt must divide the horizon.  Raises
-    the kernel's InputError for a bad drift(t) or sigma(t),
+    A linear model held as matrices takes the matrix route, weak order 2,
+    with dt = horizon/100 by default, finer for a stiff A; every other
+    model the callback route, the weak Euler scheme of order 1, with
+    dt = horizon/1000 (see :func:`_euler_maruyama` and :func:`_steps`).
+    Deterministic for a fixed stamp: (seed, n_paths, dt) and the scheme.
+    dt must divide the horizon.  Raises the kernel's InputError for a bad
+    drift(t) or sigma(t) or a dt too coarse for A,
     SimulationDivergedError with the first bad time if any path leaves the
     finite range, and NonFiniteOutputError if a moment overflows.
     """

@@ -29,6 +29,7 @@ from .errors import (DegenerateFunctionalError, InputError,
 class EntropyEstimate(Record):
     # what fixes the Monte Carlo value's bits; None for the closed form
     stream_version: Optional[str] = stamp_field()
+    scheme: Optional[str] = stamp_field()
     seed: Optional[int] = stamp_field()
     n_paths: Optional[int] = stamp_field()
     dt: Optional[float] = stamp_field()
@@ -43,16 +44,16 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     """Monte Carlo value of the drift quadratic form along simulated paths.
 
     The integrand q = a_u^T (2b)^{-1} a_u is accumulated trapezoidally per
-    path, from the drift the kernel evaluates at each grid point (A x on
-    the matrix route): q/2 at the first point, q at the inner ones and
-    q/2 at the last, times dt once at the end.  The reported standard
-    error is the per-path spread of the time integral divided by
-    sqrt(n_paths).  The paths are not Gaussian at finite dt, but the
-    estimate is an expectation, which the kernel gets to weak order 2 on
-    the matrix route (a linear model without a control law; dt =
-    horizon/100 by default) and to weak order 1 on the callback route
-    (dt = horizon/1000), see :func:`ipflab.diffusion._steps`.  Raises
-    the kernel's InputError and SimulationDivergedError,
+    path, from the drift the kernel evaluates at each grid point: q/2 at
+    the first point, q at the inner ones and q/2 at the last, times dt
+    once at the end.  The reported standard error is the per-path spread
+    of the time integral divided by sqrt(n_paths).  The paths are not
+    Gaussian at finite dt, but the estimate is an expectation, which the
+    kernel gets to weak order 2 on the matrix route (a linear model held
+    as its matrices; dt = horizon/100 by default, finer for a stiff A)
+    and to weak order 1 on the callback route (dt = horizon/1000), see
+    :func:`ipflab.diffusion._euler_maruyama`.  Raises the kernel's
+    InputError and SimulationDivergedError,
     SingularDiffusionError where 2b is singular, and NonFiniteOutputError
     where the integral overflows.
     """

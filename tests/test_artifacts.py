@@ -30,9 +30,11 @@ STREAM = "6"
 
 # -- reference renderers ------------------------------------------------------
 
-def stream_stamp(seed, n_paths, dt):
-    return {"stream_version": STREAM, "seed": seed, "n_paths": n_paths,
-            "dt": dt}
+def stream_stamp(seed, n_paths, dt, scheme="weak2-linear"):
+    """A Monte Carlo document's stamp; the linear models here take the
+    matrix route's scheme, a model given by callbacks alone "euler"."""
+    return {"stream_version": STREAM, "scheme": scheme, "seed": seed,
+            "n_paths": n_paths, "dt": dt}
 
 
 def stamped(text, stamp=None):
@@ -159,7 +161,8 @@ def test_every_record_matches_its_reference():
         n=1, drift=lambda t, x, u: -x, diffusion=lambda t: [[1.0]],
         initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 0.1))
     est = entropy.entropy_mc(model, 20, dt=0.05, seed=1)
-    assert est.to_json() == ref_entropy_estimate(est, stream_stamp(1, 20, 0.05))
+    assert est.to_json() == ref_entropy_estimate(est, stream_stamp(1, 20, 0.05,
+                                                                   "euler"))
     est = entropy.entropy_covariance_form(1.0, stats, 1.0)
     assert est.to_json() == ref_entropy_estimate(est)
 
@@ -201,7 +204,8 @@ def test_simulate_json_and_csv(tmp_path):
     assert (tmp_path / "ensemble.json").read_bytes().decode() == ref_ensemble(stats, 0.02)
     run_cli(["simulate"] + SIM + ["--format", "csv", "--out", str(tmp_path)])
     assert ((tmp_path / "ensemble.csv").read_bytes().decode()
-            == "# schema_version=2 stream_version=6 seed=1 n_paths=200 dt=0.02\n"
+            == "# schema_version=2 stream_version=6 scheme=weak2-linear seed=1 "
+               "n_paths=200 dt=0.02\n"
             + stats.to_csv())
 
 
@@ -322,17 +326,17 @@ def test_pipeline_files(tmp_path):
 # OpenBLAS on its Haswell kernels (NPY_DISABLE_CPU_FEATURES="X86_V4
 # AVX512_ICL AVX512_SPR", OPENBLAS_CORETYPE=Haswell), and with every SIMD
 # target disabled and OpenBLAS on its Nehalem kernels
-ENSEMBLE_SHA256 = "730ccd554b50a50e07631546f739b4348855704e3fcfacc85687d24c6c19443b"
+ENSEMBLE_SHA256 = "27e5cb06b8d1df17ece39549cf7beb19612e5409651967074e184c750503705e"
 
 
 @pytest.mark.parametrize("argv, digests", [
     (["pipeline"], {
         "ensemble.json": ENSEMBLE_SHA256,
         "operators.json": "30bf5047c132a9e5824211cc4fff17f46d73f3f48fcc3d33fef9cef5416ba6e6",
-        "manifest.json": "cf2bc0d9b97a1de666372118afb90307d61b1f291aa714e1fa12a306ee06c211"}),
+        "manifest.json": "7b69bd0671bb3ed980c6f71e1c056293b1f4e29380f17603c2c07e2e7daea78c"}),
     (["simulate"], {"ensemble.json": ENSEMBLE_SHA256}),
     (["simulate", "--format", "csv"], {
-        "ensemble.csv": "3fda85392427b9ce6d764f121f427ce6b2da178e4e924726d6d6bf4e6f059056"}),
+        "ensemble.csv": "b1fbea6a73dd0d2542d27732b70319d9fd4c6f4fdb90baa9aba7eb49918b9390"}),
 ], ids=["pipeline", "simulate-json", "simulate-csv"])
 def test_n1_monte_carlo_documents_pinned(tmp_path, argv, digests):
     run_cli(argv + ["--seed", "1", "--n-paths", "1000", "--out", str(tmp_path)])

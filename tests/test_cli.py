@@ -146,6 +146,43 @@ class TestStochasticCommands:
         assert err.startswith("error (InputError): ") and "spacing" in err
         assert not (tmp_path / "ensemble.json").exists()
 
+    @pytest.mark.parametrize("argv, stationary", [
+        (["--horizon", "300"], 0.5), (["--theta", "-300"], 1 / 600)],
+        ids=["long-horizon", "stiff-theta"])
+    def test_default_grid_follows_a(self, tmp_path, argv, stationary):
+        # the default grid was a hundredth of the horizon whatever theta:
+        # at --horizon 300, dt = 3, the order-2 step grew r to 1e79 with
+        # no error.  Now |theta dt| = 0.3, and r stays at sigma^2/(2|theta|)
+        assert cli.main(["simulate", "--seed", "1", "--n-paths", "4000",
+                         "--out", str(tmp_path)] + argv) == 0
+        doc = json.loads((tmp_path / "ensemble.json").read_text())
+        assert len(doc["grid"]) == 1001
+        r = np.asarray(doc["r"])[:, 0, 0]
+        assert np.all(r < 1.1) and abs(r[-1] / stationary - 1) < 0.1
+
+    def test_long_horizon_identifies_a_stable_model(self, capsys):
+        # the reduced-control operator -b / r(tau) was -1e-80 at --horizon 300
+        assert cli.main(["identify", "--seed", "1", "--n-paths", "4000",
+                         "--horizon", "300"]) == 0
+        reduced = json.loads(capsys.readouterr().out)["reports"][0]
+        assert reduced["A"][0][0] == pytest.approx(-1.0, rel=0.15)
+
+    @pytest.mark.parametrize("argv", [
+        ["--horizon", "1e4"], ["--horizon", "300", "--dt", "3"],
+        ["--theta", "-300", "--dt", "0.01"]],
+        ids=["default", "given-dt", "given-dt-stiff"])
+    def test_too_coarse_grid_refused(self, tmp_path, capsys, argv):
+        # a step that grows what the model damps is refused, one line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", "--seed", "1", "--n-paths", "10",
+                             "--out", str(tmp_path)] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error (InputError): dt=")
+        assert "is too coarse for A" in captured.err
+        assert not (tmp_path / "ensemble.json").exists()
+
     def test_simulate_writes_csv(self, tmp_path):
         assert cli.main(["simulate", "--seed", "1", "--n-paths", "200",
                          "--dt", "0.02", "--horizon", "0.2",

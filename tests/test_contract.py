@@ -507,7 +507,12 @@ NAMED = [
     (diffusion.linear_model, (-np.eye(2), np.eye(2), [0.0, 0.0], [[0.0]],
                               (0.0, 1.0)), "initial_cov has shape (1, 1), not (2, 2)"),
     (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], (0.0, 1.0), None,
-                                [[-1.0]]), "sigma must be finite"),
+                                [[-1.0]]), "A and sigma must be given together"),
+    (diffusion.DiffusionModel, (1, None, None, [0.0], [[1.0]], (0.0, 1.0),
+                                lambda t, x: x, [[-1.0]], [[1.0]]),
+     "a model with A and sigma takes no control_law"),
+    (diffusion.simulate_ensemble, (diffusion.linear_model(
+        -1.0, 1.0, 1.0, 0.0, (0.0, 300.0)), 10, 3.0), "dt=3.0 is too coarse for A"),
 ]
 
 

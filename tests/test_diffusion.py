@@ -520,20 +520,52 @@ class TestMatrixRoute:
 
 
 class TestLinearModel:
-    def test_default_dt_per_route(self):
+    def test_default_dt_and_scheme_per_route(self):
         model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 0.2))
-        assert diffusion.simulate_ensemble(model, 10, seed=0).dt == 0.2 * 1e-2
-        # a control law, or a model without matrices, takes the callback route
-        for other in (dataclasses.replace(model, control_law=lambda t, x: x),
-                      dataclasses.replace(model, A=None, sigma=None)):
-            assert diffusion.simulate_ensemble(other, 10, seed=0).dt == 0.2 * 1e-3
+        stats = diffusion.simulate_ensemble(model, 10, seed=0)
+        assert (stats.dt, stats.scheme) == (0.2 * 1e-2, "weak2-linear")
+        # the same callbacks without the matrices take the callback route
+        other = dataclasses.replace(model, A=None, sigma=None)
+        stats = diffusion.simulate_ensemble(other, 10, seed=0)
+        assert (stats.dt, stats.scheme) == (0.2 * 1e-3, "euler")
+        assert entropy.entropy_mc(other, 10, seed=0).scheme == "euler"
+
+    @pytest.mark.parametrize("theta, horizon, n_steps", [
+        (-1.0, 10.0, 100), (-1.0, 10.5, 200), (-30.0, 1.0, 300),
+        (25.0, 4.0, 1000), (-1.0, 300.0, 1000)])
+    def test_default_grid_follows_a(self, theta, horizon, n_steps):
+        # 100 m steps, the fewest with |A dt| <= 0.1, m up to 10
+        model = diffusion.linear_model(theta, 1.0, 1.0, 0.0, (0.0, horizon))
+        grid = diffusion._euler_maruyama(model, 10, None, 0)[0]
+        assert len(grid) == n_steps + 1
+        spectral = np.abs(np.linalg.eigvals(A3)).max()
+        model = diffusion.linear_model(A3, np.eye(3), np.zeros(3), P3,
+                                       (0.0, 25 / spectral))
+        assert len(diffusion._euler_maruyama(model, 10, None, 0)[0]) == 301
+
+    def test_too_coarse_dt_refused(self):
+        # the step 1 + z + z^2/2 grows a decaying mode for z < -2
+        model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 10.0))
+        with pytest.raises(InputError, match="dt=2.5 is too coarse for A"):
+            diffusion.simulate_ensemble(model, 10, dt=2.5, seed=0)
+        # a stable dt, and a growing mode, which is the model's own
+        diffusion.simulate_ensemble(model, 10, dt=1.0, seed=0)
+        growing = diffusion.linear_model(1.0, 1.0, 1.0, 0.0, (0.0, 10.0))
+        diffusion.simulate_ensemble(growing, 10, dt=2.5, seed=0)
+        # a lightly damped oscillator, which the step grows by a factor
+        # 1.0005 over the horizon: 1 + w + w^2/2 is above 1 in modulus
+        # near the imaginary axis
+        osc = diffusion.linear_model([[-1e-6, 1.0], [-1.0, -1e-6]], np.eye(2),
+                                     [1.0, 0.0], np.zeros((2, 2)), (0.0, 8.0))
+        assert diffusion.simulate_ensemble(osc, 10, seed=0).dt == 0.08
 
     @pytest.mark.parametrize("model", [
         diffusion.linear_model(-0.7, 1.3, 0.5, 0.2, (0.0, 1.0)), LINEAR3],
         ids=["n1", "n3"])
-    def test_matrices_survive_replace(self, model):
-        # a reader that rebuilds the callbacks, as a tracer does, keeps the
-        # route: the new callbacks are not called, and the bits stay
+    def test_wrapped_callbacks_keep_the_route(self, model):
+        # a reader that wraps the callbacks, as a tracer does, keeps the
+        # matrices, the route and the bits; the wrappers are called at
+        # every grid point
         calls = []
 
         def wrap(fn):
@@ -546,15 +578,39 @@ class TestLinearModel:
         for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
             want = run(model, 500, seed=3).to_json()
             assert run(traced, 500, seed=3).to_json() == want
-        assert calls == []
+        assert len(calls) == 2 * 2 * 101
 
-    def test_drift_at_n1_has_the_callbacks_bits(self):
-        # the kernel's a = A x is the callback's plain multiply, bit for bit
-        model = diffusion.linear_model(-0.7, 1.3, 0.5, 0.2, (0.0, 1.0))
-        steps = diffusion._euler_maruyama(model, 1000, None, 3)[2]
-        for t, x, a, sig in steps:
-            assert a.tobytes() == model.drift(t, x, None).tobytes()
-            assert sig.tobytes() == np.asarray(model.diffusion(t)).tobytes()
+    def test_other_callbacks_refused(self):
+        # the matrices are stepped only while the callbacks give the same
+        # model: another drift or sigma is refused where it first differs
+        model = diffusion.linear_model(-1.0, 1.0, 0.5, 0.2, (0.0, 1.0))
+        cubic = dataclasses.replace(model, drift=lambda t, x, u: -x ** 3)
+        varying = dataclasses.replace(
+            model, diffusion=lambda t: [[1.0]] if t < 0.5 else [[2.0]])
+        built = diffusion.DiffusionModel(
+            n=1, drift=lambda t, x, u: -2.0 * x, diffusion=lambda t: [[1.0]],
+            initial_mean=[0.5], initial_cov=[[0.2]], horizon=(0.0, 1.0),
+            A=[[-1.0]], sigma=[[1.0]])
+        for other, what in ((cubic, r"drift\(0.0\)"),
+                            (varying, r"sigma\(0.5\)"),
+                            (built, r"drift\(0.0\)")):
+            for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+                with pytest.raises(InputError, match=what + " is not the model's"):
+                    run(other, 100, seed=1)
+        # without the matrices, the other drift is what is simulated
+        cubic = dataclasses.replace(cubic, A=None, sigma=None)
+        euler = dataclasses.replace(model, A=None, sigma=None)
+        assert not np.array_equal(
+            diffusion.simulate_ensemble(cubic, 100, seed=1).r,
+            diffusion.simulate_ensemble(euler, 100, seed=1).r)
+
+    def test_matrices_take_no_control_law(self):
+        # the linear drift ignores u: a control law would do nothing
+        model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+        with pytest.raises(InputError, match="takes no control_law"):
+            dataclasses.replace(model, control_law=lambda t, x: -2 * x)
+        with pytest.raises(InputError, match="A and sigma must be given together"):
+            dataclasses.replace(model, sigma=None)
 
     def test_callbacks_give_the_same_model(self):
         # the callback route on the model's own callbacks has the same
@@ -572,13 +628,27 @@ class TestLinearModel:
         a[0, 0] = 5.0
         assert model.A[0, 0] == -1.0 and not model.A.flags.writeable
         assert not model.sigma.flags.writeable
+        assert model.drift(0.0, np.ones((1, 2)), None)[0, 0] == -0.8
 
     def test_divergence_on_the_matrix_route(self):
-        # M overflows at dt = 1e298; the first step is refused by its time
-        model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 1e300))
+        # a growing mode at dt = 1e297: M overflows, and the first step is
+        # refused by its time
+        model = diffusion.linear_model(1.0, 1.0, 1.0, 0.0, (0.0, 1e300))
         for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
             with pytest.raises(SimulationDivergedError) as exc, \
                     warnings.catch_warnings():
                 warnings.simplefilter("error")
                 run(model, 10, seed=1)
-            assert exc.value.t_bad == 1e300 * 1e-2
+            assert exc.value.t_bad == 1e300 * 1e-2 / 10
+        # 100 x1 - 100 x2 overflows from the first point: to NaN where BLAS
+        # adds the two products (OpenBLAS's Nehalem kernels), to inf where
+        # it fuses them.  The callback's A x and the kernel's agree either
+        # way, and the run goes on until the ensemble leaves the float range
+        model = diffusion.linear_model([[100.0, -100.0], [0.0, -1.0]], np.eye(2),
+                                       [1e307, 1e307], np.zeros((2, 2)), (0.0, 1.0))
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            with pytest.raises(SimulationDivergedError) as exc, \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run(model, 10, seed=1)
+            assert 0 < exc.value.t_bad < 1

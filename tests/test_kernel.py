@@ -257,8 +257,8 @@ class TestOneThread:
         diffusion.simulate_ensemble(scalar_model(drift), 100, dt=0.01, seed=1)
         entropy.entropy_mc(scalar_model(drift), 100, dt=0.01, seed=1)
         assert len(seen) == 101 + 101
-        # the matrix route calls no callback: look at every grid point it
-        # yields, at n = 1 and at n = 3, where it multiplies by BLAS
+        # and on the matrix route: look at every grid point it yields, at
+        # n = 1 and at n = 3, where it multiplies by BLAS
         for model in (diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 1.0)),
                       diffusion.linear_model(A3, A3_SIGMA, [0.1, 0.0, -0.2], P3,
                                              (0.0, 1.0))):
