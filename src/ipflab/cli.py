@@ -246,8 +246,11 @@ def cmd_pipeline(args) -> int:
          "config": {"n": args.n, "gamma": args.gamma,
                     "alpha1": args.alpha1, "horizon": args.horizon}})
     out = _outdir(args)
+    # every file first, then the lines: a closed stdout cannot cut the set
     for name, text in docs.items():
-        _write(out / name, text)
+        (out / name).write_text(text)
+    for name in docs:
+        print(f"wrote {out / name}")
     return 0
 
 
@@ -348,9 +351,20 @@ def main(argv=None) -> int:
     if args.command == "invariants" and args.gamma is None:
         parser.error("invariants requires --gamma")
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        # what is still buffered fails here, not in the exit's own flush
+        sys.stdout.flush()
+        return code
     except IpfError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: the exit's flush of what is left would
+        # fail again, so stdout goes to the null device
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):   # a stdout with no file descriptor
+            pass
         return 1
 
 

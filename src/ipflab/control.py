@@ -207,7 +207,8 @@ def consolidate_rotation(z_i: float, z_j: float) -> dict:
 
 
 def schedule_from_invariants(inv, spectrum) -> SegmentSchedule:
-    """Segment schedule on the invariant grid t_i = a_o / |alpha_i|.
+    """Segment schedule on the invariant grid t_i = a_o / |alpha_i|, a_o
+    being the ao_abs of the InvariantSet inv.
 
     Each segment carries its spectrum eigenvalue and the doubling control
     from a unit start state; so eigenvalue * duration = a_o on every
@@ -216,7 +217,6 @@ def schedule_from_invariants(inv, spectrum) -> SegmentSchedule:
     spec = require_finite(spectrum, "spectrum", shape=(None,))
     if np.any(spec == 0):
         raise InputError(f"spectrum entries must be nonzero, not {spec.tolist()}")
-    require_finite(inv.ao_abs, "inv.ao_abs", positive=True, shape=())
     with np.errstate(over="ignore"):
         durations = inv.ao_abs / np.abs(spec)
         ends = np.cumsum(durations)     # the switch moments, summed as below

@@ -75,7 +75,8 @@ def require_finite(val, name: str, lo=None, hi=None, positive=False,
         arr = np.asarray(val, dtype=float)
     except (TypeError, ValueError, OverflowError):
         arr = None
-    if arr is None or isinstance(val, (bool, np.bool_, str, bytes)):
+    # None reads as NaN, which the shape fit would take before the message
+    if arr is None or val is None or isinstance(val, (bool, np.bool_, str, bytes)):
         raise error(f"{name} must be a finite number, not {val!r}")
     # floats are read from bools and strings inside a sequence too
     if arr.ndim or isinstance(val, np.ndarray):
@@ -193,9 +194,10 @@ class DiffusionModel:
     diffusion(t) returns the n x n matrix sigma(t).  control_law(t, x) maps
     the ensemble state to the control; None means zero control.  A and
     sigma, set together or not at all, are the constant n x n matrices of
-    a linear model dx = A x dt + sigma dW, held as read-only copies; such
-    a model takes no control_law (see :func:`linear_model`, which builds
-    it).
+    a linear model dx = A x dt + sigma dW; such a model takes no
+    control_law (see :func:`linear_model`, which builds it).  The record
+    checks its fields when it is built and holds the initial law, A and
+    sigma as read-only copies.
 
     The simulator has two routes (see :func:`_steps`).  A model with A and
     sigma takes the matrix route: a weak order-2 step formed from them, on
@@ -239,20 +241,29 @@ class DiffusionModel:
         s, t_end = require_finite(self.horizon, "horizon", shape=(2,))
         require_finite(float(t_end) - float(s), "horizon length T - s",
                        positive=True)
-        object.__setattr__(self, "initial_mean", mean)
-        object.__setattr__(self, "initial_cov", cov)
-        if self.A is None and self.sigma is None:
-            return
-        if self.A is None or self.sigma is None:
-            raise InputError("A and sigma must be given together")
-        if self.control_law is not None:
-            raise InputError("a model with A and sigma takes no control_law: "
-                             "give the controlled model its own drift")
-        for name in ("A", "sigma"):
-            mat = require_finite(getattr(self, name), name,
-                                 shape=(self.n, self.n)).copy()
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
+        arrays = {"initial_mean": mean, "initial_cov": cov}
+        if self.A is not None or self.sigma is not None:
+            if self.A is None or self.sigma is None:
+                missing = "A" if self.A is None else "sigma"
+                raise InputError(f"{missing} must be a finite number, not None, "
+                                 "as A and sigma must be given together")
+            if self.control_law is not None:
+                raise InputError("a model with A and sigma takes no control_law: "
+                                 "give the controlled model its own drift")
+            for name in ("A", "sigma"):
+                arrays[name] = require_finite(getattr(self, name), name,
+                                              shape=(self.n, self.n))
+        _hold(self, arrays)
+
+
+def _hold(record, arrays: dict):
+    """Set the record's fields to read-only copies of the arrays it has
+    checked: the caller's arrays stay the caller's, and no later write
+    to them gets past the record's checks."""
+    for name, arr in arrays.items():
+        arr = arr.copy()
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
 
 
 def linear_model(A, sigma, mean0, cov0, horizon) -> DiffusionModel:
@@ -262,29 +273,26 @@ def linear_model(A, sigma, mean0, cov0, horizon) -> DiffusionModel:
 
     The record carries A and sigma, so the simulator steps it at weak
     order 2 from them (see :func:`_steps`).  Its drift and diffusion
-    callbacks give the same model to any other reader, the drift by the
-    simulator's own product (see :func:`_times`), so it has the bits of
-    the simulator's A x.  The model takes no control law: a controlled
-    model needs its own drift.  Under the doubling feedback v = -2x,
-    A (x + v) is (-A) x: pass -A for it.  Refuses a non-square A, a
-    non-finite A or sigma, and an n that differs between A, sigma and the
-    initial law.
+    callbacks read the record's own read-only copies, so they give the
+    same model to any other reader, the drift by the simulator's own
+    product (see :func:`_times`), so it has the bits of the simulator's
+    A x.  The model takes no control law: a controlled model needs its
+    own drift.  Under the doubling feedback v = -2x, A (x + v) is (-A) x:
+    pass -A for it.  Refuses a non-square A here, n being its size; the
+    record refuses the rest (see :class:`DiffusionModel`).
     """
     A = require_finite(A, "A", shape=(None, None))
     if A.shape[0] != A.shape[1]:
         raise InputError(f"A has shape {A.shape}, not square")
-    n = A.shape[0]
-    A = A.copy()
-    sigma = require_finite(sigma, "sigma", shape=(n, n)).copy()
-    for mat in (A, sigma):
-        mat.setflags(write=False)
 
     def drift(t, x, u):
-        return _times(A, x.T).T
+        return _times(model.A, x.T).T
 
-    return DiffusionModel(n=n, drift=drift, diffusion=lambda t: sigma,
-                          initial_mean=mean0, initial_cov=cov0,
-                          horizon=horizon, A=A, sigma=sigma)
+    model = DiffusionModel(n=len(A), drift=drift,
+                           diffusion=lambda t: model.sigma,
+                           initial_mean=mean0, initial_cov=cov0,
+                           horizon=horizon, A=A, sigma=sigma)
+    return model
 
 
 def _times(mat, v, out=None):
@@ -305,6 +313,13 @@ class EnsembleStats(Record):
     is filled by :func:`covariance_derivative` for the written record, and
     r_dot_method names how it was formed.  A simulated ensemble's JSON
     carries its stream stamp, an analytic one's none.
+
+    The record checks its arrays once, when it is built, and holds
+    read-only float copies of them: a grid that is finite, not empty and
+    strictly increasing; a finite r of shape (T, n, n) with n >= 1 for the
+    grid's T points; a finite mean of shape (T, n); and an r_dot, when
+    set, finite and of r's shape.  Each is refused by name, so a reader
+    trusts them.
     """
 
     stream_version: Optional[str] = stamp_field()
@@ -318,6 +333,27 @@ class EnsembleStats(Record):
     r_dot_method: Optional[str] = field(default=None,
                                         metadata={"json": "unless None"})
     r_dot: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        grid = require_finite(self.grid, "grid", shape=(None,))
+        if not grid.size:
+            raise InputError("grid must not be empty")
+        # compared, not differenced, which could overflow
+        drops = np.flatnonzero(grid[1:] <= grid[:-1])
+        if drops.size:
+            k = drops[0]
+            raise InputError(f"grid must increase strictly, as it does not "
+                             f"from {grid[k]} to {grid[k + 1]}")
+        r = require_finite(self.r, "r")
+        n = r.shape[-1] if r.ndim == 3 else 0
+        if n < 1 or r.shape != (len(grid), n, n):
+            raise InputError(f"r has shape {r.shape}, not (T, n, n) with n >= 1 "
+                             f"for the grid's T = {len(grid)}")
+        arrays = dict(grid=grid, r=r,
+                      mean=require_finite(self.mean, "mean", shape=(len(grid), n)))
+        if self.r_dot is not None:
+            arrays["r_dot"] = require_finite(self.r_dot, "r_dot", shape=r.shape)
+        _hold(self, arrays)
 
     @property
     def n(self) -> int:
@@ -642,8 +678,6 @@ def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
         for k, (_, x, _, _) in enumerate(steps):
             reduce(x, means[k], rs[k])
     require_finite(rs, "the second moments r", error=NonFiniteOutputError)
-    for arr in (grid, means, rs):
-        arr.setflags(write=False)
     return EnsembleStats(grid=grid, mean=means, r=rs, **stamp)
 
 
@@ -664,29 +698,20 @@ def covariance_derivative(stats: EnsembleStats) -> EnsembleStats:
         bad = int(np.argmin(np.isfinite(r_dot).all(axis=(1, 2))))
         raise InputError(f"r_dot is not finite at t={grid[bad]:.6g} on a grid "
                          f"of spacing {np.min(np.diff(grid)):.6g}")
-    r_dot.setflags(write=False)
     return replace(stats, r_dot=r_dot, r_dot_method="central-difference")
 
 
 def stats_from_covariance(grid, r, mean=None) -> EnsembleStats:
     """Wrap analytically known moments in the EnsembleStats container.
 
-    grid is increasing; r is (T, n, n), or (T,) for n = 1, and mean (T, n),
-    zero by default.  The record holds read-only copies; the caller's
-    arrays are untouched.
+    r is (T, n, n), or (T,) for n = 1, taken as (T, 1, 1); mean is (T, n),
+    zero by default.  The record checks them and holds read-only copies
+    (see :class:`EnsembleStats`); the caller's arrays are untouched.
     """
-    grid = require_finite(grid, "grid", shape=(None,)).copy()
-    if not grid.size or not np.all(np.diff(grid) > 0):
-        raise InputError("grid must be non-empty and increasing")
-    r = require_finite(r, "r").copy()
+    r = require_finite(r, "r")
     if r.ndim == 1:
         r = r[:, None, None]
-    n = r.shape[-1] if r.ndim == 3 else 0
-    if n < 1 or r.shape != (len(grid), n, n):
-        raise InputError(f"r has shape {r.shape}, not (T, n, n) with n >= 1 "
-                         f"for the grid's T = {len(grid)}")
-    mean = (np.zeros((len(grid), n)) if mean is None
-            else require_finite(mean, "mean", shape=(len(grid), n)).copy())
-    for arr in (grid, r, mean):
-        arr.setflags(write=False)
+    # a mean for a bad r is not needed: the record refuses r first
+    if mean is None and r.ndim == 3:
+        mean = np.zeros(r.shape[:2])
     return EnsembleStats(grid=grid, mean=mean, r=r)

@@ -119,18 +119,35 @@ def _equalization_root(lam_joint: float, lam_next: float, offset: float,
 
 @dataclass(frozen=True)
 class EigenChain(Record):
-    """Cooperation schedule: per-stage eigenvalue pairs and interval lengths."""
+    """Cooperation schedule: per-stage eigenvalue pairs and interval lengths.
+
+    The record checks its fields once, when it is built, and holds lambdas
+    and intervals as lists of floats: n and m must be integers >= 1, the
+    intervals n - 1 finite positive numbers, and lambdas one finite triple
+    per interval, or [[lam]] at n = 1.  Each is refused by name, so a
+    reader trusts them.
+    """
 
     n: int
     m: int
     lambdas: list          # stage k: [joined lam entering, next spectrum lam, lam after join]
     intervals: list        # t_k durations, one per stage
 
+    def __post_init__(self):
+        require_int(self.n, "n", lo=1)
+        require_int(self.m, "m", lo=1)
+        stages = self.n - 1
+        intervals = require_finite(self.intervals, "intervals", positive=True,
+                                   shape=(stages,))
+        lambdas = require_finite(self.lambdas, "lambdas",
+                                 shape=(stages, 3) if stages else (1, 1))
+        object.__setattr__(self, "intervals", intervals.tolist())
+        object.__setattr__(self, "lambdas", lambdas.tolist())
+
 
 def interval_ratios(chain: EigenChain) -> list:
     """Consecutive cooperation-interval ratios t_{k+1}/t_k."""
     t = chain.intervals
-    require_finite(t, "chain.intervals", positive=True)
     ratios = [t[k + 1] / t[k] for k in range(len(t) - 1)]
     require_finite(ratios, "the interval ratios", error=NonFiniteOutputError)
     return ratios

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -193,6 +193,11 @@ class InvariantSet(Record):
     value used by the downstream accounting (at gamma = 0.5 these differ,
     and the tabulated 0.252 is the one that closes the balance chain to
     the quoted defect 0.044465455, so it takes precedence there).
+
+    The record checks its fields once, when it is built: every float field
+    must be a finite number, and ao_abs must lie in [1e-6, 3], the bracket
+    solve_ao searches, where delta_star is finite.  Each is refused by
+    name, so a reader trusts them and checks only its own domain.
     """
 
     gamma: float
@@ -205,6 +210,12 @@ class InvariantSet(Record):
     delta_star: float
     defect: float
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float":
+                bounds = (1e-6, 3.0) if f.name == "ao_abs" else (None, None)
+                require_finite(getattr(self, f.name), f.name, *bounds, shape=())
 
 
 def invariant_set(gamma: float) -> InvariantSet:

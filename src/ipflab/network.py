@@ -49,13 +49,9 @@ class TripletReport(Record):
 
 
 def triplet_accounting(inv: InvariantSet) -> TripletReport:
-    """Information ledger of one triplet built from a complete invariant set."""
-    for name in ("delta_star", "defect"):
-        require_finite(getattr(inv, name, None), name, shape=())
-    # the domain of delta_star, and a > 0
-    require_finite(getattr(inv, "ao_abs", None), "ao_abs", lo=1e-6, hi=3.0,
-                   shape=())
-    require_finite(getattr(inv, "a", None), "a", positive=True, hi=3.0, shape=())
+    """Information ledger of one triplet built from a complete invariant
+    set, whose a must be in (0, 3]."""
+    require_finite(inv.a, "a", positive=True, hi=3.0)
     ao = inv.ao_abs
     a = inv.a
     ao_real = abs(solve_ao(0.0))

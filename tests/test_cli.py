@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -280,6 +281,21 @@ class TestPipeline:
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error (InputError): ")
         assert not out.exists()
+
+    def test_closed_stdout_leaves_the_whole_set(self, tmp_path, monkeypatch,
+                                                capsys):
+        # a reader that closed stdout used to end the run in a
+        # BrokenPipeError traceback after the first of the six files
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(self.ARGS + ["--out", str(tmp_path)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "diagnostics.json", "ensemble.json", "manifest.json",
+            "network.json", "operators.json", "schedule.json"]
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("n_paths", ["0", "1"])
     def test_n_paths_below_two_one_message(self, tmp_path, capsys, n_paths):

@@ -138,14 +138,11 @@ STATS = _stats()
 SPECTRA = [invariants.optimal_spectrum(n, a) for n in (1, 2, 3, 4)
            for a in (1.0, -1.0, 1e-300)]
 INVS = [invariants.invariant_set(g) for g in (0.0, 0.5, 0.8, 1.0)]
-INVS += [dataclasses.replace(INVS[1], **{name: val})
-         for name, val in (("defect", NAN), ("ao_abs", INF), ("a", -1.0),
-                           ("ao_abs", 0.0), ("a", 5e-324))]
+# records the constructor takes, outside triplet_accounting's 0 < a <= 3 or
+# at its edge; a non-finite field and an ao_abs outside [1e-6, 3] are the
+# constructor's named refusals
+INVS += [dataclasses.replace(INVS[1], a=val) for val in (-1.0, 5e-324)]
 CHAINS = [eigenchain.build_equalization_chain(s, len(s)) for s in SPECTRA[::3]]
-CHAINS += [eigenchain.EigenChain(n=3, m=3, lambdas=[[1.0, 0.5, 0.8], [0.8, 0.2, 0.3]],
-                                 intervals=[0.0, 1.0]),
-           eigenchain.EigenChain(n=2, m=2, lambdas=[[1.0, 0.5, NAN]],
-                                 intervals=[0.5])]
 SCHEDULES = [control.schedule_from_invariants(INVS[1], SPECTRA[6]),
              network.build_in(5, 0.5, 1.0), 1.0, None, "AB"]
 
@@ -184,6 +181,22 @@ ROWS = {
     "diffusion.simulate_ensemble": dict(model=models, n_paths=n_paths,
                                         dt=steps, seed=seeds),
     "diffusion.covariance_derivative": dict(stats=stats),
+    # the records that check their own fields
+    "diffusion.EnsembleStats": dict(
+        grid=st.one_of(increasing(5), arrays((5,))),
+        mean=st.one_of(arrays((5, 1)), arrays((5, 2))),
+        r=st.one_of(arrays((5, 1, 1)), arrays((5, 2, 2))),
+        r_dot=st.one_of(st.none(), arrays((5, 1, 1)), arrays((5, 2, 2)))),
+    "invariants.InvariantSet": dict(
+        gamma=reals(0.0, 1.0), ao_signed=reals(-3.0, 0.0),
+        ao_abs=reals(0.0, 3.0), a=reals(0.0, 1.0), a_formula=reals(0.0, 1.0),
+        b_o=reals(), b=reals(), delta_star=reals(), defect=reals()),
+    "eigenchain.EigenChain": dict(
+        n=ints(1, 4), m=ints(1, 4),
+        lambdas=st.one_of(arrays((1, 1)), arrays((1, 3)), arrays((2, 3)),
+                          arrays((3, 3))),
+        intervals=st.one_of(st.just([]), arrays((1,), 0.0, 10.0),
+                            arrays((2,), 0.0, 10.0), arrays((3,), 0.0, 10.0))),
     "diffusion.stats_from_covariance": dict(
         grid=st.one_of(increasing(5), arrays((5,))),
         r=st.one_of(arrays((5,), 0, 10), arrays((5, 1, 1)), arrays((5, 2, 2))),
@@ -255,15 +268,14 @@ ROWS = {
         dps=st.one_of(st.lists(reals(0.0, 1.0), max_size=3), arrays((2,)))),
 }
 
-# records, whose fields are the results above, and the helpers of the
-# contract and the writer, which take what ipflab itself hands them
-EXEMPT = {"diffusion.Record", "diffusion.EnsembleStats", "diffusion.plain",
+# records that only hold results, and the helpers of the contract and the
+# writer, which take what ipflab itself hands them
+EXEMPT = {"diffusion.Record", "diffusion.plain",
           "diffusion.document", "diffusion.stamp_field",
           "diffusion.stream_stamp", "diffusion.guarded_inv",
           "diffusion.require_int", "diffusion.require_finite",
           "entropy.EntropyEstimate", "identification.IdentifiedOperator",
           "control.NeedleEvent", "control.Segment", "control.SegmentSchedule",
-          "eigenchain.EigenChain", "invariants.InvariantSet",
           "network.TripletReport", "network.InfoNetwork",
           "diagnostics.DiagnosticsReport"}
 MODULES = [m for m in ipflab.__all__ if m != "errors"]
@@ -340,6 +352,12 @@ def test_every_model_at_valid_arguments(run, model, capfd):
     assert capfd.readouterr().err == ""
 
 
+def _fields(record, **change):
+    """The record's fields in declaration order, some changed: the
+    positional arguments of its constructor."""
+    return tuple({**vars(record), **change}.values())
+
+
 # the escapes found before the sweep, each refused by an IpfError that names
 # its argument
 _SIGMA_NAN_AT_HALF = _model(lambda t, x, u: -x,
@@ -366,7 +384,9 @@ NAMED = [
     (diagnostics.classify, (NAN,), "sigma"),
     (eigenchain.build_equalization_chain,
      (invariants.optimal_spectrum(3, 1.0), 3.0), "n must be an integer"),
-    (eigenchain.interval_ratios, (CHAINS[-2],), "chain.intervals"),
+    # interval_ratios used to refuse this chain; its constructor does now
+    (eigenchain.EigenChain, (3, 3, [[1.0, 0.5, 0.8], [0.8, 0.2, 0.3]],
+                             [0.0, 1.0]), "intervals must be positive"),
     (eigenchain.eigen_step, (NAN, 1.0), "lam"),
     (eigenchain.terminal_time, (NAN, 1.0), "t_prev"),
     (network.build_in, (2.5, 0.5, 1.0), "n must be an integer"),
@@ -513,6 +533,33 @@ NAMED = [
      "a model with A and sigma takes no control_law"),
     (diffusion.simulate_ensemble, (diffusion.linear_model(
         -1.0, 1.0, 1.0, 0.0, (0.0, 300.0)), 10, 3.0), "dt=3.0 is too coarse for A"),
+    # a missing sigma used to be refused as "sigma must be finite"
+    (diffusion.linear_model, (-1.0, None, 1.0, 0.0, (0.0, 1.0)),
+     "sigma must be a finite number, not None"),
+    # records refuse a bad field when they are built, by name; the reader
+    # named after each used to take the record
+    (eigenchain.EigenChain, (2, 2, [[1.0, 0.5, NAN]], [0.5]),
+     "lambdas must be finite"),        # chain_state_trace
+    *[(invariants.InvariantSet, _fields(INVS[1], **change), name)
+      for change, name in (({"defect": NAN}, "defect must be finite"),
+                           ({"ao_abs": INF}, "ao_abs must be finite"),
+                           ({"ao_abs": 0.0}, "ao_abs must be >= 1e-06"))],
+    # identify_reduced_feedback and starting_control used to raise numpy's
+    # ValueError on the mismatched n
+    (diffusion.EnsembleStats, ([0.0, 1.0], np.zeros((2, 2)), np.ones((2, 1, 1))),
+     "mean has shape (2, 2), not (2, 1)"),
+    # chain_state_trace used to return a 3-state trace from one stage, and
+    # interval_ratios two ratios
+    (eigenchain.EigenChain, (3, 5, [[1.0, 0.5, 0.8]], [0.5, 0.2, 0.1]),
+     "intervals has shape (3,), not (2,)"),
+    (eigenchain.EigenChain, (3, 3, [[1.0, 0.5, 0.8]], [0.5, 0.2]),
+     "lambdas has shape (1, 3), not (2, 3)"),
+    # r_dot_at(1.0) used to call 1.0 outside the grid [0.0, 0.5]
+    (diffusion.EnsembleStats, ([0.0, 1.0, 0.5], np.zeros((3, 1)), np.ones((3, 1, 1))),
+     "grid must increase strictly, as it does not from 1.0 to 0.5"),
+    # used to pass through triplet_accounting into its report
+    (invariants.InvariantSet, _fields(invariants.invariant_set(0.3), gamma=NAN),
+     "gamma must be finite"),
 ]
 
 

@@ -624,11 +624,18 @@ class TestLinearModel:
 
     def test_matrices_read_only_copies(self):
         a = np.array([[-1.0, 0.2], [0.0, -0.5]])
-        model = diffusion.linear_model(a, np.eye(2), [0.0, 0.0], np.eye(2), (0.0, 1.0))
+        mean, cov = np.zeros(2), np.eye(2)
+        model = diffusion.linear_model(a, np.eye(2), mean, cov, (0.0, 1.0))
         a[0, 0] = 5.0
         assert model.A[0, 0] == -1.0 and not model.A.flags.writeable
         assert not model.sigma.flags.writeable
         assert model.drift(0.0, np.ones((1, 2)), None)[0, 0] == -0.8
+        # the initial law too: a negative variance written into the
+        # caller's cov used to reach the simulator past the PSD check
+        mean[0], cov[0, 0] = 1.0, -5.0
+        assert model.initial_mean[0] == 0.0 and model.initial_cov[0, 0] == 1.0
+        assert not (model.initial_mean.flags.writeable
+                    or model.initial_cov.flags.writeable)
 
     def test_divergence_on_the_matrix_route(self):
         # a growing mode at dt = 1e297: M overflows, and the first step is

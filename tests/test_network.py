@@ -40,10 +40,9 @@ class TestTripletAccounting:
         assert c["defect"].hex() == "0x1.6c6cb62484650p-5"
 
     def test_missing_defect_refused(self):
-        inv = dataclasses.replace(invariants.invariant_set(0.5),
-                                  defect=math.nan)
-        with pytest.raises(InputError, match="defect"):
-            network.triplet_accounting(inv)
+        # by the record, when it is built: no reader sees it
+        with pytest.raises(InputError, match="defect must be finite"):
+            dataclasses.replace(invariants.invariant_set(0.5), defect=math.nan)
 
     def test_interval_ratios(self, report):
         assert report.gamma13 == pytest.approx(3.9, rel=0.10)
