@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._roots import bisect
-from .diffusion import EnsembleStats, Record, guarded_inv, require_finite
+from .diffusion import (EnsembleStats, Record, guarded_inv, require_finite,
+                        require_times)
 from .errors import (DegenerateEnsembleError, InputError, NonFiniteOutputError,
                      UndefinedAngleError)
 
@@ -58,9 +59,8 @@ class SegmentSchedule(Record):
     needle_events: list
 
     def __post_init__(self):
-        d = list(self.dps)
-        if any(d[k + 1] <= d[k] for k in range(len(d) - 1)):
-            raise InputError("switch moments must be strictly increasing")
+        if len(self.dps):
+            require_times(self.dps, "dps")
 
 
 def starting_control(stats: EnsembleStats, at: float) -> dict:
@@ -135,9 +135,9 @@ def detect_dp(grid, modes, modes_dot=None) -> list:
     central differences.  One mask picks the cells with finite ends where
     the speed difference is 0 at the left end (a hit) or changes sign
     (bisected on the interpolated traces; noted if a mode crosses zero)."""
-    grid = require_finite(grid, "grid", shape=(None,))
-    if len(grid) < 2 or not np.all(np.diff(grid) > 0):
-        raise InputError("grid must be increasing, with at least 2 points")
+    grid = require_times(grid, "grid")
+    if len(grid) < 2:
+        raise InputError("grid must have at least 2 points")
     modes = _time_major(modes, grid, "modes")
     hits = []
     # a speed is +inf where its mode is zero or the ratio overflows, and a

@@ -13,28 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import Record, require_finite
+from .diffusion import Record, require_finite, require_times
 from .errors import InputError, NonFiniteOutputError, UndefinedLogError
-
-
-def _trace(grid, x):
-    """grid and x as float arrays, refused unless finite, one-dimensional
-    and of one length, with a grid that is not empty and never decreases.
-    A time may repeat: the CLI's segment traces meet at shared moments."""
-    grid = require_finite(grid, "grid", shape=(None,))
-    if not grid.size:
-        raise InputError("grid must not be empty")
-    drops = np.flatnonzero(np.diff(grid) < 0)
-    if drops.size:
-        k = drops[0]
-        raise InputError(f"grid must not decrease, as it does from "
-                         f"{grid[k]} to {grid[k + 1]}")
-    return grid, require_finite(x, "x", shape=grid.shape)
 
 
 def lce_local(grid, x, window: float = None) -> float:
     """Least-squares slope of ln|x(t)| over the window starting at grid[0]."""
-    grid, x = _trace(grid, x)
+    # a time may repeat: the CLI's segment traces meet at shared moments
+    grid = require_times(grid, "grid", strict=False)
+    x = require_finite(x, "x", shape=grid.shape)
     if window is not None:
         require_finite(window, "window", shape=())
         with np.errstate(over="ignore"):
@@ -98,9 +85,12 @@ def diagnose_segments(grid, x, dps) -> DiagnosticsReport:
     into segments; each segment's exponent is fitted over its interior, and
     consecutive exponents of opposite sign are recorded as flips.
     """
-    grid, x = _trace(grid, x)
+    grid = require_times(grid, "grid", strict=False)
+    x = require_finite(x, "x", shape=grid.shape)
     dps = require_finite(dps, "dps", shape=(None,))
-    if np.any(np.diff(dps) <= 0) or np.any((dps < grid[0]) | (dps > grid[-1])):
+    if dps.size:
+        require_times(dps, "dps")
+    if np.any((dps < grid[0]) | (dps > grid[-1])):
         raise InputError(f"dps must increase strictly within [{grid[0]}, {grid[-1]}]")
     bounds = [grid[0]] + list(dps) + [grid[-1]]
     lces = []

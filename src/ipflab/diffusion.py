@@ -109,6 +109,24 @@ def require_finite(val, name: str, lo=None, hi=None, positive=False,
     return arr
 
 
+def require_times(val, name: str, strict=True) -> np.ndarray:
+    """val as a 1-D float array of times (see require_finite), refused by
+    name unless it is not empty, increases (strictly, or if not strict
+    never decreases) and spans a finite t[-1] - t[0], which bounds every
+    difference a reader takes.  Neighbours are compared, not differenced."""
+    t = require_finite(val, name, shape=(None,))
+    if not t.size:
+        raise InputError(f"{name} must not be empty")
+    drops = np.flatnonzero(t[1:] <= t[:-1] if strict else t[1:] < t[:-1])
+    if drops.size:
+        k = drops[0]
+        rule = "increase strictly, as it does not" if strict else "not decrease, as it does"
+        raise InputError(f"{name} must {rule} from {t[k]} to {t[k + 1]}")
+    # in Python floats, whose difference overflows to inf without a warning
+    require_finite(float(t[-1]) - float(t[0]), f"the span of {name}")
+    return t
+
+
 def plain(obj):
     """JSON-ready copy of a record, array or container.
 
@@ -315,11 +333,11 @@ class EnsembleStats(Record):
     carries its stream stamp, an analytic one's none.
 
     The record checks its arrays once, when it is built, and holds
-    read-only float copies of them: a grid that is finite, not empty and
-    strictly increasing; a finite r of shape (T, n, n) with n >= 1 for the
-    grid's T points; a finite mean of shape (T, n); and an r_dot, when
-    set, finite and of r's shape.  Each is refused by name, so a reader
-    trusts them.
+    read-only float copies of them: a grid of strictly increasing times
+    (see :func:`require_times`); a finite r of shape (T, n, n) with
+    n >= 1 for the grid's T points; a finite mean of shape (T, n); and an
+    r_dot, when set, finite and of r's shape.  Each is refused by name,
+    so a reader trusts them.
     """
 
     stream_version: Optional[str] = stamp_field()
@@ -335,15 +353,7 @@ class EnsembleStats(Record):
     r_dot: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        grid = require_finite(self.grid, "grid", shape=(None,))
-        if not grid.size:
-            raise InputError("grid must not be empty")
-        # compared, not differenced, which could overflow
-        drops = np.flatnonzero(grid[1:] <= grid[:-1])
-        if drops.size:
-            k = drops[0]
-            raise InputError(f"grid must increase strictly, as it does not "
-                             f"from {grid[k]} to {grid[k + 1]}")
+        grid = require_times(self.grid, "grid")
         r = require_finite(self.r, "r")
         n = r.shape[-1] if r.ndim == 3 else 0
         if n < 1 or r.shape != (len(grid), n, n):

@@ -98,7 +98,7 @@ def identify_dispersion_window(stats: EnsembleStats, tau: float,
     require_finite(window, "window", positive=True, shape=())
     grid = stats.grid
     i = stats.index_of(tau)
-    lo_t = tau - window
+    lo_t = float(tau) - float(window)  # Python floats overflow without a warning
     if lo_t < grid[0] - 1e-9 * (grid[-1] - grid[0]):
         raise InputError(f"window={window} before tau={tau} starts at {lo_t}, "
                          f"before the grid start {grid[0]}")

@@ -83,6 +83,13 @@ def increasing(size, lo=-10.0, hi=10.0):
                     unique=True).map(lambda v: np.array(sorted(v)))
 
 
+def wide(size):
+    """size increasing finite times whose middle step, from -1e308 to 1e308,
+    leaves the float range, as does their span."""
+    return np.concatenate([-np.linspace(1.5e308, 1e308, size // 2),
+                           np.linspace(1e308, 1.5e308, size - size // 2)])
+
+
 # -- pools of record arguments --------------------------------------------
 
 def _model(drift, sigma, mean=(1.0,), cov=((0.0,),), horizon=(0.0, 0.5),
@@ -158,7 +165,8 @@ taus = reals(0.0, 1.0)
 vectors = st.one_of(reals(), arrays((1,)), arrays((2,)))
 modes = st.one_of(arrays((20, 2)), st.just(np.column_stack(
     [np.exp(-np.linspace(0, 1, 20)), 2.0 - np.exp(0.5 * np.linspace(0, 1, 20))])))
-lines = st.one_of(increasing(20), arrays((20,)), st.just(np.linspace(0, 1, 20)))
+lines = st.one_of(increasing(20), arrays((20,)),
+                  st.sampled_from([np.linspace(0, 1, 20), wide(20)]))
 
 # one row per public callable: a strategy for each of its parameters
 ROWS = {
@@ -197,6 +205,10 @@ ROWS = {
                           arrays((3, 3))),
         intervals=st.one_of(st.just([]), arrays((1,), 0.0, 10.0),
                             arrays((2,), 0.0, 10.0), arrays((3,), 0.0, 10.0))),
+    "diffusion.require_times": dict(
+        val=st.one_of(increasing(5), arrays((5,)), st.just(wide(5)),
+                      st.sampled_from([[], [0.0, 1.0, 1.0], [[0.0, 1.0]]])),
+        name=st.just("t"), strict=st.booleans()),
     "diffusion.stats_from_covariance": dict(
         grid=st.one_of(increasing(5), arrays((5,))),
         r=st.one_of(arrays((5,), 0, 10), arrays((5, 1, 1)), arrays((5, 2, 2))),
@@ -258,7 +270,7 @@ ROWS = {
     "network.emit_code": dict(obj=st.sampled_from(SCHEDULES)),
     "network.max_ratio_check": dict(n=ints(-3, 2000)),
     "diagnostics.lce_local": dict(
-        grid=st.one_of(increasing(5), arrays((5,))),
+        grid=st.one_of(increasing(5), arrays((5,)), st.just(wide(5))),
         x=st.one_of(arrays((5,)), arrays((5,), 0.5, 2.0)),
         window=st.one_of(st.none(), reals())),
     "diagnostics.pfr": dict(A=squares(1, 2)),
@@ -560,6 +572,30 @@ NAMED = [
     # used to pass through triplet_accounting into its report
     (invariants.InvariantSet, _fields(invariants.invariant_set(0.3), gamma=NAN),
      "gamma must be finite"),
+    # every time axis passes require_times.  A span past the float range
+    # used to escape as numpy's RuntimeWarning from np.diff, or, taken by the
+    # record, from index_of, r_dot_at and identify_dispersion_window
+    (diffusion.EnsembleStats, ([-1e308, 0.0, 1e308], np.zeros((3, 1)),
+                               np.ones((3, 1, 1))), "the span of grid must be finite"),
+    (diffusion.stats_from_covariance, ([-1e308, 0.0, 1e308], np.ones(3)),
+     "the span of grid must be finite"),
+    (diagnostics.diagnose_segments, ([-1e308, 1e308], [1.0, 2.0], []),
+     "the span of grid must be finite"),
+    (diagnostics.diagnose_segments, (np.linspace(0.0, 2.0, 5), np.ones(5),
+                                     [-1e308, 1e308]), "the span of dps must be finite"),
+    (diagnostics.lce_local, ([-1e308, 1e308], [1.0, 2.0]),
+     "the span of grid must be finite"),
+    (control.detect_dp, ([-1e308, 1e308], np.ones((2, 2))),
+     "the span of grid must be finite"),
+    (diffusion.EnsembleStats, ([], np.zeros((0, 1)), np.ones((0, 1, 1))),
+     "grid must not be empty"),
+    # a numpy tau used to overflow in tau - window with a RuntimeWarning
+    (identification.identify_dispersion_window,
+     (diffusion.stats_from_covariance([-1e308, 0.0, 7e307], np.ones(3)),
+      np.float64(-1e308), 1e308), "before the grid start -1e+308"),
+    # switch moments are named by their field, as every record's are
+    (control.SegmentSchedule, ([1.0, 0.5], [], []),
+     "dps must increase strictly, as it does not from 1.0 to 0.5"),
 ]
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from ipflab import control, diffusion, invariants
-from ipflab.errors import InputError, UndefinedAngleError
+from ipflab.errors import (DegenerateEnsembleError, InputError,
+                           UndefinedAngleError)
 
 
 class TestStartingControl:
@@ -40,6 +41,13 @@ class TestStartingControl:
         out = control.starting_control(stats, 0.0)
         assert np.allclose(out["v"], [-2.0, -4.0])
         assert np.allclose(out["u"], [-2.0, -4.0], rtol=1e-6)
+
+    def test_moments_not_psd_refused(self):
+        # invertible and well conditioned, but of eigenvalues 3 and -1
+        r = np.tile([[1.0, 2.0], [2.0, 1.0]], (2, 1, 1))
+        stats = diffusion.stats_from_covariance([0.0, 1.0], r)
+        with pytest.raises(DegenerateEnsembleError, match="moment matrix not PSD"):
+            control.starting_control(stats, 0.5)
 
 
 class TestStepAndNeedle:
@@ -218,3 +226,6 @@ class TestSchedule:
     def test_unsorted_dps_rejected(self):
         with pytest.raises(InputError):
             control.SegmentSchedule(dps=[1.0, 0.5], segments=[], needle_events=[])
+        with pytest.raises(InputError, match="dps must increase strictly, as it "
+                                             "does not from 1.0 to 1.0"):
+            control.SegmentSchedule(dps=[0.5, 1.0, 1.0], segments=[], needle_events=[])

@@ -107,6 +107,13 @@ class TestDiagnoseSegments:
         with pytest.raises(InputError, match="dps must increase strictly"):
             diagnostics.diagnose_segments(grid, x, dps)
 
+    def test_one_sample_segment_skipped(self):
+        # [0, 0.5] holds the sample at 0 alone: no exponent is fitted there
+        grid = np.array([0.0, 1.0, 2.0, 3.0])
+        rep = diagnostics.diagnose_segments(grid, np.exp(grid), [0.5])
+        assert rep.lce_per_segment == pytest.approx([1.0])
+        assert rep.sign_flips == []
+
     def test_json(self):
         import json
         t = np.linspace(0, 1, 100)

@@ -348,6 +348,56 @@ class TestExport:
         doc = json.loads(stats.to_json())
         assert doc["seed"] == 0 and len(doc["grid"]) == len(stats.grid)
 
+    def test_csv_without_r_dot_has_empty_cells(self):
+        import csv as csvmod
+        import io
+        r = np.tile([[1.0, 0.5], [0.5, 2.0]], (3, 1, 1))
+        stats = diffusion.stats_from_covariance([0.0, 0.5, 1.0], r)
+        rows = list(csvmod.reader(io.StringIO(stats.to_csv())))
+        assert rows[0][-4:] == ["rdot_00", "rdot_01", "rdot_10", "rdot_11"]
+        assert [row[-4:] for row in rows[1:]] == [[""] * 4] * 3
+        assert rows[1][:7] == ["0.0", "0.0", "0.0", "1.0", "0.5", "0.5", "2.0"]
+
+
+class TestRequireTimes:
+    def test_strict_and_repeating_axes(self):
+        assert diffusion.require_times([0, 1, 2], "t").tolist() == [0.0, 1.0, 2.0]
+        assert diffusion.require_times(5.0, "t").tolist() == [5.0]
+        same = diffusion.require_times([0.0, 1.0, 1.0], "t", strict=False)
+        assert same.tolist() == [0.0, 1.0, 1.0]
+        with pytest.raises(InputError, match="t must increase strictly, as it "
+                                             "does not from 1.0 to 1.0"):
+            diffusion.require_times([0.0, 1.0, 1.0], "t")
+
+    @pytest.mark.parametrize("strict, match", [
+        (True, "t must increase strictly, as it does not from 2.0 to 1.0"),
+        (False, "t must not decrease, as it does from 2.0 to 1.0")])
+    def test_first_drop_named(self, strict, match):
+        with pytest.raises(InputError, match=match):
+            diffusion.require_times([0.0, 2.0, 1.0, 0.5], "t", strict=strict)
+
+    @pytest.mark.parametrize("val, match", [
+        ([], "t must not be empty"),
+        ([[0.0, 1.0]], r"t has shape \(1, 2\), not \(any,\)"),
+        ([0.0, math.nan], "t must be finite"),
+        ([0.0, math.inf], "t must be finite"),
+        ([-1e308, 1e308], "the span of t must be finite, not inf"),
+        ([-1e308, 0.0, 1.0, 1e308], "the span of t must be finite")])
+    def test_refused_by_name_without_warnings(self, val, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for strict in (True, False):
+                with pytest.raises(InputError, match=match):
+                    diffusion.require_times(val, "t", strict=strict)
+
+    def test_readers_subtract_grid_points_without_warnings(self):
+        # the widest span a record takes: its readers difference its points
+        stats = diffusion.stats_from_covariance([-1e308, 0.0, 7e307], np.ones(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stats.index_of(0.0) == 1
+            assert stats.r_dot_at(7e307)[0, 0] == 0.0
+
 
 def euler_moments(a, sigma, mean0, cov0, dt, n_steps):
     """Mean and E[x x^T] of the Euler recursion x' = M x + sigma dW, with
