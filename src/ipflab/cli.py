@@ -11,6 +11,7 @@ directory is taken from the IPFLAB_OUT environment variable when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -324,8 +325,15 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _default_parser() -> argparse.ArgumentParser:
+    """build_parser() with no config, built once per process; parsing
+    never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _default_parser()
     args = parser.parse_args(argv)
     if args.config:
         # precedence: explicit flags > config file > built-in defaults

@@ -224,7 +224,11 @@ class DiffusionModel:
     order 1, on a grid of horizon/1000 by default.  Both use two-point
     increments +-sqrt(dt) (Kloeden & Platen 1992, secs. 14.1 and 15.1),
     so the paths are not Gaussian at finite dt, and ipflab reads only
-    expectations of them.  On both routes the simulator runs in one thread
+    expectations of them.  Where the matrix that multiplies the
+    increments (sigma, or on the matrix route (I + A dt / 2) sigma) is
+    diagonal, each component's increments are scaled by its own entry,
+    with no BLAS product; only off-diagonal entries are mixed in by one.
+    On both routes the simulator runs in one thread
     and calls every callback in it, once per grid point, the last
     included, on the whole ensemble: a callback may read all of it and
     needs no locking.  On the matrix route drift and diffusion must give
@@ -517,21 +521,27 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     on every host; bit i of the step (bit i % 64 of word i // 64) is the
     sign of z's i-th entry in row-major (path, component) order, 0 for
     +sqrt(dt) and 1 for -sqrt(dt).  z is formed as s - 2 s bit with s =
-    sqrt(dt), which is exact.  At n = 1 the noise term g z, with g = sig
-    on the callback route and g = G sigma on the matrix route, is formed
-    the same way from +-(s g), the exact products (+-s) g, and the matrix
-    route's M x and A x are plain multiplies by the numbers M and A, with
-    no BLAS.  So the bits depend on (seed, n_paths, dt) and the scheme,
-    all in the stamp, and at n = 1 not on the host's SIMD or BLAS either.
+    sqrt(dt), which is exact.  The noise term is g z, with g = sig on the
+    callback route and g = G sigma on the matrix route.  For a diagonal
+    g, as every g is at n = 1, component i of it is formed the same way
+    from +-(s g_ii): the exact products (+-s) g_ii, which are the bits of
+    g z, its other terms being signed zeros.  Only a g with an
+    off-diagonal entry mixes the noise as g z, one matmul of the n x n g
+    by the (n, paths) z, into a buffer made when first needed.  Whether
+    g is diagonal is decided again only where its bytes change.  At
+    n = 1 the matrix route's M x and A x are plain multiplies by the
+    numbers M and A.  So the bits depend on (seed, n_paths, dt) and the
+    scheme, all in the stamp; the noise of a diagonal g takes no BLAS
+    product at any n, and at n = 1 the bits do not depend on the host's
+    SIMD or BLAS either.
 
     The ensemble and the step buffers are held component-major, as
     C-contiguous (n, paths) arrays; callbacks and the consumer get the
-    (paths, n) view x.T.  At n >= 2 the noise is mixed as g z, one matmul
-    of the n x n g by the (n, paths) z; the matrix route forms M x and
-    A x as matmuls too, and the callback route reads the drift through
-    its transpose.  The layout moves no bit: tests/test_kernel.py holds
-    both entry points on the callback route to a row-major x + a dt +
-    z sig^T loop.
+    (paths, n) view x.T.  At n >= 2 the matrix route forms M x and A x
+    as matmuls, and the callback route reads the drift through its
+    transpose.  The layout moves no bit: tests/test_kernel.py holds both
+    entry points on the callback route to a row-major x + a dt + z sig^T
+    loop, and the matrix route, for diagonal matrices, to x M^T + z g^T.
 
     The callbacks, the noise draw, the update and the consumer all run in
     the caller's thread, once per grid point (the last included) on the
@@ -559,10 +569,11 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     scale = math.sqrt(dt)
     nxt = np.empty_like(x)
     z = np.empty_like(x)
-    # at n = 1 the noise needs no second (n, paths) buffer: 0.8 MB of peak
-    # RSS at 1e5 paths
-    dw = np.empty_like(x) if n > 1 else None
+    # dw, the mixed noise, is made when a g with an off-diagonal entry
+    # first needs it; held is the bytes of the g last decided on
+    dw = held = None
     finite = np.empty(x.shape, dtype=bool)
+    off = ~np.eye(n, dtype=bool)
     if matrices:
         # overflow here is caught by the finiteness check of the first step
         ad = model.A * dt
@@ -597,14 +608,21 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
         # no step reads the drift again: the next drift call may take its
         # memory, which keeps the peak RSS down
         del a
+        form = g.tobytes()
+        if form != held:
+            # a diagonal g's g z is (+-s) g_ii plus signed zeros, so
+            # component i picks from +-(s g_ii) directly: no matmul
+            held, mixes = form, g[off].any()
+            v = scale if mixes else scale * g.diagonal()[:, None]
+            w = -2.0 * v
+            if mixes and dw is None:
+                dw = np.empty_like(x)
         raw = signs.random_raw(words).astype("<u8", copy=False)
         bits = np.unpackbits(raw.view(np.uint8), count=size, bitorder="little")
-        # v - 2 v bit is +-v exactly; at n = 1, z g = +-(s g) exactly, so
-        # the signs pick from +-(s g) directly, one pass fewer
-        v = scale * g[0, 0] if dw is None else scale
-        np.multiply(bits.reshape(shape).T, -2.0 * v, out=z)
+        # v - 2 v bit is +-v exactly
+        np.multiply(bits.reshape(shape).T, w, out=z)
         z += v
-        nxt += z if dw is None else np.matmul(g, z, out=dw)
+        nxt += np.matmul(g, z, out=dw) if mixes else z
         if not np.isfinite(nxt, out=finite).all():
             raise SimulationDivergedError(grid[k + 1])
         x, nxt = nxt, x

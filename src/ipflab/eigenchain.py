@@ -35,7 +35,8 @@ def eigen_step(lam: float, t: float) -> float:
     Refused where lam e^{lam t} overflows before the division."""
     require_finite(lam, "lam", shape=())
     require_finite(t, "t", shape=())
-    out = _renovated(lam, t)
+    # in Python floats, whose product overflows to inf without a warning
+    out = _renovated(float(lam), float(t))
     require_finite(out, f"the eigenvalue renovated from lam={lam} over t={t}",
                    error=NonFiniteOutputError)
     return out
@@ -58,7 +59,7 @@ def state_step(z, lam: float, t: float):
     z = require_finite(z, "z")
     require_finite(lam, "lam", shape=())
     require_finite(t, "t", shape=())
-    x = lam * t
+    x = float(lam) * float(t)
     with np.errstate(over="ignore", invalid="ignore"):
         z = (2.0 - (math.exp(x) if x <= _EXP_MAX else math.inf)) * z
     if not np.isfinite(z).all():
@@ -73,7 +74,7 @@ def terminal_time(t_prev: float, lam: float) -> float:
     if lam <= 0:
         raise NeedsNeedleControlError(
             "terminal segment needs a positive eigenvalue; apply a needle control")
-    out = t_prev + LN2 / abs(lam)
+    out = float(t_prev) + LN2 / abs(float(lam))
     require_finite(out, f"the terminal time of lam={lam}", error=NonFiniteOutputError)
     return out
 

@@ -62,7 +62,8 @@ def invariant_a(gamma: float, ao_abs: float) -> float:
     require_finite(ao_abs, "ao_abs", shape=())
     if gamma == 1.0:
         return 0.0
-    ao = abs(ao_abs)
+    # a Python float, whose -2 ao overflows to -inf without a warning
+    ao = abs(float(ao_abs))
     denom = math.sqrt(4.0 - 4.0 * math.exp(-ao) * math.cos(gamma * ao) + math.exp(-2.0 * ao))
     return ao * math.exp(-ao) * math.sqrt(1.0 - gamma * gamma) / denom
 
@@ -87,7 +88,7 @@ def lifetime_ratio(delta: float, t_intervals) -> dict:
     t_intervals = require_finite(t_intervals, "t_intervals")
     with np.errstate(over="ignore"):
         t_rev = float(np.sum(t_intervals))
-    out = {"T_rev": t_rev, "T_irr": delta * t_rev}
+    out = {"T_rev": t_rev, "T_irr": float(delta) * t_rev}
     require_finite(list(out.values()), "the lifetimes", error=NonFiniteOutputError)
     return out
 

@@ -388,6 +388,39 @@ class TestConfigPrecedence:
         assert (tmp_path / "ensemble.csv").exists()
 
 
+class TestCachedParser:
+    """main builds its default parser once per process and parses every
+    argv without a config file with it."""
+
+    def test_same_argv_twice_same_bytes(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert cli.main(["network", "--n", "5", "--gamma", "0.3"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[0] == outs[1]
+
+    def test_config_run_leaves_the_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 0.3, "n": 5}))
+        outs = []
+        for argv in (["network"], ["--config", str(cfg), "network"], ["network"]):
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[2] != outs[1]
+        args = cli._default_parser().parse_args(["network"])
+        assert (args.gamma, args.n) == (0.5, 3)
+
+    def test_built_once_across_plain_calls(self, monkeypatch, capsys):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda *args: builds.append(args) or build(*args))
+        cli._default_parser.cache_clear()
+        for _ in range(5):
+            assert cli.main(["invariants", "--gamma", "0.5"]) == 0
+        assert builds == [()]
+
+
 STOCHASTIC = ["--seed", "11", "--n-paths", "200", "--dt", "0.01",
               "--horizon", "0.5"]
 

@@ -40,8 +40,12 @@ NOT_NUMBERS = [[0.5, 0.5], np.array([0.5, 0.5]), None, "0.5", ["0.5"],
 
 
 def reals(lo=-10.0, hi=10.0):
-    """A float in [lo, hi], an edge value or one that is not a number."""
-    return st.one_of(st.sampled_from(EDGES + NOT_NUMBERS), st.floats(lo, hi))
+    """A float in [lo, hi], an edge value or one that is not a number; each
+    number drawn as a Python float or as np.float64, whose arithmetic warns
+    on overflow where a Python float's gives inf silently."""
+    return st.one_of(st.sampled_from(EDGES + NOT_NUMBERS), st.floats(lo, hi)).flatmap(
+        lambda v: st.sampled_from([v, np.float64(v)]) if isinstance(v, float)
+        else st.just(v))
 
 
 def ints(lo, hi):
@@ -607,3 +611,30 @@ def test_named_refusal(fn, args, name, capfd):
         with pytest.raises(IpfError, match=re.escape(name)):
             fn(*args)
     assert capfd.readouterr().err == ""
+
+
+# numpy scalars used to overflow with numpy's RuntimeWarning where Python
+# floats give inf silently, which these functions refuse by name or map to
+# a limit
+NUMPY_SCALARS = [
+    (eigenchain.eigen_step, (1e308, 1e308)),
+    (eigenchain.state_step, (1.0, 1e308, 1e308)),
+    (eigenchain.terminal_time, (0.0, 5e-324)),
+    (invariants.lifetime_ratio, (1e308, [2.0])),
+    (invariants.invariant_a, (0.0, 1e308)),
+]
+
+
+@pytest.mark.parametrize("fn, args", NUMPY_SCALARS,
+                         ids=[fn.__name__ for fn, _ in NUMPY_SCALARS])
+def test_numpy_scalars_act_as_python_floats(fn, args):
+    def outcome(args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return fn(*args)
+            except IpfError as exc:
+                return type(exc), str(exc)
+
+    as_numpy = [np.float64(a) if isinstance(a, float) else a for a in args]
+    assert outcome(as_numpy) == outcome(args)

@@ -44,7 +44,9 @@ def reference_paths(model, n_paths, dt, seed):
     """Grid and ensemble at every grid point, from every step's noise words
     drawn at once: each step takes ceil(paths * n / 64) words, and bit j
     of a step is bit j % 64 of its word j // 64, the sign of the j-th
-    increment in (path, component) order, 1 for -sqrt(dt)."""
+    increment in (path, component) order, 1 for -sqrt(dt).  A model with
+    A and sigma is stepped as x M^T + dW g^T, M and g = G sigma formed as
+    the matrix route forms them; any other as x + a dt + dW sigma^T."""
     s, t_end = model.horizon
     n_steps = int(round((t_end - s) / dt))
     grid = s + dt * np.arange(n_steps + 1)
@@ -61,6 +63,14 @@ def reference_paths(model, n_paths, dt, seed):
     bits = bits.reshape(n_steps, -1)[:, :size].reshape(n_steps, n_paths, model.n)
     dW = np.where(bits == 1, -math.sqrt(dt), math.sqrt(dt))
     xs = [x]
+    if model.A is not None:
+        ad = model.A * dt
+        M = np.eye(model.n) + ad + (ad @ ad) / 2
+        g = (np.eye(model.n) + ad / 2) @ model.sigma
+        for k in range(n_steps):
+            x = x @ M.T + dW[k] @ g.T
+            xs.append(x)
+        return grid, xs
     for k in range(n_steps):
         t = grid[k]
         u = model.control_law(t, x) if model.control_law is not None else None
@@ -442,6 +452,77 @@ def test_entry_points_equal_reference_loop(n, steps, seed, n_paths,
     est = entropy.entropy_mc(model, n_paths, dt=0.1, seed=seed)
     est = [est.value, est.std_error]
     assert np.array_equal(est, reference_entropy(model, n_paths, 0.1, seed))
+
+
+# diagonal dispersions: positive entries, a negative one, and a zero one
+DIAGONALS = {"positive": [0.7, 1.3, 1.1], "negative": [0.7, -1.3, 1.1],
+             "zero": [0.7, 0.0, 1.1]}
+
+
+@pytest.mark.parametrize("route", ["callbacks", "matrices"])
+@pytest.mark.parametrize("entries", sorted(DIAGONALS))
+@pytest.mark.parametrize("n", [2, 3])
+def test_diagonal_sigma_equals_reference_loop(n, entries, route):
+    """A diagonal sigma, or G sigma on the matrix route of a diagonal A,
+    scales each component's signs without mixing them, and the states
+    are the reference loop's bytes.  Component 1 starts at -0.0 with no
+    spread; with a zero sigma_11 it stays a zero whose sign is the
+    reference's at every grid point."""
+    a = np.diag([-1.0, -2.0, -0.5][:n])
+    sigma = np.diag(DIAGONALS[entries][:n])
+    mean, cov = [0.1, -0.0, -0.2][:n], np.diag([0.5, 0.0, 1.0][:n])
+    if route == "matrices":
+        model = diffusion.linear_model(a, sigma, mean, cov, (0.0, 0.5))
+    else:
+        model = diffusion.DiffusionModel(
+            n=n, drift=lambda t, x, u: x @ a.T, diffusion=lambda t: sigma,
+            initial_mean=mean, initial_cov=cov, horizon=(0.0, 0.5))
+    states = kernel_states(model, 300, 0.1, 5)
+    _, xs = reference_paths(model, 300, 0.1, 5)
+    assert states.tobytes() == np.stack(xs).tobytes()
+    if entries == "zero":
+        assert not states[:, :, 1].any()
+
+
+def test_sigma_changing_form_in_place_equals_reference_loop():
+    """A sigma that turns from diagonal to mixing and back, changed in
+    place in the one array the callback returns, is read anew at every
+    grid point and gives the reference loop's bytes."""
+    held = np.empty((2, 2))
+
+    def sigma(t):
+        held[:] = A3_SIGMA[:2, :2] if 0.2 <= t < 0.4 else np.diag([0.7, -1.3])
+        return held
+
+    model = diffusion.DiffusionModel(
+        n=2, drift=lambda t, x, u: x @ A3[:2, :2].T, diffusion=sigma,
+        initial_mean=[0.1, 0.0], initial_cov=P3[:2, :2], horizon=(0.0, 0.6))
+    states = kernel_states(model, 300, 0.1, 3)
+    _, xs = reference_paths(model, 300, 0.1, 3)
+    assert states.tobytes() == np.stack(xs).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_only_off_diagonal_sigma_mixes_by_matmul(monkeypatch, n):
+    """The noise of a diagonal sigma takes no np.matmul; a sigma with an
+    off-diagonal entry is mixed by one at every step."""
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion.np, "matmul", counting)
+    for sigma, mixes in ((np.diag([0.7, -1.3, 0.0][:n]), 0),
+                         (A3_SIGMA[:n, :n], 5)):
+        calls.clear()
+        model = diffusion.DiffusionModel(
+            n=n, drift=DRIFTS["negate"](None), diffusion=lambda t: sigma,
+            initial_mean=np.ones(n), initial_cov=np.eye(n), horizon=(0.0, 0.5))
+        for _ in diffusion._euler_maruyama(model, 100, 0.1, 1)[2]:
+            pass
+        assert calls == [(n, n)] * mixes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
