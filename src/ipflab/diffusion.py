@@ -179,20 +179,16 @@ def _non_finite(val, path=""):
 
 
 def stamp_field():
-    """A keyword-only record field for what fixes the bits of a Monte Carlo
-    result (stream version, scheme, seed, paths, dt): None, and left out
-    of the JSON, in records of analytic results.  Records declare these
-    fields first, in that order, so their JSON carries the stamp at its
-    head."""
-    return field(default=None, kw_only=True,
-                 metadata={"json": "unless None", "stamp": True})
+    """A keyword-only field of the stream stamp (see :class:`_Stamped`):
+    None, and left out of the JSON, in records of analytic results."""
+    return field(default=None, kw_only=True, metadata={"json": "unless None"})
 
 
 def stream_stamp(record) -> dict:
-    """The record's stamp fields that are set, in declaration order: empty
-    for an analytic result."""
-    return {f.name: getattr(record, f.name) for f in fields(record)
-            if f.metadata.get("stamp") and getattr(record, f.name) is not None}
+    """The stamp fields of a :class:`_Stamped` record that are set, in
+    declaration order: empty for an analytic result."""
+    return {f.name: getattr(record, f.name) for f in fields(_Stamped)
+            if getattr(record, f.name) is not None}
 
 
 class Record:
@@ -217,27 +213,22 @@ class DiffusionModel:
     checks its fields when it is built and holds the initial law, A and
     sigma as read-only copies.
 
-    The simulator has two routes (see :func:`_steps`).  A model with A and
-    sigma takes the matrix route: a weak order-2 step formed from them, on
-    a grid of horizon/100 by default, finer for a stiff A.  Every other
-    model takes the callback route: the simplified weak Euler scheme, weak
-    order 1, on a grid of horizon/1000 by default.  Both use two-point
-    increments +-sqrt(dt) (Kloeden & Platen 1992, secs. 14.1 and 15.1),
-    so the paths are not Gaussian at finite dt, and ipflab reads only
-    expectations of them.  Where the matrix that multiplies the
-    increments (sigma, or on the matrix route (I + A dt / 2) sigma) is
-    diagonal, each component's increments are scaled by its own entry,
-    with no BLAS product; only off-diagonal entries are mixed in by one.
-    On both routes the simulator runs in one thread
-    and calls every callback in it, once per grid point, the last
-    included, on the whole ensemble: a callback may read all of it and
-    needs no locking.  On the matrix route drift and diffusion must give
-    A x and sigma there bit for bit, as linear_model's callbacks and
-    wrappers of them do; the simulator refuses a model whose callbacks
-    give other dynamics, rather than step the matrices they contradict.
-    x is a column-major view, x.T being C-contiguous, of a buffer the
-    simulator reuses, so a callback that keeps the state beyond the call
-    must copy it.
+    The simulator steps a model with A and sigma from them, at weak order
+    2, and any other by the weak Euler scheme, order 1; the routes and
+    their default grids are set out at :func:`_euler_maruyama`.  Both
+    use two-point increments +-sqrt(dt), so the paths are not Gaussian
+    at finite dt, and ipflab reads only expectations of them.  The
+    simulator runs in one thread and calls every callback in it, once
+    per grid point, the last included, on the whole ensemble: a callback
+    may read all of it and needs no locking.  It compares sigma(t) by
+    its bytes with the sigma in force, and its consumers get a read-only
+    array of that sigma, the same object until the bytes change.  On the
+    matrix route sigma(t) must have sigma's bytes and the drift must give
+    A x bit for bit, as linear_model's callbacks and wrappers of them do:
+    the simulator refuses a model whose callbacks give other dynamics,
+    rather than step the matrices they contradict.  x is a column-major
+    view, x.T being C-contiguous, of a buffer the simulator reuses, so a
+    callback that keeps the state beyond the call must copy it.
     """
 
     n: int
@@ -327,7 +318,21 @@ def _times(mat, v, out=None):
 
 
 @dataclass(frozen=True)
-class EnsembleStats(Record):
+class _Stamped:
+    """First base of the records of Monte Carlo results: the stream stamp
+    that :func:`_euler_maruyama` returns and that fixes the result's bits
+    (stream version, scheme, seed, paths, dt).  Its fields come first in
+    such a record, so the record's JSON carries the stamp at its head."""
+
+    stream_version: Optional[str] = stamp_field()
+    scheme: Optional[str] = stamp_field()
+    seed: Optional[int] = stamp_field()
+    n_paths: Optional[int] = stamp_field()
+    dt: Optional[float] = stamp_field()
+
+
+@dataclass(frozen=True)
+class EnsembleStats(_Stamped, Record):
     """Per-time moments of an ensemble, simulated or analytic.
 
     r is the (non-centered) second-moment matrix E[x x^T]; grid, mean and r
@@ -344,11 +349,6 @@ class EnsembleStats(Record):
     so a reader trusts them.
     """
 
-    stream_version: Optional[str] = stamp_field()
-    scheme: Optional[str] = stamp_field()
-    seed: Optional[int] = stamp_field()
-    n_paths: Optional[int] = stamp_field()
-    dt: Optional[float] = stamp_field()
     grid: np.ndarray            # (T,)
     mean: np.ndarray            # (T, n)
     r: np.ndarray               # (T, n, n)
@@ -420,27 +420,30 @@ class EnsembleStats(Record):
 def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int):
     """The one kernel: returns (grid, stamp, steps).
 
-    Checks the arguments at once.  The route is chosen from the model (see
-    :func:`_steps`).  dt defaults to a thousandth of the horizon on the
-    callback route, and on the matrix route to horizon/(100 m) for the
-    smallest m with rho(A) dt <= 0.1, m at most 10: a stiff A takes at
-    most the callback route's thousand steps, and the quarter points of
-    the horizon stay on the grid.  dt must divide the horizon, and on the
-    matrix route a dt under which the step grows a decaying mode of A
-    more than twofold over the horizon is refused.  stamp holds the
-    record's stream stamp fields, the route's scheme ("weak2-linear" or
-    "euler") among them.  steps is a generator of (t, x, a, sig) at every
-    grid point, the last included: the ensemble x, and the drift a and
-    dispersion sig there, as the callbacks give them.  x lives in one of
-    two buffers that the kernel reuses: it stays valid until the point
-    after next is requested, and consumers never write to it.  x is the
-    (paths, n) view of a component-major (n, paths) buffer, so x.T is
-    C-contiguous.  The generator raises SimulationDivergedError with the
-    first bad time if any path leaves the finite range, and InputError
-    naming t where drift(t) is not (paths, n), sigma(t) is not a finite
-    n x n matrix, or, on the matrix route, either differs from A x or
-    sigma.  Everything runs in the caller's thread; the kernel starts no
-    other.
+    Checks the arguments at once.  A linear model held as its matrices
+    takes the matrix route, weak order 2, and every other model the
+    callback route, the weak Euler scheme of order 1 (see :func:`_steps`).
+    dt defaults to a thousandth of the horizon on the callback route, and
+    on the matrix route to horizon/(100 m) for the smallest m with
+    rho(A) dt <= 0.1, m at most 10: a stiff A takes at most the callback
+    route's thousand steps, and the quarter points of the horizon stay
+    on the grid.  dt must divide the horizon, and on the matrix route a
+    dt under which the step grows a decaying mode of A more than twofold
+    over the horizon is refused.  stamp holds the record's stream stamp
+    fields, the route's scheme ("weak2-linear" or "euler") among them.
+    steps is a generator of (t, x, a, sig) at every grid point, the last
+    included: the ensemble x, the drift a there as the callback gives it,
+    and sig, a read-only array of the sigma in force, the same object
+    until sigma(t)'s bytes change.  x lives in one of two buffers that
+    the kernel reuses: it stays valid until the point after next is
+    requested, and consumers never write to it.  x is the (paths, n) view
+    of a component-major (n, paths) buffer, so x.T is C-contiguous.  The
+    generator raises SimulationDivergedError with the first bad time if
+    any path leaves the finite range, and InputError naming t where
+    drift(t) is not (paths, n), sigma(t) is not a finite n x n matrix or
+    too large for dt (see :func:`_steps`), or, on the matrix route,
+    either differs from A x or sigma.  Everything runs in the caller's
+    thread; the kernel starts no other.
     """
     require_int(n_paths, "n_paths", lo=2)
     require_int(seed, "seed", lo=0, hi=2 ** 64 - 1)
@@ -504,11 +507,12 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     the first three moments of N(0, dt I), which is all weak order 1
     needs.  On both routes the paths are not Gaussian at finite dt, and
     ipflab reads only expectations of them (moments and the entropy
-    functional's mean).  Both call the callbacks at every grid point for
-    the a and sig they yield; the matrix route refuses them where they
-    differ, bit for bit, from A x, formed by :func:`_times` into the noise
-    buffer before the noise is drawn, and from sigma, so the matrices it
-    steps are the model the callbacks give.
+    functional's mean).  Both call the callbacks at every grid point and
+    compare sigma(t) once there, by its bytes, with the sigma in force;
+    the one branch where they differ refuses it on the matrix route, and
+    on the callback route takes it and forms its noise.  The matrix
+    route also refuses a drift other than A x, bit for bit, formed by
+    :func:`_times` into the noise buffer before the noise is drawn.
 
     Stream STREAM_VERSION: SeedSequence(seed) spawns two children.  The
     first drives an SFC64 generator: the initial law is mean + z F^T, z
@@ -527,8 +531,9 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     from +-(s g_ii): the exact products (+-s) g_ii, which are the bits of
     g z, its other terms being signed zeros.  Only a g with an
     off-diagonal entry mixes the noise as g z, one matmul of the n x n g
-    by the (n, paths) z, into a buffer made when first needed.  Whether
-    g is diagonal is decided again only where its bytes change.  At
+    by the (n, paths) z, into a buffer made when first needed.  A
+    diagonal g whose +-(s g_ii) are finite but whose 2 s g_ii overflows
+    would give a NaN z, and is refused by name.  At
     n = 1 the matrix route's M x and A x are plain multiplies by the
     numbers M and A.  So the bits depend on (seed, n_paths, dt) and the
     scheme, all in the stamp; the noise of a diagonal g takes no BLAS
@@ -570,15 +575,10 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     nxt = np.empty_like(x)
     z = np.empty_like(x)
     # dw, the mixed noise, is made when a g with an off-diagonal entry
-    # first needs it; held is the bytes of the g last decided on
+    # first needs it; held is the bytes of the sigma in force
     dw = held = None
     finite = np.empty(x.shape, dtype=bool)
     off = ~np.eye(n, dtype=bool)
-    if matrices:
-        # overflow here is caught by the finiteness check of the first step
-        ad = model.A * dt
-        step = np.eye(n) + ad + (ad @ ad) / 2
-        g = (np.eye(n) + ad / 2) @ model.sigma
     last = len(grid) - 1
     for k, t in enumerate(grid):
         xt = x.T
@@ -587,14 +587,36 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
         if np.shape(a) != shape:
             raise InputError(f"drift({t}) has shape {np.shape(a)}, not {shape}")
         sig = require_finite(model.diffusion(t), f"sigma({t})", shape=(n, n))
-        if not matrices:
-            g = sig
-        elif not np.array_equal(sig, model.sigma):
-            raise InputError(f"sigma({t}) is not the model's sigma; {_OTHER}")
+        form = sig.tobytes()
+        if form != held:
+            # the one place sigma is decided: on the matrix route at the
+            # first point only, as later bytes must be the model's
+            if matrices and form != model.sigma.tobytes():
+                raise InputError(f"sigma({t}) is not the model's sigma; {_OTHER}")
+            # order "K" keeps the layout, and so the bits of BLAS products
+            held, fixed = form, model.sigma if matrices else sig.copy(order="K")
+            fixed.setflags(write=False)
+            g = fixed
+            if matrices:
+                # overflow here is caught by the finiteness check of the first step
+                ad = model.A * dt
+                step = np.eye(n) + ad + (ad @ ad) / 2
+                g = (np.eye(n) + ad / 2) @ fixed
+            # a diagonal g's g z is (+-s) g_ii plus signed zeros, so
+            # component i picks from +-(s g_ii) directly: no matmul
+            mixes = g[off].any()
+            v = scale if mixes else scale * g.diagonal()[:, None]
+            w = -2.0 * v
+            if np.isfinite(v).all() and not np.isfinite(w).all():
+                what = "(I + A dt/2) sigma" if matrices else f"sigma({t})"
+                raise InputError(f"{what} is too large for dt={dt}: twice "
+                                 "sqrt(dt) times a diagonal entry overflows")
+            if mixes and dw is None:
+                dw = np.empty_like(x)
         # z and finite are free until the step: A x and the compare go there
-        elif not _same(a, _times(model.A, x, out=z).T, finite.T):
+        if matrices and not _same(a, _times(model.A, x, out=z).T, finite.T):
             raise InputError(f"drift({t}) is not the model's A x; {_OTHER}")
-        yield t, xt, a, sig
+        yield t, xt, a, fixed
         if k == last:
             return
         if matrices:
@@ -608,15 +630,6 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
         # no step reads the drift again: the next drift call may take its
         # memory, which keeps the peak RSS down
         del a
-        form = g.tobytes()
-        if form != held:
-            # a diagonal g's g z is (+-s) g_ii plus signed zeros, so
-            # component i picks from +-(s g_ii) directly: no matmul
-            held, mixes = form, g[off].any()
-            v = scale if mixes else scale * g.diagonal()[:, None]
-            w = -2.0 * v
-            if mixes and dw is None:
-                dw = np.empty_like(x)
         raw = signs.random_raw(words).astype("<u8", copy=False)
         bits = np.unpackbits(raw.view(np.uint8), count=size, bitorder="little")
         # v - 2 v bit is +-v exactly
@@ -683,17 +696,12 @@ def _moment_reducer(n_paths: int, n: int):
 
 def simulate_ensemble(model: DiffusionModel, n_paths: int, dt: float = None,
                       seed: int = 0) -> EnsembleStats:
-    """Moments of a weak-scheme ensemble of the controlled diffusion.
-
-    A linear model held as matrices takes the matrix route, weak order 2,
-    with dt = horizon/100 by default, finer for a stiff A; every other
-    model the callback route, the weak Euler scheme of order 1, with
-    dt = horizon/1000 (see :func:`_euler_maruyama` and :func:`_steps`).
-    Deterministic for a fixed stamp: (seed, n_paths, dt) and the scheme.
-    dt must divide the horizon.  Raises the kernel's InputError for a bad
-    drift(t) or sigma(t) or a dt too coarse for A,
-    SimulationDivergedError with the first bad time if any path leaves the
-    finite range, and NonFiniteOutputError if a moment overflows.
+    """Moments of a weak-scheme ensemble of the controlled diffusion, by
+    the route and on the default grid the kernel picks (see
+    :func:`_euler_maruyama`).  Deterministic for a fixed stamp: (seed,
+    n_paths, dt) and the scheme.  Raises the kernel's InputError and
+    SimulationDivergedError, and NonFiniteOutputError if a moment
+    overflows.
     """
     grid, stamp, steps = _euler_maruyama(model, n_paths, dt, seed)
     n = model.n

@@ -18,21 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .diffusion import (DiffusionModel, EnsembleStats, Record,
-                        _euler_maruyama, guarded_inv, require_finite,
-                        stamp_field)
+from .diffusion import (DiffusionModel, EnsembleStats, Record, _Stamped,
+                        _euler_maruyama, guarded_inv, require_finite)
 from .errors import (DegenerateFunctionalError, InputError,
                      NonFiniteOutputError, SingularDiffusionError)
 
 
 @dataclass(frozen=True)
-class EntropyEstimate(Record):
-    # what fixes the Monte Carlo value's bits; None for the closed form
-    stream_version: Optional[str] = stamp_field()
-    scheme: Optional[str] = stamp_field()
-    seed: Optional[int] = stamp_field()
-    n_paths: Optional[int] = stamp_field()
-    dt: Optional[float] = stamp_field()
+class EntropyEstimate(_Stamped, Record):
     value: float                  # nats
     method: str                   # "monte-carlo" or "covariance-form"
     horizon: tuple
@@ -49,29 +42,26 @@ def entropy_mc(model: DiffusionModel, n_paths: int, dt: float = None,
     once at the end.  The reported standard error is the per-path spread
     of the time integral divided by sqrt(n_paths).  The paths are not
     Gaussian at finite dt, but the estimate is an expectation, which the
-    kernel gets to weak order 2 on the matrix route (a linear model held
-    as its matrices; dt = horizon/100 by default, finer for a stiff A)
-    and to weak order 1 on the callback route (dt = horizon/1000), see
-    :func:`ipflab.diffusion._euler_maruyama`.  Raises the kernel's
-    InputError and SimulationDivergedError,
-    SingularDiffusionError where 2b is singular, and NonFiniteOutputError
-    where the integral overflows.
+    kernel gets to weak order 2 or 1 by its route, on its default grid
+    (see :func:`ipflab.diffusion._euler_maruyama`).  (2b)^{-1} is formed
+    again only where the kernel's sigma is a new object, which is where
+    sigma(t) changed.  Raises the kernel's InputError and
+    SimulationDivergedError, SingularDiffusionError where 2b is singular,
+    and NonFiniteOutputError where the integral overflows.
     """
     grid, stamp, steps = _euler_maruyama(model, n_paths, dt, seed)
     last = len(grid) - 1
     integral = np.zeros(n_paths)
     q = np.empty(n_paths)
-    # 2b, its check and its inverse are formed again only where sigma(t)
-    # changes; a copy, as the callback may return one array it mutates
-    prev_sig = None
+    prev = None
     # a step past the float range is the kernel's SimulationDivergedError,
     # and an integral past it is refused below, not numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (t, _, a, sig) in enumerate(steps):
-            if prev_sig is None or not np.array_equal(sig, prev_sig):
+            if sig is not prev:
                 inv = guarded_inv(sig @ sig.T, f"2b at t={t}",
                                   SingularDiffusionError)
-                prev_sig = sig.copy()
+                prev = sig
             if inv.shape == (1, 1):
                 # plain multiplies give the bits of the 1x1 product and of
                 # einsum's one-term sum at an eighth of its time

@@ -11,7 +11,9 @@ kernel checks.  A call passes if it returns only finite floats (or None
 where its docstring says so), or raises an IpfError subclass.  Any other
 exception fails it, and so do a RuntimeWarning and any output on stderr
 (LAPACK writes its complaints there).  The examples are derandomized and
-their number is fixed, so the sweep is the same on every run.
+their number is fixed, and Hypothesis draws some from the constants of
+the ipflab modules, all of which tests/conftest.py loads first, so the
+sweep is the same on every run, alone or in the full suite.
 """
 
 from __future__ import annotations
@@ -393,6 +395,22 @@ _BAD_DRIFTS = [
     (_model(lambda t, x, u: -x[:1], lambda t: np.eye(2), **_START2),
      "(1, 2), not (8, 2)"),
 ]
+# dispersions whose increments +-sqrt(dt) sigma_ii are finite at dt = 1
+# but twice them not: the noise is formed as v - 2 v bit, and such a run
+# used to end as SimulationDivergedError at t = 1, or in entropy_mc as a
+# 2b that is not finite
+_TOO_LARGE = "is too large for dt=1.0"
+_HUGE_SIGMAS = [
+    (_model(lambda t, x, u: -x, lambda t: np.diag([9e307, 1.0]),
+            horizon=(0.0, 2.0), **_START2), f"sigma(0.0) {_TOO_LARGE}"),
+    (_model(lambda t, x, u: -x, lambda t: np.diag([1e308, 1.0]),
+            horizon=(0.0, 2.0), **_START2), f"sigma(0.0) {_TOO_LARGE}"),
+    (_model(lambda t, x, u: -x, lambda t: [[1e308]], horizon=(0.0, 2.0)),
+     f"sigma(0.0) {_TOO_LARGE}"),
+    (diffusion.linear_model(np.zeros((2, 2)), np.diag([1e308, 1.0]), [0.0, 1.0],
+                            np.zeros((2, 2)), (0.0, 2.0)),
+     f"(I + A dt/2) sigma {_TOO_LARGE}"),
+]
 NAMED = [
     (diagnostics.lce_local, ([0.0, NAN, 1.0], [1.0, 2.0, 3.0]), "grid"),
     (diagnostics.lce_local, ([0.0, 0.5, 1.0], [1.0, INF, 3.0]), "x"),
@@ -600,6 +618,8 @@ NAMED = [
     # switch moments are named by their field, as every record's are
     (control.SegmentSchedule, ([1.0, 0.5], [], []),
      "dps must increase strictly, as it does not from 1.0 to 0.5"),
+    *[(run, (model, 8, 1.0, 1), name) for model, name in _HUGE_SIGMAS
+      for run in (diffusion.simulate_ensemble, entropy.entropy_mc)],
 ]
 
 

@@ -8,6 +8,7 @@ fixed (seed, n_paths, dt) requires the kernel to match it exactly, not
 within a tolerance.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -167,14 +168,24 @@ class TestStreamMatchesWholeTensor:
         value, se = reference_entropy(model, 5000, 0.01, 3)
         assert np.array_equal([est.value, est.std_error], [value, se])
 
-    def test_entropy_piecewise_constant_sigma(self):
+    def test_entropy_piecewise_constant_sigma(self, monkeypatch):
         # sigma jumps and returns to an earlier value: each grid point
-        # uses the (2b)^{-1} of its own sigma
+        # uses the (2b)^{-1} of its own sigma, formed once per constant
+        # piece, where the kernel's sig is a new object
+        calls = []
+        inv = entropy.guarded_inv
+
+        def counting(mat, what, error):
+            calls.append(what)
+            return inv(mat, what, error)
+
+        monkeypatch.setattr(entropy, "guarded_inv", counting)
         model = diffusion.DiffusionModel(
             n=1, drift=lambda t, x, u: -2.0 * x,
             diffusion=lambda t: [[2.0]] if 0.3 <= t < 0.6 else [[0.5]],
             initial_mean=[1.0], initial_cov=[[0.0]], horizon=(0.0, 1.0))
         est = entropy.entropy_mc(model, 2000, dt=0.01, seed=8)
+        assert calls == ["2b at t=0.0", "2b at t=0.3", "2b at t=0.6"]
         value, se = reference_entropy(model, 2000, 0.01, 8)
         assert np.array_equal([est.value, est.std_error], [value, se])
 
@@ -523,6 +534,104 @@ def test_only_off_diagonal_sigma_mixes_by_matmul(monkeypatch, n):
         for _ in diffusion._euler_maruyama(model, 100, 0.1, 1)[2]:
             pass
         assert calls == [(n, n)] * mixes
+
+
+def yielded_sigmas(sigma):
+    """The sig the kernel yields at each of the six points of a scalar
+    model on [0, 0.5] at dt = 0.1."""
+    model = diffusion.DiffusionModel(
+        n=1, drift=lambda t, x, u: -x, diffusion=sigma, initial_mean=[0.0],
+        initial_cov=[[0.0]], horizon=(0.0, 0.5))
+    return [sig for _, _, _, sig in diffusion._euler_maruyama(model, 10, 0.1, 1)[2]]
+
+
+def test_sig_is_one_read_only_object_while_sigma_repeats():
+    """A callback that returns a fresh [[1.0]] at every point gives one
+    read-only sig throughout, a copy the callback cannot reach."""
+    sigs = yielded_sigmas(lambda t: [[1.0]])
+    assert all(sig is sigs[0] for sig in sigs)
+    assert not sigs[0].flags.writeable and sigs[0].tolist() == [[1.0]]
+
+
+def test_sig_is_new_where_sigma_bytes_change():
+    """A callback that changes one array in place gives the same sig while
+    its bytes repeat and a new one where they change: to 2.0, back to
+    1.0, and to -0.0 after 0.0, which compares equal but is other bytes.
+    Each sig keeps the value it was yielded with."""
+    held = np.empty((1, 1))
+    values = {0.0: 1.0, 0.1: 1.0, 0.2: 2.0, 0.3: 0.0, 0.4: -0.0, 0.5: -0.0}
+
+    def sigma(t):
+        held[0, 0] = values[round(t, 9)]
+        return held
+
+    sigs = yielded_sigmas(sigma)
+    fresh = [k for k in range(1, 6) if sigs[k] is not sigs[k - 1]]
+    assert fresh == [2, 3, 4]
+    assert all(sig is not held and not sig.flags.writeable for sig in sigs)
+    assert [sig.tobytes() for sig in sigs] == [
+        np.float64(v).tobytes() for v in values.values()]
+
+
+def test_fortran_ordered_mixing_sigma_equals_reference_loop():
+    """A column-major sigma with cross terms at n = 3 is mixed in that
+    layout, as the reference mixes it, in both entry points."""
+    sigma = np.asfortranarray(A3_SIGMA)
+    model = diffusion.DiffusionModel(
+        n=3, drift=lambda t, x, u: x @ A3.T, diffusion=lambda t: sigma,
+        initial_mean=[0.1, 0.0, -0.2], initial_cov=P3, horizon=(0.0, 0.5))
+    sigs = [sig for _, _, _, sig in diffusion._euler_maruyama(model, 300, 0.1, 2)[2]]
+    assert sigs[0].flags.f_contiguous and all(sig is sigs[0] for sig in sigs)
+    _, xs = reference_paths(model, 300, 0.1, 2)
+    assert kernel_states(model, 300, 0.1, 2).tobytes() == np.stack(xs).tobytes()
+    est = entropy.entropy_mc(model, 300, dt=0.1, seed=2)
+    assert np.array_equal([est.value, est.std_error],
+                          reference_entropy(model, 300, 0.1, 2))
+
+
+def test_matrix_route_refuses_sigma_of_other_bytes():
+    """The matrix route holds sigma(t) to the model's sigma bit for bit: a
+    -0.0 where sigma holds 0.0 is refused, though it compares equal."""
+    model = diffusion.linear_model(A3, A3_SIGMA, [0.1, 0.0, -0.2], P3, (0.0, 1.0))
+    signed = np.where(A3_SIGMA == 0.0, -0.0, A3_SIGMA)
+    assert np.array_equal(signed, model.sigma)
+    model = dataclasses.replace(model, diffusion=lambda t: signed)
+    for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+        with pytest.raises(InputError, match=re.escape(
+                "sigma(0.0) is not the model's sigma")):
+            run(model, 10, dt=0.1, seed=1)
+
+
+# diagonal dispersions whose increments +-sqrt(dt) sigma_ii are finite at
+# dt = 1, but twice them not
+HUGE_SIGMAS = {"9e307": np.diag([9e307, 1.0]), "1e308": np.diag([1e308, 1.0]),
+               "scalar": np.array([[1e308]])}
+
+
+@pytest.mark.parametrize("run", [diffusion.simulate_ensemble, entropy.entropy_mc])
+@pytest.mark.parametrize("route", ["callbacks", "matrices"])
+@pytest.mark.parametrize("sigma", sorted(HUGE_SIGMAS))
+def test_sigma_too_large_for_dt_refused_by_name(sigma, route, run):
+    """The noise is formed as v - 2 v bit, and such a sigma used to end
+    the run as SimulationDivergedError at t = dt, or in entropy_mc as a
+    2b that is not finite.  It is refused by name, with the dt; on the
+    matrix route, with A = 0, G sigma is sigma."""
+    sigma = HUGE_SIGMAS[sigma]
+    n = len(sigma)
+    if route == "matrices":
+        model = diffusion.linear_model(np.zeros((n, n)), sigma, np.zeros(n),
+                                       np.zeros((n, n)), (0.0, 2.0))
+        name = "(I + A dt/2) sigma is too large for dt=1.0"
+    else:
+        model = diffusion.DiffusionModel(
+            n=n, drift=lambda t, x, u: -x, diffusion=lambda t: sigma,
+            initial_mean=np.zeros(n), initial_cov=np.zeros((n, n)),
+            horizon=(0.0, 2.0))
+        name = "sigma(0.0) is too large for dt=1.0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=re.escape(name)):
+            run(model, 10, dt=1.0, seed=1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
