@@ -209,9 +209,11 @@ class DiffusionModel:
     the ensemble state to the control; None means zero control.  A and
     sigma, set together or not at all, are the constant n x n matrices of
     a linear model dx = A x dt + sigma dW; such a model takes no
-    control_law (see :func:`linear_model`, which builds it).  The record
-    checks its fields when it is built and holds the initial law, A and
-    sigma as read-only copies.
+    control_law (see :func:`linear_model`, which builds it).  Given A and
+    sigma and neither callback, the record takes its own, which read its
+    A and sigma; any other callback that cannot be called is refused by
+    name.  The record checks its fields when it is built and holds the
+    initial law, A and sigma as read-only copies.
 
     The simulator steps a model with A and sigma from them, at weak order
     2, and any other by the weak Euler scheme, order 1; the routes and
@@ -222,18 +224,22 @@ class DiffusionModel:
     per grid point, the last included, on the whole ensemble: a callback
     may read all of it and needs no locking.  It compares sigma(t) by
     its bytes with the sigma in force, and its consumers get a read-only
-    array of that sigma, the same object until the bytes change.  On the
-    matrix route sigma(t) must have sigma's bytes and the drift must give
-    A x bit for bit, as linear_model's callbacks and wrappers of them do:
-    the simulator refuses a model whose callbacks give other dynamics,
-    rather than step the matrices they contradict.  x is a column-major
-    view, x.T being C-contiguous, of a buffer the simulator reuses, so a
-    callback that keeps the state beyond the call must copy it.
+    array of that sigma, the same object until the bytes change.  The
+    matrix route never calls a record's own callbacks, which restate the
+    matrices it steps from.  It calls other callbacks on a model with A
+    and sigma, such as wrappers, or those that dataclasses.replace
+    carries over, bound to the old record: sigma(t) must have sigma's
+    bytes and the drift must give A x bit for bit, as the own callbacks
+    and wrappers of them do, and the simulator refuses a model whose
+    callbacks give other dynamics, rather than step the matrices they
+    contradict.  x is a column-major view, x.T being C-contiguous, of a
+    buffer the simulator reuses, so a callback that keeps the state
+    beyond the call must copy it.
     """
 
     n: int
-    drift: Callable
-    diffusion: Callable
+    drift: Optional[Callable]
+    diffusion: Optional[Callable]
     initial_mean: np.ndarray
     initial_cov: np.ndarray
     horizon: tuple
@@ -266,7 +272,23 @@ class DiffusionModel:
             for name in ("A", "sigma"):
                 arrays[name] = require_finite(getattr(self, name), name,
                                               shape=(self.n, self.n))
+            if self.drift is None and self.diffusion is None:
+                object.__setattr__(self, "drift", self._drift)
+                object.__setattr__(self, "diffusion", self._sigma)
+        for name in ("drift", "diffusion", "control_law"):
+            val = getattr(self, name)
+            if not callable(val) and (val is not None or name != "control_law"):
+                raise InputError(f"{name} must be callable, not {val!r}")
         _hold(self, arrays)
+
+    def _drift(self, t, x, u):
+        """The own drift of a model with A and sigma: A x, by the
+        simulator's product (see :func:`_times`), so with its bits."""
+        return _times(self.A, x.T).T
+
+    def _sigma(self, t):
+        """The own diffusion of a model with A and sigma."""
+        return self.sigma
 
 
 def _hold(record, arrays: dict):
@@ -285,27 +307,21 @@ def linear_model(A, sigma, mean0, cov0, horizon) -> DiffusionModel:
     n = 1).
 
     The record carries A and sigma, so the simulator steps it at weak
-    order 2 from them (see :func:`_steps`).  Its drift and diffusion
-    callbacks read the record's own read-only copies, so they give the
-    same model to any other reader, the drift by the simulator's own
-    product (see :func:`_times`), so it has the bits of the simulator's
-    A x.  The model takes no control law: a controlled model needs its
-    own drift.  Under the doubling feedback v = -2x, A (x + v) is (-A) x:
-    pass -A for it.  Refuses a non-square A here, n being its size; the
-    record refuses the rest (see :class:`DiffusionModel`).
+    order 2 from them (see :func:`_steps`), and takes its own drift and
+    diffusion callbacks, which read the record's read-only copies (see
+    :class:`DiffusionModel`): they give the same model to any other
+    reader, and the simulator never calls them.  The model takes no
+    control law: a controlled model needs its own drift.  Under the
+    doubling feedback v = -2x, A (x + v) is (-A) x: pass -A for it.
+    Refuses a non-square A here, n being its size; the record refuses
+    the rest.
     """
     A = require_finite(A, "A", shape=(None, None))
     if A.shape[0] != A.shape[1]:
         raise InputError(f"A has shape {A.shape}, not square")
-
-    def drift(t, x, u):
-        return _times(model.A, x.T).T
-
-    model = DiffusionModel(n=len(A), drift=drift,
-                           diffusion=lambda t: model.sigma,
-                           initial_mean=mean0, initial_cov=cov0,
-                           horizon=horizon, A=A, sigma=sigma)
-    return model
+    return DiffusionModel(n=len(A), drift=None, diffusion=None,
+                          initial_mean=mean0, initial_cov=cov0,
+                          horizon=horizon, A=A, sigma=sigma)
 
 
 def _times(mat, v, out=None):
@@ -432,18 +448,21 @@ def _euler_maruyama(model: DiffusionModel, n_paths: int, dt, seed: int):
     over the horizon is refused.  stamp holds the record's stream stamp
     fields, the route's scheme ("weak2-linear" or "euler") among them.
     steps is a generator of (t, x, a, sig) at every grid point, the last
-    included: the ensemble x, the drift a there as the callback gives it,
-    and sig, a read-only array of the sigma in force, the same object
-    until sigma(t)'s bytes change.  x lives in one of two buffers that
-    the kernel reuses: it stays valid until the point after next is
-    requested, and consumers never write to it.  x is the (paths, n) view
-    of a component-major (n, paths) buffer, so x.T is C-contiguous.  The
-    generator raises SimulationDivergedError with the first bad time if
-    any path leaves the finite range, and InputError naming t where
-    drift(t) is not (paths, n), sigma(t) is not a finite n x n matrix or
-    too large for dt (see :func:`_steps`), or, on the matrix route,
-    either differs from A x or sigma.  Everything runs in the caller's
-    thread; the kernel starts no other.
+    included: the ensemble x, the drift a there, and sig, a read-only
+    array of the sigma in force, the same object until sigma(t)'s bytes
+    change.  x lives in one of two buffers that the kernel reuses: it
+    stays valid until the point after next is requested, and consumers
+    never write to it.  x is the (paths, n) view of a component-major
+    (n, paths) buffer, so x.T is C-contiguous.  a is what the drift
+    callback returns, except for a model's own callbacks on the matrix
+    route: there a is A x in a buffer the kernel reuses, valid until the
+    next point is requested.  The generator raises
+    SimulationDivergedError with the first bad time if any path leaves
+    the finite range, and InputError naming t where drift(t) is not
+    (paths, n), sigma(t) is not a finite n x n matrix or too large for
+    dt (see :func:`_steps`), or, on the matrix route, a callback that is
+    not the model's own differs from A x or sigma.  Everything runs in
+    the caller's thread; the kernel starts no other.
     """
     require_int(n_paths, "n_paths", lo=2)
     require_int(seed, "seed", lo=0, hi=2 ** 64 - 1)
@@ -507,12 +526,20 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     the first three moments of N(0, dt I), which is all weak order 1
     needs.  On both routes the paths are not Gaussian at finite dt, and
     ipflab reads only expectations of them (moments and the entropy
-    functional's mean).  Both call the callbacks at every grid point and
-    compare sigma(t) once there, by its bytes, with the sigma in force;
-    the one branch where they differ refuses it on the matrix route, and
-    on the callback route takes it and forms its noise.  The matrix
-    route also refuses a drift other than A x, bit for bit, formed by
-    :func:`_times` into the noise buffer before the noise is drawn.
+    functional's mean).  The callback route calls the callbacks at every
+    grid point, on the whole ensemble, and they dominate the cost of its
+    step: at n = 1 and 1e5 paths, a drift written x * (1.0 - x * x)
+    costs some seven times the Euler update, and one written x - x**3,
+    whose power takes numpy's generic path, twelve times more again.  It
+    compares sigma(t) once per point, by its bytes, with the sigma in
+    force, and where they differ takes it and forms its noise.  The
+    matrix route calls neither of a model's own callbacks: it forms
+    a = A x once per point by :func:`_times`, into the noise buffer,
+    which is free until the noise is drawn, and decides sigma once, at
+    the first point, from the model's.  Other callbacks on a model with
+    A and sigma (see :class:`DiffusionModel`) are called at every point,
+    and the route refuses a sigma(t) of other bytes than sigma and a
+    drift other than that A x, bit for bit.
 
     Stream STREAM_VERSION: SeedSequence(seed) spawns two children.  The
     first drives an SFC64 generator: the initial law is mean + z F^T, z
@@ -580,13 +607,21 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
     finite = np.empty(x.shape, dtype=bool)
     off = ~np.eye(n, dtype=bool)
     last = len(grid) - 1
+    # a model's own callbacks restate the matrices: the route calls neither
+    own = matrices and all(getattr(f, "__self__", None) is model
+                           for f in (model.drift, model.diffusion))
+    sig = model.sigma
     for k, t in enumerate(grid):
         xt = x.T
-        u = model.control_law(t, xt) if model.control_law is not None else None
-        a = model.drift(t, xt, u)
-        if np.shape(a) != shape:
-            raise InputError(f"drift({t}) has shape {np.shape(a)}, not {shape}")
-        sig = require_finite(model.diffusion(t), f"sigma({t})", shape=(n, n))
+        if own:
+            # z is free until the noise is drawn
+            a = _times(model.A, x, out=z).T
+        else:
+            u = model.control_law(t, xt) if model.control_law is not None else None
+            a = model.drift(t, xt, u)
+            if np.shape(a) != shape:
+                raise InputError(f"drift({t}) has shape {np.shape(a)}, not {shape}")
+            sig = require_finite(model.diffusion(t), f"sigma({t})", shape=(n, n))
         form = sig.tobytes()
         if form != held:
             # the one place sigma is decided: on the matrix route at the
@@ -614,7 +649,8 @@ def _steps(model, grid, dt, n_paths, seed, matrices):
             if mixes and dw is None:
                 dw = np.empty_like(x)
         # z and finite are free until the step: A x and the compare go there
-        if matrices and not _same(a, _times(model.A, x, out=z).T, finite.T):
+        if matrices and not own and not _same(a, _times(model.A, x, out=z).T,
+                                                finite.T):
             raise InputError(f"drift({t}) is not the model's A x; {_OTHER}")
         yield t, xt, a, fixed
         if k == last:

@@ -620,6 +620,19 @@ NAMED = [
      "dps must increase strictly, as it does not from 1.0 to 0.5"),
     *[(run, (model, 8, 1.0, 1), name) for model, name in _HUGE_SIGMAS
       for run in (diffusion.simulate_ensemble, entropy.entropy_mc)],
+    # a callback that cannot be called is refused when the record is built,
+    # not met at grid point 0 as TypeError; only a model with A and sigma
+    # may leave both drift and diffusion to the record
+    (diffusion.DiffusionModel, (1, None, lambda t: [[1.0]], [0.0], [[1.0]],
+                                (0.0, 1.0)), "drift must be callable, not None"),
+    (diffusion.DiffusionModel, (1, lambda t, x, u: -x, 1.0, [0.0], [[1.0]],
+                                (0.0, 1.0)), "diffusion must be callable, not 1.0"),
+    (diffusion.DiffusionModel, (1, lambda t, x, u: -x, lambda t: [[1.0]], [0.0],
+                                [[1.0]], (0.0, 1.0), 0.5),
+     "control_law must be callable, not 0.5"),
+    (diffusion.DiffusionModel, (1, lambda t, x, u: -x, None, [0.0], [[1.0]],
+                                (0.0, 1.0), None, [[-1.0]], [[1.0]]),
+     "diffusion must be callable, not None"),
 ]
 
 

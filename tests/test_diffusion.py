@@ -629,6 +629,34 @@ class TestLinearModel:
             want = run(model, 500, seed=3).to_json()
             assert run(traced, 500, seed=3).to_json() == want
         assert len(calls) == 2 * 2 * 101
+        # a record replaced on another field keeps the callbacks bound to
+        # the old one, which are not its own: it takes the checked route,
+        # with the bits of a fresh model
+        moved = dataclasses.replace(model, horizon=(0.0, 2.0))
+        fresh = diffusion.linear_model(model.A, model.sigma, model.initial_mean,
+                                       model.initial_cov, (0.0, 2.0))
+        assert moved.drift.__self__ is model and fresh.drift.__self__ is fresh
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            want = run(fresh, 500, seed=3).to_json()
+            assert run(moved, 500, seed=3).to_json() == want
+
+    def test_own_callbacks_never_called(self, monkeypatch):
+        # the matrix route forms A x itself and reads sigma from the record
+        calls = []
+        for name in ("_drift", "_sigma"):
+            own = getattr(diffusion.DiffusionModel, name)
+            monkeypatch.setattr(
+                diffusion.DiffusionModel, name,
+                lambda *args, own=own: calls.append(1) or own(*args))
+        model = diffusion.linear_model(A3, SIGMA3, [0.1, 0.0, -0.2], P3, (0.0, 1.0))
+        for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
+            run(model, 500, seed=3)
+        assert not calls
+        # they give the same model to any other reader: A x and sigma
+        x = np.ones((2, 3))
+        assert np.allclose(model.drift(0.0, x, None), x @ A3.T)
+        assert model.diffusion(0.5) is model.sigma
+        assert calls
 
     def test_other_callbacks_refused(self):
         # the matrices are stepped only while the callbacks give the same
@@ -641,9 +669,12 @@ class TestLinearModel:
             n=1, drift=lambda t, x, u: -2.0 * x, diffusion=lambda t: [[1.0]],
             initial_mean=[0.5], initial_cov=[[0.2]], horizon=(0.0, 1.0),
             A=[[-1.0]], sigma=[[1.0]])
+        # a replaced A keeps the callbacks bound to the old record
+        moved = dataclasses.replace(model, A=[[-2.0]])
         for other, what in ((cubic, r"drift\(0.0\)"),
                             (varying, r"sigma\(0.5\)"),
-                            (built, r"drift\(0.0\)")):
+                            (built, r"drift\(0.0\)"),
+                            (moved, r"drift\(0.0\)")):
             for run in (diffusion.simulate_ensemble, entropy.entropy_mc):
                 with pytest.raises(InputError, match=what + " is not the model's"):
                     run(other, 100, seed=1)

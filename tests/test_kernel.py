@@ -16,6 +16,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -658,6 +659,29 @@ def test_kernel_yields_column_major_views(n):
         seen.append(x.T.flags.c_contiguous)
     # six grid points, each seen by the consumer and both callbacks
     assert len(seen) == 3 * 6 and all(seen)
+
+
+def test_matrix_route_allocates_no_ensemble_per_point():
+    """The matrix route forms a = A x into a buffer the kernel reuses, so
+    the traced peak stays a fixed number of ensembles (n_paths x n
+    doubles), not one more for an array made at every grid point, as
+    the linear model's drift callback used to make (5.6 and 7.3 of them).
+    The kernel holds three, x, the next x and the noise, and bools and
+    bytes for a fifth; simulate_ensemble adds a reduction block, and
+    entropy_mc its per-path integral, integrand and their halves."""
+    n_paths = 100_000
+    model = diffusion.linear_model(-1.0, 1.0, 1.0, 0.0, (0.0, 1.0))
+    ensemble = n_paths * model.n * 8
+    for run, most in ((diffusion.simulate_ensemble, 4.5), (entropy.entropy_mc, 6.5)):
+        # a first run, untraced, so numpy's lazy imports and caches do not count
+        run(model, n_paths, seed=1)
+        tracemalloc.start()
+        try:
+            run(model, n_paths, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < most * ensemble, (run.__name__, peak / ensemble)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
